@@ -18,7 +18,6 @@ from .metrics import (
 )
 from .radiation import (
     ArrayGeometry,
-    BeamPattern,
     Medium,
     SHVector,
     beam_pattern_field,
@@ -37,6 +36,7 @@ from .synthesis import (
     UnitWeights,
     build_transform,
     forward_weights,
+    near_field_steer,
     steer,
     unit_weights,
 )
@@ -46,7 +46,6 @@ from .virtualmeas import (
     discrete_sft,
     gaussian_grid,
     measured_pattern,
-    near_field_steer,
     pattern_error,
     perturb_transfer,
     transfer_matrix,

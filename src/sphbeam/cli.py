@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import sys
 from pathlib import Path
 
 import click
@@ -21,8 +20,15 @@ import numpy as np
 
 from . import design as designs
 from . import metrics as metricsmod
-from . import sphmath, synthesis, virtualmeas
-from .radiation import ArrayGeometry, Medium, beam_pattern_modal, dodecahedron, great_circle_angle
+from . import synthesis, virtualmeas
+from .radiation import (
+    ArrayGeometry,
+    Medium,
+    SHVector,
+    beam_pattern_modal,
+    dodecahedron,
+    great_circle_angle,
+)
 
 METHODS = ("max-di", "max-wng", "dolph-chebyshev")
 DEFAULT_R0 = 0.15
@@ -70,13 +76,19 @@ def parse_look(text: str) -> tuple[float, float]:
         raise ValueError("look: expected THETA,PHI in degrees") from exc
     if not 0.0 <= theta <= 180.0:
         raise ValueError("look.theta: must lie in [0, 180] degrees")
+    if not np.isfinite(phi):
+        raise ValueError("look.phi: must be finite")
     return np.deg2rad(theta), np.deg2rad(phi)
+
+
+def look_degrees(look_rad) -> list[float]:
+    return [float(np.rad2deg(a)) for a in look_rad]
 
 
 def parse_freqs(text: str) -> list[float]:
     freqs = [float(v) for v in text.split(",")]
-    if any(f <= 0 for f in freqs):
-        raise ValueError("freq: frequencies must be positive")
+    if not all(0 < f < np.inf for f in freqs):
+        raise ValueError("freq: frequencies must be finite and positive")
     return freqs
 
 
@@ -87,6 +99,8 @@ def parse_perturb(text: str) -> dict:
         if key not in allowed:
             raise ValueError(f"perturb.{key}: unknown field")
         allowed[key] = int(val) if key == "seed" else float(val)
+        if not np.isfinite(allowed[key]):
+            raise ValueError(f"perturb.{key}: must be finite")
     return allowed
 
 
@@ -98,6 +112,13 @@ def _design_weights(method, order, sidelobe_db, k, r0, medium):
     if sidelobe_db is None:
         raise ValueError("sidelobe: required for method dolph-chebyshev")
     return designs.dolph_chebyshev_weights(order, sidelobe_db)
+
+
+def _steer(d, look_rad, k, r0, near_field_radius, medium):
+    """Far-field steering, or near-field steering when a radius is given."""
+    if near_field_radius is None:
+        return synthesis.steer(d, look_rad, k, r0, medium)
+    return synthesis.near_field_steer(d, look_rad, k, near_field_radius, r0, medium)
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +136,24 @@ def _l2c(pairs) -> np.ndarray:
 
 def write_json(path: Path, kind: str, cfg_hash: str, payload: dict):
     doc = {"kind": kind, "config_hash": cfg_hash, **payload}
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    try:
+        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise ArithmeticError(f"{path}: non-finite value in output") from exc
+    path.write_text(text + "\n")
+
+
+def write_steered(out: Path, cfg_hash: str, f, k, look_deg, near_field_radius, steered):
+    write_json(out / f"steered_weights_{f:g}Hz.json", "steered_weights", cfg_hash, {
+        "order": steered.order, "frequency_hz": f, "k_per_m": k, "look_deg": look_deg,
+        "near_field_radius_m": near_field_radius, "coeffs": _c2l(steered.coeffs.coeffs),
+    })
+
+
+def write_unit(out: Path, cfg_hash: str, f, w):
+    write_json(out / f"unit_weights_{f:g}Hz.json", "unit_weights", cfg_hash, {
+        "frequency_hz": f, "num_caps": w.w.size, "w": _c2l(w.w),
+    })
 
 
 def read_json(path: Path, kind: str) -> dict:
@@ -171,10 +209,11 @@ def _run(fn):
     def wrapper(*args, **kwargs):
         try:
             fn(*args, **kwargs)
-        except (ValueError, KeyError, json.JSONDecodeError) as exc:
-            raise _Failure(f"config error: {exc}", 2) from exc
+        # LinAlgError subclasses ValueError, so it must be caught first
         except (ArithmeticError, np.linalg.LinAlgError) as exc:
             raise _Failure(f"numerical failure: {exc}", 3) from exc
+        except (ValueError, KeyError) as exc:
+            raise _Failure(f"config error: {exc}", 2) from exc
 
     wrapper.__name__ = fn.__name__
     wrapper.__doc__ = fn.__doc__
@@ -185,6 +224,17 @@ geometry_opt = click.option("--geometry", default="dodecahedron", show_default=T
                             help="Geometry JSON path or builtin spec.")
 out_opt = click.option("--out", type=click.Path(file_okay=False, path_type=Path),
                        default=Path("."), show_default=True, help="Output directory.")
+
+
+def _finite_positive(ctx, param, value):
+    if value is not None and not 0 < value < np.inf:
+        raise click.BadParameter("must be a finite positive number")
+    return value
+
+
+radius_opt = click.option("--radius", type=float, default=0.57, show_default=True,
+                          callback=_finite_positive,
+                          help="Analysis radius in m (with --near-field).")
 format_opt = click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
                           default="json", show_default=True)
 
@@ -197,13 +247,14 @@ def main():
 @main.command("design")
 @geometry_opt
 @click.option("--method", type=click.Choice(METHODS), required=True)
-@click.option("--order", "-N", type=int, required=True, help="Design order N.")
+@click.option("--order", "-N", type=click.IntRange(min=0), required=True,
+              help="Design order N.")
 @click.option("--freq", required=True, help="Frequency list in Hz, comma separated.")
 @click.option("--look", default="0,0", show_default=True, help="Look direction THETA,PHI in degrees.")
-@click.option("--sidelobe", type=float, default=None, help="Sidelobe level in dB (dolph-chebyshev).")
+@click.option("--sidelobe", type=float, default=None, callback=_finite_positive,
+              help="Sidelobe level in dB (dolph-chebyshev).")
 @click.option("--near-field", is_flag=True, help="Compensate steering for a finite analysis radius.")
-@click.option("--radius", type=float, default=0.57, show_default=True,
-              help="Analysis radius in m (with --near-field).")
+@radius_opt
 @out_opt
 @_run
 def cmd_design(geometry, method, order, freq, look, sidelobe, near_field, radius, out):
@@ -211,30 +262,23 @@ def cmd_design(geometry, method, order, freq, look, sidelobe, near_field, radius
     geom, geom_doc = load_geometry(geometry)
     look_rad = parse_look(look)
     freqs = parse_freqs(freq)
-    if sphmath.num_coeffs(order) > geom.num_caps:
-        raise ValueError(
-            f"order {order}: (N+1)^2 = {sphmath.num_coeffs(order)} exceeds "
-            f"L = {geom.num_caps} caps; the controllable order bound requires (N+1)^2 <= L"
-        )
+    transform = synthesis.build_transform(geom, order)
     medium = Medium()
     cfg = {
         "command": "design", "geometry": geom_doc, "method": method, "order": order,
-        "frequencies_hz": freqs, "look_deg": sorted_look(look), "sidelobe_db": sidelobe,
+        "frequencies_hz": freqs, "look_deg": look_degrees(look_rad), "sidelobe_db": sidelobe,
         "near_field": near_field, "radius_m": radius,
         "medium": {"rho0": medium.rho0, "c": medium.c},
     }
     cfg_hash = _config_hash(cfg)
+    nf_radius = radius if near_field else None
     out.mkdir(parents=True, exist_ok=True)
-    transform = synthesis.build_transform(geom, order)
 
     for f in freqs:
         k = 2 * np.pi * f / medium.c
         d = _design_weights(method, order, sidelobe, k, geom.r0, medium)
-        if near_field:
-            steered = virtualmeas.near_field_steer(d, look_rad, k, radius, geom.r0, medium)
-        else:
-            steered = synthesis.steer(d, look_rad, k, geom.r0, medium)
-        w = synthesis.unit_weights(steered, transform, geometry=geom)
+        steered = _steer(d, look_rad, k, geom.r0, nf_radius, medium)
+        w = synthesis.unit_weights(steered, transform)
         rep = metricsmod.report(d, k, geom.r0, medium,
                                 unit_weight_norm=float(np.sum(np.abs(w.w) ** 2)))
         tag = f"{f:g}Hz"
@@ -242,22 +286,11 @@ def cmd_design(geometry, method, order, freq, look, sidelobe, near_field, radius
             "method": method, "order": order, "frequency_hz": f, "k_per_m": k,
             "r0_m": geom.r0, "d": _c2l(d.d),
         })
-        write_json(out / f"steered_weights_{tag}.json", "steered_weights", cfg_hash, {
-            "order": order, "frequency_hz": f, "k_per_m": k, "look_deg": cfg["look_deg"],
-            "near_field_radius_m": radius if near_field else None,
-            "coeffs": _c2l(steered.coeffs.coeffs),
-        })
-        write_json(out / f"unit_weights_{tag}.json", "unit_weights", cfg_hash, {
-            "frequency_hz": f, "num_caps": geom.num_caps, "w": _c2l(w.w),
-        })
+        write_steered(out, cfg_hash, f, k, cfg["look_deg"], nf_radius, steered)
+        write_unit(out, cfg_hash, f, w)
         write_json(out / f"metrics_{tag}.json", "metrics", cfg_hash, _report_doc(rep, f))
         click.echo(f"{tag}: Q={rep.q:.6g} DI={rep.di_db:.4f} dB "
                    f"WNG={rep.wng:.6g} ({rep.wng_db:.4f} dB)")
-
-
-def sorted_look(look: str) -> list[float]:
-    theta, phi = parse_look(look)
-    return [float(np.rad2deg(theta)), float(np.rad2deg(phi))]
 
 
 def _report_doc(rep, f):
@@ -273,7 +306,7 @@ def _report_doc(rep, f):
 @geometry_opt
 @click.option("--look", required=True, help="Look direction THETA,PHI in degrees.")
 @click.option("--near-field", is_flag=True)
-@click.option("--radius", type=float, default=0.57, show_default=True)
+@radius_opt
 @out_opt
 @_run
 def cmd_steer(weights_file, geometry, look, near_field, radius, out):
@@ -282,21 +315,13 @@ def cmd_steer(weights_file, geometry, look, near_field, radius, out):
     look_rad = parse_look(look)
     data = read_json(weights_file, "modal_weights")
     d = designs.ModalWeights(d=_l2c(data["d"]), k=data["k_per_m"])
-    medium = Medium()
-    if near_field:
-        steered = virtualmeas.near_field_steer(d, look_rad, d.k, radius, geom.r0, medium)
-    else:
-        steered = synthesis.steer(d, look_rad, d.k, geom.r0, medium)
+    nf_radius = radius if near_field else None
+    steered = _steer(d, look_rad, d.k, geom.r0, nf_radius, Medium())
     cfg = {"command": "steer", "geometry": geom_doc, "source": data["config_hash"],
-           "look_deg": sorted_look(look), "near_field": near_field, "radius_m": radius}
+           "look_deg": look_degrees(look_rad), "near_field": near_field, "radius_m": radius}
     out.mkdir(parents=True, exist_ok=True)
-    tag = f"{data['frequency_hz']:g}Hz"
-    write_json(out / f"steered_weights_{tag}.json", "steered_weights", _config_hash(cfg), {
-        "order": d.order, "frequency_hz": data["frequency_hz"], "k_per_m": d.k,
-        "look_deg": cfg["look_deg"],
-        "near_field_radius_m": radius if near_field else None,
-        "coeffs": _c2l(steered.coeffs.coeffs),
-    })
+    write_steered(out, _config_hash(cfg), data["frequency_hz"], d.k, cfg["look_deg"],
+                  nf_radius, steered)
     click.echo(f"steered order-{d.order} weights to look {look} deg")
 
 
@@ -309,19 +334,12 @@ def cmd_synthesize(steered_file, geometry, out):
     """Compute per-loudspeaker weights from steered coefficients."""
     geom, geom_doc = load_geometry(geometry)
     data = read_json(steered_file, "steered_weights")
-    coeffs = _l2c(data["coeffs"])
     transform = synthesis.build_transform(geom, data["order"])
-    w = synthesis.unit_weights(
-        synthesis.SteeredWeights(
-            coeffs=virtualmeas.SHVector(order=data["order"], coeffs=coeffs),
-            look=tuple(np.deg2rad(data["look_deg"])), k=data["k_per_m"], r0=geom.r0),
-        transform, geometry=geom)
+    w = synthesis.unit_weights(SHVector(order=data["order"], coeffs=_l2c(data["coeffs"])),
+                               transform)
     cfg = {"command": "synthesize", "geometry": geom_doc, "source": data["config_hash"]}
     out.mkdir(parents=True, exist_ok=True)
-    tag = f"{data['frequency_hz']:g}Hz"
-    write_json(out / f"unit_weights_{tag}.json", "unit_weights", _config_hash(cfg), {
-        "frequency_hz": data["frequency_hz"], "num_caps": geom.num_caps, "w": _c2l(w.w),
-    })
+    write_unit(out, _config_hash(cfg), data["frequency_hz"], w)
     click.echo(f"synthesized {geom.num_caps} unit weights")
 
 
@@ -354,7 +372,8 @@ def cmd_metrics(weights_file, geometry, out, fmt):
 
 @main.command("grid")
 @click.option("--analysis-order", type=int, required=True)
-@click.option("--radius", type=float, required=True, help="Grid radius in m.")
+@click.option("--radius", type=float, required=True, callback=_finite_positive,
+              help="Grid radius in m.")
 @out_opt
 @_run
 def cmd_grid(analysis_order, radius, out):
@@ -378,7 +397,7 @@ def cmd_grid(analysis_order, radius, out):
 @geometry_opt
 @click.option("--analysis-order", type=int, default=10, show_default=True)
 @click.option("--radius", type=float, default=0.57, show_default=True,
-              help="Virtual microphone radius in m.")
+              callback=_finite_positive, help="Virtual microphone radius in m.")
 @click.option("--look", default="0,0", show_default=True,
               help="Look direction THETA,PHI in degrees; must match the steering.")
 @click.option("--perturb", default="", help="Perturbation spec, e.g. "
@@ -403,7 +422,7 @@ def cmd_simulate(modal_file, unit_file, geometry, analysis_order, radius, look, 
 
     cfg = {"command": "simulate", "geometry": geom_doc, "source": modal["config_hash"],
            "analysis_order": analysis_order, "radius_m": radius,
-           "look_deg": [float(np.rad2deg(a)) for a in look_rad], "perturb": perturbation}
+           "look_deg": look_degrees(look_rad), "perturb": perturbation}
     cfg_hash = _config_hash(cfg)
     out.mkdir(parents=True, exist_ok=True)
     tag = f"{modal['frequency_hz']:g}Hz"
@@ -415,16 +434,11 @@ def cmd_simulate(modal_file, unit_file, geometry, analysis_order, radius, look, 
     samples = virtualmeas.virtual_measure(_l2c(unit["w"]), transfer)
     measured_nm = virtualmeas.discrete_sft(samples, grid, order)
 
-    balloon = _balloon_dirs()
-    cross = _cross_section_dirs()
-    for name, dirs in (("balloon", balloon), ("cross_section", cross)):
-        theta_gc = great_circle_angle(look_rad, dirs)
-        designed = beam_pattern_modal(d, theta_gc)
-        designed_look = beam_pattern_modal(d, 0.0)
-        ymat = sphmath.sh_matrix(order, dirs[:, 0], dirs[:, 1])
-        measured = ymat @ measured_nm.coeffs
-        ylook = sphmath.sh_matrix(order, look_rad[0], look_rad[1])[0]
-        measured_look = ylook @ measured_nm.coeffs
+    designed_look = beam_pattern_modal(d, 0.0)
+    measured_look = virtualmeas.measured_pattern(measured_nm, [look_rad])[0]
+    for name, dirs in (("balloon", _balloon_dirs()), ("cross_section", _cross_section_dirs())):
+        designed = beam_pattern_modal(d, great_circle_angle(look_rad, dirs))
+        measured = virtualmeas.measured_pattern(measured_nm, dirs)
         write_pattern_csv(out / f"{name}_designed_{tag}.csv", cfg_hash, dirs, designed,
                           designed_look)
         write_pattern_csv(out / f"{name}_measured_{tag}.csv", cfg_hash, dirs, measured,
@@ -432,7 +446,7 @@ def cmd_simulate(modal_file, unit_file, geometry, analysis_order, radius, look, 
 
     # error between designed and measured patterns on the analysis grid
     designed_grid = beam_pattern_modal(d, great_circle_angle(look_rad, grid.directions))
-    measured_grid = virtualmeas.measured_pattern(samples, grid, order)
+    measured_grid = virtualmeas.measured_pattern(measured_nm, grid.directions)
     err = virtualmeas.pattern_error(measured_grid, designed_grid, grid.weights)
     write_json(out / f"simulation_{tag}.json", "simulation_report", cfg_hash, {
         "frequency_hz": modal["frequency_hz"], "analysis_order": analysis_order,

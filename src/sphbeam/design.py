@@ -108,8 +108,8 @@ def dolph_chebyshev_weights(order, sidelobe_db):
     """
     if order < 1:
         raise ValueError("Dolph-Chebyshev design requires order >= 1")
-    if sidelobe_db <= 0:
-        raise ValueError("sidelobe level must be a positive number of dB")
+    if not 0 < sidelobe_db < np.inf:
+        raise ValueError("sidelobe level must be a finite positive number of dB")
     ratio = 10.0 ** (sidelobe_db / 20.0)
     x0 = np.cosh(np.arccosh(ratio) / (2 * order))
 

@@ -7,7 +7,7 @@ radius, the far-field radial functions b_n, and axis-symmetric beam
 pattern evaluation in both the full-field and modal forms.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,9 +17,9 @@ __all__ = [
     "Medium",
     "ArrayGeometry",
     "SHVector",
-    "BeamPattern",
     "dodecahedron",
     "cap_gain",
+    "cap_gain_diag",
     "velocity_coeffs",
     "radial_near",
     "radial_far",
@@ -38,8 +38,8 @@ class Medium:
     c: float = 343.0
 
     def __post_init__(self):
-        if self.rho0 <= 0 or self.c <= 0:
-            raise ValueError("medium parameters must be positive")
+        if not (0 < self.rho0 < np.inf and 0 < self.c < np.inf):
+            raise ValueError("medium parameters rho0 and c must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -57,12 +57,14 @@ class ArrayGeometry:
 
     def __post_init__(self):
         object.__setattr__(self, "cap_dirs", np.atleast_2d(np.asarray(self.cap_dirs, dtype=float)))
-        if self.r0 <= 0:
-            raise ValueError("sphere radius r0 must be positive")
+        if not 0 < self.r0 < np.inf:
+            raise ValueError("sphere radius r0 must be finite and positive")
         if not 0 < self.alpha < np.pi / 2:
             raise ValueError("cap aperture alpha must lie in (0, pi/2)")
         if self.cap_dirs.ndim != 2 or self.cap_dirs.shape[1] != 2 or self.cap_dirs.shape[0] < 1:
             raise ValueError("cap_dirs must have shape (L, 2) with L >= 1")
+        if not np.all(np.isfinite(self.cap_dirs)):
+            raise ValueError("cap_dirs must be finite")
         if np.any(self.cap_dirs[:, 0] < 0) or np.any(self.cap_dirs[:, 0] > np.pi):
             raise ValueError("cap polar angles must lie in [0, pi]")
 
@@ -92,22 +94,6 @@ class SHVector:
     def __getitem__(self, nm):
         n, m = nm
         return self.coeffs[sphmath.sh_index(n, m)]
-
-
-@dataclass(frozen=True)
-class BeamPattern:
-    """Complex directivity samples on a direction set."""
-
-    directions: np.ndarray  # (M, 2) theta, phi in radians
-    values: np.ndarray  # (M,) complex
-    look: tuple  # (theta0, phi0)
-    k: float = field(default=0.0)
-
-    def __post_init__(self):
-        if len(self.values) != len(self.directions):
-            raise ValueError("one value per direction required")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("beam pattern values must be finite")
 
 
 _GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
@@ -142,7 +128,7 @@ def cap_gain(n, alpha):
     )
 
 
-def _cap_gain_diag(order, alpha):
+def cap_gain_diag(order, alpha):
     """g_n repeated 2n+1 times, aligned with packed SH indexing."""
     g = np.array([cap_gain(n, alpha) for n in range(order + 1)])
     return np.repeat(g, [2 * n + 1 for n in range(order + 1)])
@@ -157,7 +143,7 @@ def velocity_coeffs(geom, v, order):
     if v.shape != (geom.num_caps,):
         raise ValueError(f"expected {geom.num_caps} cap velocities, got {v.shape}")
     ymat = sphmath.sh_matrix(order, geom.cap_dirs[:, 0], geom.cap_dirs[:, 1])
-    coeffs = _cap_gain_diag(order, geom.alpha) * (ymat.conj().T @ v)
+    coeffs = cap_gain_diag(order, geom.alpha) * (ymat.conj().T @ v)
     return SHVector(order=order, coeffs=coeffs)
 
 
@@ -167,10 +153,10 @@ def radial_near(n, k, r, r0, medium=Medium()):
     Multiplying the modal surface velocity u_nm by this term gives the
     pressure coefficient p_nm at radius r.  Vectorized over n.
     """
-    if k <= 0:
-        raise ValueError("wavenumber k must be positive")
-    if not r > r0 > 0:
-        raise ValueError("evaluation radius must satisfy r > r0 > 0")
+    if not 0 < k < np.inf:
+        raise ValueError("wavenumber k must be finite and positive")
+    if not 0 < r0 < r < np.inf:
+        raise ValueError("evaluation radius must satisfy r > r0 > 0 and be finite")
     hn, _ = sphmath.sph_hankel1(n, k * r)
     _, dhn0 = sphmath.sph_hankel1(n, k * r0)
     return 1j * medium.rho0 * medium.c * hn / dhn0
@@ -188,8 +174,8 @@ def radial_far(n, k, r0, medium=Medium()):
     design divides by b_n and the pattern evaluation multiplies by it.
     Vectorized over n.
     """
-    if k <= 0 or r0 <= 0:
-        raise ValueError("k and r0 must be positive")
+    if not (0 < k < np.inf and 0 < r0 < np.inf):
+        raise ValueError("k and r0 must be finite and positive")
     n = np.asarray(n)
     _, dhn0 = sphmath.sph_hankel1(n, k * r0)
     return 1j * medium.rho0 * medium.c * (-1j) ** (n + 1) / (k * dhn0)

@@ -3,7 +3,8 @@ coefficients and mapping them to per-loudspeaker driving weights.
 
 The steered coefficients are w_nm = (d_n / b_n) [Y_n^m(look)]* and the
 per-unit weights solve G Y w = w_nm in the minimum-norm sense via an
-SVD pseudo-inverse.
+SVD pseudo-inverse.  Near-field compensated steering replaces b_n by the
+radial term at a finite analysis radius.
 """
 
 from dataclasses import dataclass
@@ -11,13 +12,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sphmath
-from .radiation import ArrayGeometry, Medium, SHVector, _cap_gain_diag, radial_far
+from .radiation import Medium, SHVector, cap_gain_diag, radial_far, radial_near
 
 __all__ = [
     "SteeredWeights",
     "TransformMatrices",
     "UnitWeights",
     "steer",
+    "near_field_steer",
     "build_transform",
     "unit_weights",
     "forward_weights",
@@ -28,12 +30,9 @@ _SV_CUTOFF = 1e-10  # relative singular-value truncation for the pseudo-inverse
 
 @dataclass(frozen=True)
 class SteeredWeights:
-    """Spherical-harmonic beamforming coefficients with steering metadata."""
+    """Spherical-harmonic beamforming coefficients w_nm."""
 
     coeffs: SHVector
-    look: tuple
-    k: float
-    r0: float
 
     @property
     def order(self):
@@ -62,19 +61,22 @@ class UnitWeights:
     """Per-loudspeaker complex driving weights w_l, l = 1..L."""
 
     w: np.ndarray
-    geometry: ArrayGeometry | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "w", np.asarray(self.w, dtype=complex))
 
 
 def _steer_coeffs(d, look, per_order_divisor):
-    """w_nm = (d_n / divisor_n) [Y_n^m(look)]* in packed form."""
+    """w_nm = (d_n / divisor_n) [Y_n^m(look)]* in packed form; raises if
+    any divisor_n vanishes."""
+    bad = np.nonzero(np.abs(per_order_divisor) < 1e-300)[0]
+    if bad.size:
+        raise ArithmeticError(f"steering radial term vanishes for n={bad.tolist()}")
     order = d.size - 1
     reps = [2 * n + 1 for n in range(order + 1)]
     ylook = sphmath.sh_matrix(order, look[0], look[1])[0]
     coeffs = np.repeat(d / per_order_divisor, reps) * ylook.conj()
-    return SHVector(order=order, coeffs=coeffs)
+    return SteeredWeights(coeffs=SHVector(order=order, coeffs=coeffs))
 
 
 def steer(d, look, k, r0, medium=Medium()):
@@ -84,11 +86,20 @@ def steer(d, look, k, r0, medium=Medium()):
     b_n vanishes at this k r0.
     """
     dv = np.asarray(getattr(d, "d", d), dtype=complex)
-    b = radial_far(np.arange(dv.size), k, r0, medium)
-    bad = np.nonzero(np.abs(b) < 1e-300)[0]
-    if bad.size:
-        raise ArithmeticError(f"radial function b_n vanishes for n={bad.tolist()} at kr0={k * r0}")
-    return SteeredWeights(coeffs=_steer_coeffs(dv, look, b), look=tuple(look), k=k, r0=r0)
+    return _steer_coeffs(dv, look, radial_far(np.arange(dv.size), k, r0, medium))
+
+
+def near_field_steer(d, look, k, r, r0, medium=Medium()):
+    """Steering with exact near-field compensation at analysis radius r.
+
+    Replaces b_n in the steering by the exact radius-r radial term
+    r e^{-ikr} radial_near(n, k, r, r0), so the pattern on the radius-r
+    sphere equals the designed far-field pattern.  Converges to
+    :func:`steer` for k r >> N.
+    """
+    dv = np.asarray(getattr(d, "d", d), dtype=complex)
+    rad = r * np.exp(-1j * k * r) * radial_near(np.arange(dv.size), k, r, r0, medium)
+    return _steer_coeffs(dv, look, rad)
 
 
 def build_transform(geom, order):
@@ -110,22 +121,21 @@ def build_transform(geom, order):
             f"spherical-harmonic matrix is rank deficient for this cap layout "
             f"(sigma_min/sigma_max = {sv[-1] / sv[0]:.2e})"
         )
-    return TransformMatrices(ymat=ymat, g_diag=_cap_gain_diag(order, geom.alpha))
+    return TransformMatrices(ymat=ymat, g_diag=cap_gain_diag(order, geom.alpha))
 
 
-def unit_weights(steered, transform, geometry=None):
+def unit_weights(steered, transform):
     """Per-unit weights w = Y^+ G^{-1} w_nm (minimum-norm solution of
     G Y w = w_nm).
 
     ``steered`` may be a SteeredWeights or a bare SHVector.
     """
-    coeffs = getattr(steered, "coeffs", steered)
-    if isinstance(coeffs, SHVector):
-        coeffs = coeffs.coeffs
-    if coeffs.shape != (transform.ymat.shape[0],):
+    if isinstance(steered, SteeredWeights):
+        steered = steered.coeffs
+    if steered.coeffs.shape != (transform.ymat.shape[0],):
         raise ValueError("coefficient length does not match transform order")
     ypinv = np.linalg.pinv(transform.ymat, rcond=_SV_CUTOFF)
-    return UnitWeights(w=ypinv @ (coeffs / transform.g_diag), geometry=geometry)
+    return UnitWeights(w=ypinv @ (steered.coeffs / transform.g_diag))
 
 
 def forward_weights(w, transform):

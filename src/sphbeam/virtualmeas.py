@@ -4,7 +4,8 @@ Builds a Gaussian microphone grid around the source, computes the
 per-unit transfer matrix from the radiation model, performs the discrete
 spherical Fourier transform of the sampled pressure, and compares the
 measured beam pattern against the designed one.  Near-field compensated
-steering accounts for the finite analysis radius.
+steering (defined in :mod:`synthesis`, re-exported here) accounts for the
+finite analysis radius.
 
 The transfer matrix is evaluated to an order well above the analysis
 order, so the uncontrollable high-order cap harmonics are present in the
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sphmath
-from .radiation import Medium, SHVector, _cap_gain_diag, radial_near
-from .synthesis import SteeredWeights, _steer_coeffs
+from .radiation import Medium, SHVector, cap_gain_diag, radial_near
+from .synthesis import near_field_steer
 
 __all__ = [
     "SamplingGrid",
@@ -69,8 +70,8 @@ def gaussian_grid(order, radius):
     (order+1) Gauss-Legendre elevations times 2(order+1) uniform
     azimuths, with product quadrature weights; 2(order+1)^2 nodes.
     """
-    if order < 0 or radius <= 0:
-        raise ValueError("order must be >= 0 and radius positive")
+    if order < 0 or not 0 < radius < np.inf:
+        raise ValueError("order must be >= 0 and radius finite and positive")
     x, wx = np.polynomial.legendre.leggauss(order + 1)
     theta = np.arccos(x)
     nphi = 2 * (order + 1)
@@ -95,7 +96,7 @@ def transfer_matrix(geom, grid, k, medium=Medium(), sim_order=None):
         sim_order = grid.order + SIM_ORDER_MARGIN
     orders = np.arange(sim_order + 1)
     rad = np.repeat(radial_near(orders, k, grid.radius, geom.r0, medium), 2 * orders + 1)
-    g = _cap_gain_diag(sim_order, geom.alpha)
+    g = cap_gain_diag(sim_order, geom.alpha)
     ygrid = sphmath.sh_matrix(sim_order, grid.directions[:, 0], grid.directions[:, 1])
     ycaps = sphmath.sh_matrix(sim_order, geom.cap_dirs[:, 0], geom.cap_dirs[:, 1])
     h = (ygrid * (rad * g)) @ ycaps.conj().T
@@ -135,21 +136,6 @@ def discrete_sft(samples, grid, order):
     return SHVector(order=order, coeffs=ymat.conj().T @ (grid.weights * samples))
 
 
-def near_field_steer(d, look, k, r, r0, medium=Medium()):
-    """Steering with exact near-field compensation at analysis radius r.
-
-    Replaces b_n in the steering by the exact radius-r radial term
-    r e^{-ikr} radial_near(n, k, r, r0), so the pattern on the radius-r
-    sphere equals the designed far-field pattern.  Converges to
-    :func:`synthesis.steer` for k r >> N.
-    """
-    dv = np.asarray(getattr(d, "d", d), dtype=complex)
-    rad = r * np.exp(-1j * k * r) * radial_near(np.arange(dv.size), k, r, r0, medium)
-    if np.any(np.abs(rad) < 1e-300):
-        raise ArithmeticError("near-field radial term vanishes")
-    return SteeredWeights(coeffs=_steer_coeffs(dv, look, rad), look=tuple(look), k=k, r0=r0)
-
-
 def virtual_measure(w, transfer):
     """Sampled pressure p_j = sum_l H[j, l] w_l of a driven array."""
     wv = np.asarray(getattr(w, "w", w), dtype=complex)
@@ -158,18 +144,17 @@ def virtual_measure(w, transfer):
     return transfer.values @ wv
 
 
-def measured_pattern(samples, grid, order):
-    """Order-limited beam pattern extracted from sampled pressure.
+def measured_pattern(pnm, dirs):
+    """Order-limited beam pattern of measured coefficients at ``dirs``.
 
-    Spherical Fourier analysis to the stated order followed by synthesis
-    back onto the grid directions: the measured counterpart of the
-    designed pattern, free of the uncontrolled harmonics above ``order``
-    (up to quadrature aliasing).  The overall complex scale of the
-    result is that of the pressure samples.
+    Synthesizes the spherical Fourier coefficients ``pnm`` (from
+    :func:`discrete_sft`) at directions of shape (M, 2): the measured
+    counterpart of the designed pattern, free of the uncontrolled
+    harmonics above ``pnm.order`` (up to quadrature aliasing).  The
+    overall complex scale of the result is that of the pressure samples.
     """
-    pnm = discrete_sft(samples, grid, order)
-    ymat = sphmath.sh_matrix(order, grid.directions[:, 0], grid.directions[:, 1])
-    return ymat @ pnm.coeffs
+    dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
+    return sphmath.sh_matrix(pnm.order, dirs[:, 0], dirs[:, 1]) @ pnm.coeffs
 
 
 def pattern_error(measured, reference, weights):

@@ -27,6 +27,7 @@ from sphbeam.radiation import (
 )
 from sphbeam.synthesis import build_transform, forward_weights, steer, unit_weights
 from sphbeam.virtualmeas import (
+    discrete_sft,
     gaussian_grid,
     measured_pattern,
     near_field_steer,
@@ -134,7 +135,7 @@ def test_criterion_6_end_to_end_replication():
         sw = near_field_steer(d.d, look, k, RADIUS, R0, MEDIUM)
         w = unit_weights(sw, transform)
         samples = virtual_measure(w, transfer_matrix(GEOM, grid, k))
-        measured = measured_pattern(samples, grid, 2)
+        measured = measured_pattern(discrete_sft(samples, grid, 2), grid.directions)
         designed = beam_pattern_modal(d.d, great_circle_angle(look, grid.directions))
         errs[f] = pattern_error(measured, designed, grid.weights)
     elapsed = time.perf_counter() - start

@@ -1,10 +1,17 @@
 import json
+import math
+import tempfile
+from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from sphbeam.cli import main
+from sphbeam.cli import _run, main, write_json
+from sphbeam.radiation import dodecahedron
 
 
 @pytest.fixture
@@ -196,3 +203,116 @@ class TestSimulate:
         mags = [float(line.split(",")[4]) for line in lines
                 if not line.startswith(("#", "theta_deg"))]
         assert np.ptp(mags) < 1e-12 * max(mags)
+
+
+class TestBoundary:
+    def test_linalg_error_exits_3(self):
+        def failing():
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        with pytest.raises(click.ClickException) as info:
+            _run(failing)()
+        assert info.value.exit_code == 3
+
+    def test_write_json_rejects_non_finite(self, tmp_path):
+        path = tmp_path / "x.json"
+        with pytest.raises(ArithmeticError, match="non-finite"):
+            write_json(path, "metrics", "0", {"q": float("nan")})
+        assert not path.exists()
+
+    @pytest.mark.parametrize("args, field", [
+        (["--method", "max-di", "--order", "-1", "--freq", "400"], "--order"),
+        (["--method", "max-di", "--order", "3", "--freq", "400"], "(N+1)^2"),
+        (["--method", "max-di", "--order", "2", "--freq", "400", "--look", "90,nan"],
+         "look.phi"),
+        (["--method", "max-di", "--order", "2", "--freq", "nan"], "freq"),
+        (["--method", "max-di", "--order", "2", "--freq", "inf"], "freq"),
+        (["--method", "dolph-chebyshev", "--order", "2", "--freq", "400", "--sidelobe", "nan"],
+         "sidelobe"),
+        (["--method", "max-wng", "--order", "2", "--freq", "400",
+          "--geometry", "dodecahedron:r0=nan"], "r0"),
+        (["--method", "max-wng", "--order", "2", "--freq", "400", "--near-field",
+          "--radius", "inf"], "--radius"),
+    ])
+    def test_design_rejects_bad_numbers(self, runner, tmp_path, args, field):
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["design", *args, "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert field in result.output
+        assert not out.exists()
+
+    def test_simulate_rejects_non_finite_radius(self, runner, tmp_path):
+        _design(runner, tmp_path)
+        result = runner.invoke(main, [
+            "simulate", str(tmp_path / "modal_weights_400Hz.json"),
+            str(tmp_path / "unit_weights_400Hz.json"), "--radius", "nan",
+            "--out", str(tmp_path / "sim"),
+        ])
+        assert result.exit_code == 2
+        assert "--radius" in result.output
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite token {name}")
+
+
+_CAPS_DEG = np.rad2deg(dodecahedron(0.15, 0.3).cap_dirs).tolist()
+_FIELDS = ("freq", "theta", "phi", "radius", "r0", "alpha", "cap", "sim_radius")
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    method=st.sampled_from(["max-di", "max-wng", "dolph-chebyshev"]),
+    order=st.integers(-2, 4),
+    freq=st.floats(20.0, 5000.0),
+    theta=st.floats(0.0, 180.0),
+    phi=st.floats(-360.0, 360.0),
+    near_field=st.booleans(),
+    radius=st.floats(0.2, 2.0),
+    r0=st.floats(0.05, 0.3),
+    alpha=st.floats(0.05, 1.4),
+    cap=st.tuples(st.integers(0, 11), st.integers(0, 1)),
+    sim_radius=st.one_of(st.none(), st.floats(0.2, 2.0)),
+    poison=st.one_of(st.none(), st.tuples(st.sampled_from(_FIELDS),
+                                          st.sampled_from([math.nan, math.inf, -math.inf,
+                                                           0.0, -1.0]))),
+)
+def test_cli_fuzz_exits_cleanly_and_writes_strict_json(
+        method, order, freq, theta, phi, near_field, radius, r0, alpha, cap, sim_radius,
+        poison):
+    """Every run of design (and simulate after a good design) exits 0, 2 or 3
+    without a traceback, and every JSON file written is strict JSON."""
+    values = {"freq": freq, "theta": theta, "phi": phi, "radius": radius, "r0": r0,
+              "alpha": alpha, "cap": None, "sim_radius": sim_radius}
+    if poison is not None:
+        values[poison[0]] = poison[1]
+    caps = [list(row) for row in _CAPS_DEG]
+    if values["cap"] is not None:
+        caps[cap[0]][cap[1]] = values["cap"]
+    look = f"{values['theta']!r},{values['phi']!r}"
+    runner = CliRunner()
+    with tempfile.TemporaryDirectory() as tmp:
+        geometry = Path(tmp) / "geom.json"
+        geometry.write_text(json.dumps({"r0": values["r0"], "alpha": values["alpha"],
+                                        "caps_deg": caps}))
+        out = Path(tmp) / "out"
+        runs = [runner.invoke(main, [
+            "design", "--method", method, "--order", str(order),
+            "--freq", f"{values['freq']!r},733.3", "--look", look, "--sidelobe", "25",
+            "--radius", repr(values["radius"]), "--geometry", str(geometry), "--out", str(out),
+            *(["--near-field"] if near_field else []),
+        ])]
+        if runs[0].exit_code == 0 and values["sim_radius"] is not None:
+            tag = f"{values['freq']:g}Hz"
+            runs.append(runner.invoke(main, [
+                "simulate", str(out / f"modal_weights_{tag}.json"),
+                str(out / f"unit_weights_{tag}.json"), "--geometry", str(geometry),
+                "--analysis-order", "4", "--radius", repr(values["sim_radius"]),
+                "--look", look, "--out", str(out),
+            ]))
+        for result in runs:
+            assert result.exit_code in (0, 2, 3), result.output
+            assert result.exception is None or isinstance(result.exception, SystemExit)
+            assert "Traceback" not in result.output
+        for path in out.glob("*.json"):
+            json.loads(path.read_text(), parse_constant=_reject_constant)

@@ -191,7 +191,7 @@ class TestVirtualMeasure:
         samples, designed, order = self._pipeline(
             400.0, lambda n, k: max_wng_weights(n, k, GEOM.r0, MEDIUM)
         )
-        measured = measured_pattern(samples, self.grid, order)
+        measured = measured_pattern(discrete_sft(samples, self.grid, order), self.grid.directions)
         err = pattern_error(measured, designed, self.grid.weights)
         assert err < 1e-6
 
@@ -199,7 +199,8 @@ class TestVirtualMeasure:
         errs = []
         for f in (400.0, 1000.0, 1400.0, 1800.0, 2200.0):
             samples, designed, order = self._pipeline(f, lambda n, k: max_directivity_weights(n))
-            measured = measured_pattern(samples, self.grid, order)
+            measured = measured_pattern(discrete_sft(samples, self.grid, order),
+                                        self.grid.directions)
             errs.append(pattern_error(measured, designed, self.grid.weights))
         assert errs[0] < 1e-3
         assert all(np.diff(errs[1:]) > 0)
