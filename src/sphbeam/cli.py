@@ -129,8 +129,13 @@ def _c2l(values) -> list:
     return [[float(v.real), float(v.imag)] for v in np.asarray(values, dtype=complex)]
 
 
-def _l2c(pairs) -> np.ndarray:
-    arr = np.asarray(pairs, dtype=float)
+def _l2c(pairs, field: str) -> np.ndarray:
+    try:
+        arr = np.asarray(pairs, dtype=float)
+    except (TypeError, ValueError):
+        arr = np.empty(0)
+    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] != 2 or not np.all(np.isfinite(arr)):
+        raise ValueError(f"{field}: expected a non-empty list of finite [re, im] pairs")
     return arr[:, 0] + 1j * arr[:, 1]
 
 
@@ -158,6 +163,8 @@ def write_unit(out: Path, cfg_hash: str, f, w):
 
 def read_json(path: Path, kind: str) -> dict:
     data = json.loads(Path(path).read_text())
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected a JSON object")
     if data.get("kind") != kind:
         raise ValueError(f"{path}: expected a {kind!r} file, got {data.get('kind')!r}")
     return data
@@ -167,6 +174,8 @@ def write_pattern_csv(path: Path, cfg_hash: str, dirs_rad, values, look_value):
     """Pattern CSV: angles in degrees, dB relative to the look direction."""
     if not (np.all(np.isfinite(values)) and np.isfinite(look_value)):
         raise ArithmeticError(f"{path}: non-finite pattern values")
+    if look_value == 0:
+        raise ArithmeticError(f"{path}: zero response in the look direction")
     scale = abs(look_value)
     lines = [
         f"# config_hash: {cfg_hash}",
@@ -314,7 +323,7 @@ def cmd_steer(weights_file, geometry, look, near_field, radius, out):
     geom, geom_doc = load_geometry(geometry)
     look_rad = parse_look(look)
     data = read_json(weights_file, "modal_weights")
-    d = designs.ModalWeights(d=_l2c(data["d"]), k=data["k_per_m"])
+    d = designs.ModalWeights(d=_l2c(data["d"], "d"), k=data["k_per_m"])
     nf_radius = radius if near_field else None
     steered = _steer(d, look_rad, d.k, geom.r0, nf_radius, Medium())
     cfg = {"command": "steer", "geometry": geom_doc, "source": data["config_hash"],
@@ -335,8 +344,8 @@ def cmd_synthesize(steered_file, geometry, out):
     geom, geom_doc = load_geometry(geometry)
     data = read_json(steered_file, "steered_weights")
     transform = synthesis.build_transform(geom, data["order"])
-    w = synthesis.unit_weights(SHVector(order=data["order"], coeffs=_l2c(data["coeffs"])),
-                               transform)
+    coeffs = SHVector(order=data["order"], coeffs=_l2c(data["coeffs"], "coeffs"))
+    w = synthesis.unit_weights(coeffs, transform)
     cfg = {"command": "synthesize", "geometry": geom_doc, "source": data["config_hash"]}
     out.mkdir(parents=True, exist_ok=True)
     write_unit(out, _config_hash(cfg), data["frequency_hz"], w)
@@ -353,7 +362,7 @@ def cmd_metrics(weights_file, geometry, out, fmt):
     """Directivity factor/index and WNG of a modal weights file."""
     geom, geom_doc = load_geometry(geometry)
     data = read_json(weights_file, "modal_weights")
-    d = designs.ModalWeights(d=_l2c(data["d"]), k=data["k_per_m"])
+    d = designs.ModalWeights(d=_l2c(data["d"], "d"), k=data["k_per_m"])
     rep = metricsmod.report(d, d.k, geom.r0)
     cfg = {"command": "metrics", "geometry": geom_doc, "source": data["config_hash"]}
     cfg_hash = _config_hash(cfg)
@@ -414,7 +423,7 @@ def cmd_simulate(modal_file, unit_file, geometry, analysis_order, radius, look, 
         raise ValueError("modal and unit weight files are for different frequencies")
     if unit["num_caps"] != geom.num_caps:
         raise ValueError(f"unit weights for {unit['num_caps']} caps, geometry has {geom.num_caps}")
-    d = _l2c(modal["d"])
+    d = _l2c(modal["d"], "d")
     order = modal["order"]
     k = modal["k_per_m"]
     look_rad = parse_look(look)
@@ -431,7 +440,7 @@ def cmd_simulate(modal_file, unit_file, geometry, analysis_order, radius, look, 
     transfer = virtualmeas.transfer_matrix(geom, grid, k)
     if any(perturbation[key] for key in ("gain_db", "phase_deg", "noise")):
         transfer = virtualmeas.perturb_transfer(transfer, **perturbation)
-    samples = virtualmeas.virtual_measure(_l2c(unit["w"]), transfer)
+    samples = virtualmeas.virtual_measure(_l2c(unit["w"], "w"), transfer)
     measured_nm = virtualmeas.discrete_sft(samples, grid, order)
 
     designed_look = beam_pattern_modal(d, 0.0)
@@ -451,7 +460,7 @@ def cmd_simulate(modal_file, unit_file, geometry, analysis_order, radius, look, 
     write_json(out / f"simulation_{tag}.json", "simulation_report", cfg_hash, {
         "frequency_hz": modal["frequency_hz"], "analysis_order": analysis_order,
         "radius_m": radius, "sim_order": transfer.sim_order,
-        "pattern_error": err,
+        "sim_tail": transfer.sim_tail, "pattern_error": err,
     })
     click.echo(f"{tag}: pattern_error={err:.3e}")
 

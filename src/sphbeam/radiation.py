@@ -216,14 +216,12 @@ def beam_pattern_modal(d, theta_gc):
     """Axis-symmetric beam pattern B(Theta) = sum_n d_n (2n+1)/(4 pi) P_n(cos Theta).
 
     ``d`` is the per-order weight vector d_0..d_N; ``theta_gc`` the angle
-    from the look direction (scalar or array, radians).
+    from the look direction (scalar or array, radians).  The series is
+    summed in one Clenshaw pass.
     """
-    d = np.asarray(d)
+    d = np.asarray(d, dtype=complex)
     x = np.cos(np.asarray(theta_gc, dtype=float))
-    out = np.zeros_like(x, dtype=complex)
-    for n, dn in enumerate(d):
-        out = out + dn * (2 * n + 1) / (4 * np.pi) * sphmath.legendre(n, x)
-    return out
+    return np.polynomial.legendre.legval(x, d * (2 * np.arange(d.size) + 1) / (4 * np.pi))
 
 
 def beam_pattern_field(w_nm, k, r0, dirs, medium=Medium()):

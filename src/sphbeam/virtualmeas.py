@@ -9,15 +9,26 @@ finite analysis radius.
 
 The transfer matrix is evaluated to an order well above the analysis
 order, so the uncontrollable high-order cap harmonics are present in the
-virtual measurement just as they are in a physical one.
+virtual measurement just as they are in a physical one.  Each cap is an
+axis-symmetric radiator, so by the spherical-harmonic addition theorem its
+pressure is a Legendre series in the angle between microphone and cap;
+no spherical-harmonic matrix at the simulation order is built.  The
+relative size of the last series term is reported as ``sim_tail``.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import sphmath
-from .radiation import Medium, SHVector, cap_gain_diag, radial_near
+from .radiation import (
+    Medium,
+    SHVector,
+    beam_pattern_modal,
+    cap_gain_diag,
+    great_circle_angle,
+    radial_near,
+)
 from .synthesis import near_field_steer
 
 __all__ = [
@@ -33,7 +44,7 @@ __all__ = [
     "pattern_error",
 ]
 
-SIM_ORDER_MARGIN = 15  # default N_sim = N_a + margin; tail-converged for kr0 < ~7
+SIM_ORDER_MARGIN = 15  # default N_sim = N_a + margin; TransferMatrix.sim_tail checks it
 
 
 @dataclass(frozen=True)
@@ -56,12 +67,15 @@ class SamplingGrid:
 
 @dataclass(frozen=True)
 class TransferMatrix:
-    """Pressure at each grid microphone per unit velocity of each cap."""
+    """Pressure at each grid microphone per unit velocity of each cap.
+
+    ``sim_tail`` is |c_N| / max_n |c_n| for the per-order series terms
+    c_n of :func:`transfer_matrix` at N = ``sim_order``.
+    """
 
     values: np.ndarray  # (M, L) complex
-    k: float
-    grid: SamplingGrid
     sim_order: int
+    sim_tail: float
 
 
 def gaussian_grid(order, radius):
@@ -88,19 +102,25 @@ def transfer_matrix(geom, grid, k, medium=Medium(), sim_order=None):
     Column l equals the pressure field of the single-cap velocity
     pattern (v_l = 1, others 0) summed to ``sim_order`` (default
     grid.order + SIM_ORDER_MARGIN), so content above the analysis order
-    is included.
+    is included.  By the addition theorem this is
+
+        H[j, l] = sum_n c_n P_n(cos gamma_jl),
+        c_n = radial_near(n) g_n (2n+1) / (4 pi),
+
+    with gamma_jl the angle between microphone j and cap l.
     """
     if grid.radius <= geom.r0:
         raise ValueError("grid radius must exceed the source radius")
     if sim_order is None:
         sim_order = grid.order + SIM_ORDER_MARGIN
     orders = np.arange(sim_order + 1)
-    rad = np.repeat(radial_near(orders, k, grid.radius, geom.r0, medium), 2 * orders + 1)
-    g = cap_gain_diag(sim_order, geom.alpha)
-    ygrid = sphmath.sh_matrix(sim_order, grid.directions[:, 0], grid.directions[:, 1])
-    ycaps = sphmath.sh_matrix(sim_order, geom.cap_dirs[:, 0], geom.cap_dirs[:, 1])
-    h = (ygrid * (rad * g)) @ ycaps.conj().T
-    return TransferMatrix(values=h, k=k, grid=grid, sim_order=sim_order)
+    # radial_near(n) g_n, with g_n the m = 0 entries of the packed cap gains
+    rg = (radial_near(orders, k, grid.radius, geom.r0, medium)
+          * cap_gain_diag(sim_order, geom.alpha)[orders * (orders + 1)])
+    # mic directions as (M, 1) columns against the L caps: gamma is (M, L)
+    h = beam_pattern_modal(rg, great_circle_angle(grid.directions.T[..., None], geom.cap_dirs))
+    c = np.abs(rg) * (2 * orders + 1)
+    return TransferMatrix(values=h, sim_order=sim_order, sim_tail=float(c[-1] / c.max()))
 
 
 def perturb_transfer(transfer, gain_db=0.0, phase_deg=0.0, noise=0.0, seed=0):
@@ -118,7 +138,7 @@ def perturb_transfer(transfer, gain_db=0.0, phase_deg=0.0, noise=0.0, seed=0):
     h = h * (gains * np.exp(1j * phases))
     if noise > 0.0:
         h = h + noise * (rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape))
-    return TransferMatrix(values=h, k=transfer.k, grid=transfer.grid, sim_order=transfer.sim_order)
+    return replace(transfer, values=h)
 
 
 def discrete_sft(samples, grid, order):

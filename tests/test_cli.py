@@ -251,6 +251,47 @@ class TestBoundary:
         assert result.exit_code == 2
         assert "--radius" in result.output
 
+    @pytest.mark.parametrize("command, kind, change, message", [
+        ("steer", "modal_weights", None, "expected a JSON object"),
+        ("synthesize", "steered_weights", None, "expected a JSON object"),
+        ("steer", "modal_weights", {"d": []}, "d: "),
+        ("metrics", "modal_weights", {"d": []}, "d: "),
+        ("steer", "modal_weights", {"d": [[1, 0, 5], [0, 0, 0], [0, 0, 0]]}, "d: "),
+        ("simulate", "modal_weights", {"d": [[1, 0], [0]]}, "d: "),
+        ("synthesize", "steered_weights", {"coeffs": [[1.0, math.nan]] * 9}, "coeffs: "),
+        ("simulate", "unit_weights", {"w": "abc"}, "w: "),
+    ])
+    def test_malformed_coefficient_file_exits_2(self, runner, tmp_path, command, kind, change,
+                                                message):
+        _design(runner, tmp_path)
+        files = {stem: tmp_path / f"{stem}_400Hz.json"
+                 for stem in ("modal_weights", "steered_weights", "unit_weights")}
+        doc = [1, 2] if change is None else {**json.loads(files[kind].read_text()), **change}
+        files[kind] = tmp_path / "bad.json"
+        files[kind].write_text(json.dumps(doc))
+        inputs = {"steer": [files["modal_weights"], "--look", "0,0"],
+                  "synthesize": [files["steered_weights"]],
+                  "metrics": [files["modal_weights"]],
+                  "simulate": [files["modal_weights"], files["unit_weights"]]}[command]
+        result = runner.invoke(main, [command, *map(str, inputs), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert "Traceback" not in result.output
+
+    def test_simulate_zero_look_response_exits_3(self, runner, tmp_path):
+        # B(0) = (1 - 3 / 3) / (4 pi) = 0: every dB value would be infinite
+        _design(runner, tmp_path)
+        modal = tmp_path / "modal_weights_400Hz.json"
+        doc = json.loads(modal.read_text())
+        modal.write_text(json.dumps({**doc, "order": 1, "d": [[1.0, 0.0], [-1 / 3, 0.0]]}))
+        result = runner.invoke(main, [
+            "simulate", str(modal), str(tmp_path / "unit_weights_400Hz.json"),
+            "--look", "90,0", "--out", str(tmp_path / "sim"),
+        ])
+        assert result.exit_code == 3, result.output
+        assert "zero response in the look direction" in result.output
+        assert not list((tmp_path / "sim").glob("*.csv"))
+
 
 def _reject_constant(name):
     raise ValueError(f"non-finite token {name}")

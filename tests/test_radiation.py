@@ -206,6 +206,16 @@ class TestBeamPattern:
         vals = beam_pattern_modal([1.0, 0.0, 0.0], theta)
         assert np.max(np.abs(vals - 1 / (4 * np.pi))) < 1e-15
 
+    def test_order_45_matches_per_order_legendre_sum(self):
+        rng = np.random.default_rng(31)
+        d = rng.standard_normal(46) + 1j * rng.standard_normal(46)
+        theta = np.linspace(0.0, np.pi, 181)
+        x = np.cos(theta)
+        ref = sum(dn * (2 * n + 1) / (4 * np.pi) * sphmath.legendre(n, x)
+                  for n, dn in enumerate(d))
+        vals = beam_pattern_modal(d, theta)
+        assert np.max(np.abs(vals - ref)) < 1e-12 * np.max(np.abs(ref))
+
     def test_field_route_matches_modal_route(self):
         rng = np.random.default_rng(17)
         dirs = np.column_stack([rng.uniform(0, np.pi, 25), rng.uniform(0, 2 * np.pi, 25)])

@@ -106,6 +106,37 @@ class TestTransferMatrix:
         direct = pressure_field(u, k, RADIUS, grid.directions, GEOM, MEDIUM)
         assert np.max(np.abs(h.values[:, 5] - direct)) < 1e-12
 
+    def test_columns_match_sh_route_at_simulate_deep_size(self, monkeypatch):
+        # the oracle evaluates the same order-45 SH matrix for every column,
+        # so memoize it; transfer_matrix itself builds no SH matrix
+        cache = {}
+        sh_matrix = sphmath.sh_matrix
+
+        def cached(order, theta, phi):
+            key = (order, np.asarray(theta).tobytes(), np.asarray(phi).tobytes())
+            if key not in cache:
+                cache[key] = sh_matrix(order, theta, phi)
+            return cache[key]
+
+        monkeypatch.setattr(sphmath, "sh_matrix", cached)
+        grid = gaussian_grid(30, RADIUS)
+        for f in (1000.0, 2500.0):
+            k = freq_to_k(f)
+            h = transfer_matrix(GEOM, grid, k)
+            assert h.sim_order == 45
+            for col in range(GEOM.num_caps):
+                u = velocity_coeffs(GEOM, np.eye(GEOM.num_caps)[col], order=45)
+                direct = pressure_field(u, k, RADIUS, grid.directions, GEOM, MEDIUM)
+                assert np.max(np.abs(h.values[:, col] - direct)) < 1e-12 * np.max(
+                    np.abs(h.values[:, col]))
+
+    def test_sim_tail_rises_with_frequency(self):
+        grid = gaussian_grid(10, RADIUS)
+        tails = [transfer_matrix(GEOM, grid, freq_to_k(f)).sim_tail
+                 for f in (400.0, 1000.0, 2500.0, 5000.0)]
+        assert all(np.diff(tails) > 0)
+        assert 0 < tails[0] and tails[-1] < 1
+
     def test_superposition(self):
         grid = gaussian_grid(3, RADIUS)
         k = freq_to_k(400.0)
