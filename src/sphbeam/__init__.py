@@ -31,9 +31,7 @@ from .radiation import (
     velocity_coeffs,
 )
 from .synthesis import (
-    SteeredWeights,
     TransformMatrices,
-    UnitWeights,
     build_transform,
     forward_weights,
     near_field_steer,

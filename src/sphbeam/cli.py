@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import click
@@ -148,16 +149,16 @@ def write_json(path: Path, kind: str, cfg_hash: str, payload: dict):
     path.write_text(text + "\n")
 
 
-def write_steered(out: Path, cfg_hash: str, f, k, look_deg, near_field_radius, steered):
+def write_steered(out: Path, cfg_hash: str, f, k, look_deg, near_field_radius, w_nm):
     write_json(out / f"steered_weights_{f:g}Hz.json", "steered_weights", cfg_hash, {
-        "order": steered.order, "frequency_hz": f, "k_per_m": k, "look_deg": look_deg,
-        "near_field_radius_m": near_field_radius, "coeffs": _c2l(steered.coeffs.coeffs),
+        "order": w_nm.order, "frequency_hz": f, "k_per_m": k, "look_deg": look_deg,
+        "near_field_radius_m": near_field_radius, "coeffs": _c2l(w_nm.coeffs),
     })
 
 
 def write_unit(out: Path, cfg_hash: str, f, w):
     write_json(out / f"unit_weights_{f:g}Hz.json", "unit_weights", cfg_hash, {
-        "frequency_hz": f, "num_caps": w.w.size, "w": _c2l(w.w),
+        "frequency_hz": f, "num_caps": w.size, "w": _c2l(w),
     })
 
 
@@ -168,6 +169,58 @@ def read_json(path: Path, kind: str) -> dict:
     if data.get("kind") != kind:
         raise ValueError(f"{path}: expected a {kind!r} file, got {data.get('kind')!r}")
     return data
+
+
+def _is_positive(v) -> bool:
+    # a Python float bound compares exactly with JSON integers beyond float range
+    return isinstance(v, (int, float)) and 0 < v <= sys.float_info.max
+
+
+# scalar fields of coefficient files: (validity test, what is expected)
+_FIELDS = {
+    "order": (lambda v: isinstance(v, int) and v >= 0, "an integer >= 0"),
+    "num_caps": (lambda v: isinstance(v, int), "an integer"),
+    "k_per_m": (_is_positive, "a finite positive number"),
+    "frequency_hz": (_is_positive, "a finite positive number"),
+    "config_hash": (lambda v: isinstance(v, str), "a string"),
+}
+
+
+def _field(data: dict, name: str):
+    valid, expected = _FIELDS[name]
+    value = data.get(name)
+    if isinstance(value, bool) or not valid(value):
+        raise ValueError(f"{name}: expected {expected}, got {value!r}")
+    return value
+
+
+def read_modal(path: Path):
+    """Modal weights file -> (ModalWeights, k_per_m, frequency_hz, config_hash)."""
+    data = read_json(path, "modal_weights")
+    d = designs.ModalWeights(d=_l2c(data.get("d"), "d"))
+    if _field(data, "order") != d.order:
+        raise ValueError(f"order: expected len(d) - 1 = {d.order}, got {data['order']}")
+    return d, _field(data, "k_per_m"), _field(data, "frequency_hz"), _field(data, "config_hash")
+
+
+def read_steered(path: Path):
+    """Steered weights file -> (w_nm as an SHVector, frequency_hz, config_hash)."""
+    data = read_json(path, "steered_weights")
+    order = _field(data, "order")
+    coeffs = _l2c(data.get("coeffs"), "coeffs")
+    if coeffs.size != (order + 1) ** 2:
+        raise ValueError(f"coeffs: expected {(order + 1) ** 2} pairs for order {order}")
+    w_nm = SHVector(order=order, coeffs=coeffs)
+    return w_nm, _field(data, "frequency_hz"), _field(data, "config_hash")
+
+
+def read_unit(path: Path):
+    """Unit weights file -> (complex (L,) weights w, frequency_hz)."""
+    data = read_json(path, "unit_weights")
+    w = _l2c(data.get("w"), "w")
+    if _field(data, "num_caps") != w.size:
+        raise ValueError(f"num_caps: expected len(w) = {w.size}, got {data['num_caps']}")
+    return w, _field(data, "frequency_hz")
 
 
 def write_pattern_csv(path: Path, cfg_hash: str, dirs_rad, values, look_value):
@@ -286,27 +339,26 @@ def cmd_design(geometry, method, order, freq, look, sidelobe, near_field, radius
     for f in freqs:
         k = 2 * np.pi * f / medium.c
         d = _design_weights(method, order, sidelobe, k, geom.r0, medium)
-        steered = _steer(d, look_rad, k, geom.r0, nf_radius, medium)
-        w = synthesis.unit_weights(steered, transform)
-        rep = metricsmod.report(d, k, geom.r0, medium,
-                                unit_weight_norm=float(np.sum(np.abs(w.w) ** 2)))
+        w_nm = _steer(d, look_rad, k, geom.r0, nf_radius, medium)
+        w = synthesis.unit_weights(w_nm, transform)
+        rep = metricsmod.report(d, k, geom.r0, medium)
         tag = f"{f:g}Hz"
         write_json(out / f"modal_weights_{tag}.json", "modal_weights", cfg_hash, {
             "method": method, "order": order, "frequency_hz": f, "k_per_m": k,
             "r0_m": geom.r0, "d": _c2l(d.d),
         })
-        write_steered(out, cfg_hash, f, k, cfg["look_deg"], nf_radius, steered)
+        write_steered(out, cfg_hash, f, k, cfg["look_deg"], nf_radius, w_nm)
         write_unit(out, cfg_hash, f, w)
-        write_json(out / f"metrics_{tag}.json", "metrics", cfg_hash, _report_doc(rep, f))
+        write_json(out / f"metrics_{tag}.json", "metrics", cfg_hash,
+                   _report_doc(rep, f, k, geom.r0, float(np.sum(np.abs(w) ** 2))))
         click.echo(f"{tag}: Q={rep.q:.6g} DI={rep.di_db:.4f} dB "
                    f"WNG={rep.wng:.6g} ({rep.wng_db:.4f} dB)")
 
 
-def _report_doc(rep, f):
+def _report_doc(rep, f, k, r0, unit_weight_norm):
     return {
         "frequency_hz": f, "q": rep.q, "di_db": rep.di_db, "wng": rep.wng,
-        "wng_db": rep.wng_db, "k_per_m": rep.k, "r0_m": rep.r0,
-        "unit_weight_norm": rep.unit_weight_norm,
+        "wng_db": rep.wng_db, "k_per_m": k, "r0_m": r0, "unit_weight_norm": unit_weight_norm,
     }
 
 
@@ -322,15 +374,13 @@ def cmd_steer(weights_file, geometry, look, near_field, radius, out):
     """Steer modal weights from a design file to a new look direction."""
     geom, geom_doc = load_geometry(geometry)
     look_rad = parse_look(look)
-    data = read_json(weights_file, "modal_weights")
-    d = designs.ModalWeights(d=_l2c(data["d"], "d"), k=data["k_per_m"])
+    d, k, f, source = read_modal(weights_file)
     nf_radius = radius if near_field else None
-    steered = _steer(d, look_rad, d.k, geom.r0, nf_radius, Medium())
-    cfg = {"command": "steer", "geometry": geom_doc, "source": data["config_hash"],
+    w_nm = _steer(d, look_rad, k, geom.r0, nf_radius, Medium())
+    cfg = {"command": "steer", "geometry": geom_doc, "source": source,
            "look_deg": look_degrees(look_rad), "near_field": near_field, "radius_m": radius}
     out.mkdir(parents=True, exist_ok=True)
-    write_steered(out, _config_hash(cfg), data["frequency_hz"], d.k, cfg["look_deg"],
-                  nf_radius, steered)
+    write_steered(out, _config_hash(cfg), f, k, cfg["look_deg"], nf_radius, w_nm)
     click.echo(f"steered order-{d.order} weights to look {look} deg")
 
 
@@ -342,13 +392,11 @@ def cmd_steer(weights_file, geometry, look, near_field, radius, out):
 def cmd_synthesize(steered_file, geometry, out):
     """Compute per-loudspeaker weights from steered coefficients."""
     geom, geom_doc = load_geometry(geometry)
-    data = read_json(steered_file, "steered_weights")
-    transform = synthesis.build_transform(geom, data["order"])
-    coeffs = SHVector(order=data["order"], coeffs=_l2c(data["coeffs"], "coeffs"))
-    w = synthesis.unit_weights(coeffs, transform)
-    cfg = {"command": "synthesize", "geometry": geom_doc, "source": data["config_hash"]}
+    w_nm, f, source = read_steered(steered_file)
+    w = synthesis.unit_weights(w_nm, synthesis.build_transform(geom, w_nm.order))
+    cfg = {"command": "synthesize", "geometry": geom_doc, "source": source}
     out.mkdir(parents=True, exist_ok=True)
-    write_unit(out, _config_hash(cfg), data["frequency_hz"], w)
+    write_unit(out, _config_hash(cfg), f, w)
     click.echo(f"synthesized {geom.num_caps} unit weights")
 
 
@@ -361,14 +409,13 @@ def cmd_synthesize(steered_file, geometry, out):
 def cmd_metrics(weights_file, geometry, out, fmt):
     """Directivity factor/index and WNG of a modal weights file."""
     geom, geom_doc = load_geometry(geometry)
-    data = read_json(weights_file, "modal_weights")
-    d = designs.ModalWeights(d=_l2c(data["d"], "d"), k=data["k_per_m"])
-    rep = metricsmod.report(d, d.k, geom.r0)
-    cfg = {"command": "metrics", "geometry": geom_doc, "source": data["config_hash"]}
+    d, k, f, source = read_modal(weights_file)
+    rep = metricsmod.report(d, k, geom.r0)
+    cfg = {"command": "metrics", "geometry": geom_doc, "source": source}
     cfg_hash = _config_hash(cfg)
     out.mkdir(parents=True, exist_ok=True)
-    tag = f"{data['frequency_hz']:g}Hz"
-    doc = _report_doc(rep, data["frequency_hz"])
+    tag = f"{f:g}Hz"
+    doc = _report_doc(rep, f, k, geom.r0, None)
     if fmt == "json":
         write_json(out / f"metrics_{tag}.json", "metrics", cfg_hash, doc)
     else:
@@ -417,31 +464,29 @@ def cmd_simulate(modal_file, unit_file, geometry, analysis_order, radius, look, 
     """Virtually measure a synthesized design and export designed and
     measured balloon grids and cross-sections."""
     geom, geom_doc = load_geometry(geometry)
-    modal = read_json(modal_file, "modal_weights")
-    unit = read_json(unit_file, "unit_weights")
-    if modal["frequency_hz"] != unit["frequency_hz"]:
+    modal, k, f, source = read_modal(modal_file)
+    w, unit_f = read_unit(unit_file)
+    if f != unit_f:
         raise ValueError("modal and unit weight files are for different frequencies")
-    if unit["num_caps"] != geom.num_caps:
-        raise ValueError(f"unit weights for {unit['num_caps']} caps, geometry has {geom.num_caps}")
-    d = _l2c(modal["d"], "d")
-    order = modal["order"]
-    k = modal["k_per_m"]
+    if w.size != geom.num_caps:
+        raise ValueError(f"unit weights for {w.size} caps, geometry has {geom.num_caps}")
+    d = modal.d
     look_rad = parse_look(look)
     perturbation = parse_perturb(perturb)
 
-    cfg = {"command": "simulate", "geometry": geom_doc, "source": modal["config_hash"],
+    cfg = {"command": "simulate", "geometry": geom_doc, "source": source,
            "analysis_order": analysis_order, "radius_m": radius,
            "look_deg": look_degrees(look_rad), "perturb": perturbation}
     cfg_hash = _config_hash(cfg)
     out.mkdir(parents=True, exist_ok=True)
-    tag = f"{modal['frequency_hz']:g}Hz"
+    tag = f"{f:g}Hz"
 
     grid = virtualmeas.gaussian_grid(analysis_order, radius)
     transfer = virtualmeas.transfer_matrix(geom, grid, k)
     if any(perturbation[key] for key in ("gain_db", "phase_deg", "noise")):
         transfer = virtualmeas.perturb_transfer(transfer, **perturbation)
-    samples = virtualmeas.virtual_measure(_l2c(unit["w"], "w"), transfer)
-    measured_nm = virtualmeas.discrete_sft(samples, grid, order)
+    samples = virtualmeas.virtual_measure(w, transfer)
+    measured_nm = virtualmeas.discrete_sft(samples, grid, modal.order)
 
     designed_look = beam_pattern_modal(d, 0.0)
     measured_look = virtualmeas.measured_pattern(measured_nm, [look_rad])[0]
@@ -458,7 +503,7 @@ def cmd_simulate(modal_file, unit_file, geometry, analysis_order, radius, look, 
     measured_grid = virtualmeas.measured_pattern(measured_nm, grid.directions)
     err = virtualmeas.pattern_error(measured_grid, designed_grid, grid.weights)
     write_json(out / f"simulation_{tag}.json", "simulation_report", cfg_hash, {
-        "frequency_hz": modal["frequency_hz"], "analysis_order": analysis_order,
+        "frequency_hz": f, "analysis_order": analysis_order,
         "radius_m": radius, "sim_order": transfer.sim_order,
         "sim_tail": transfer.sim_tail, "pattern_error": err,
     })

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sphmath
-from .radiation import Medium, radial_far
+from .radiation import Medium, beam_pattern_modal, radial_far
 
 __all__ = [
     "ModalWeights",
@@ -23,14 +23,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModalWeights:
-    """Axis-symmetric modal weights d_n, n = 0..N.
-
-    ``k`` tags frequency-dependent designs (max WNG); None for
-    frequency-independent ones.
-    """
+    """Axis-symmetric modal weights d_n, n = 0..N."""
 
     d: np.ndarray
-    k: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "d", np.asarray(self.d, dtype=complex))
@@ -84,7 +79,7 @@ def max_wng_weights(order, k, r0, medium=Medium()):
     denom = np.sum(b2 * (2 * n + 1))
     if denom == 0.0:
         raise ArithmeticError("all radial functions vanish; cannot normalize")
-    return ModalWeights(d=4 * np.pi * b2 / denom, k=k)
+    return ModalWeights(d=4 * np.pi * b2 / denom)
 
 
 def _chebyshev(m, x):
@@ -120,9 +115,7 @@ def dolph_chebyshev_weights(order, sidelobe_db):
         d[n] = 2.0 * np.pi * np.sum(qw * target * sphmath.legendre(n, nodes))
 
     # Projection is exact for the degree-N integrand; verify reconstruction.
-    recon = sum(
-        d[n] * (2 * n + 1) / (4 * np.pi) * sphmath.legendre(n, nodes) for n in range(order + 1)
-    )
+    recon = beam_pattern_modal(d, np.arccos(nodes))
     resid = np.max(np.abs(recon - target)) / np.max(np.abs(target))
     if resid > 1e-8:
         raise ArithmeticError(f"Legendre projection did not converge (residual {resid:.2e})")

@@ -31,9 +31,6 @@ class MetricReport:
     di_db: float
     wng: float
     wng_db: float
-    k: float | None = None
-    r0: float | None = None
-    unit_weight_norm: float | None = None  # sum |w_l|^2, supplementary
 
 
 def _dvec(d):
@@ -102,16 +99,8 @@ def wng_coefficients(w_nm, look, k, r0, medium=Medium()):
     return float(num / denom)
 
 
-def report(d, k, r0, medium=Medium(), unit_weight_norm=None):
+def report(d, k, r0, medium=Medium()):
     """Assemble a :class:`MetricReport` for modal weights at wavenumber k."""
     q = directivity_factor(d)
     w = wng(d, k, r0, medium)
-    return MetricReport(
-        q=q,
-        di_db=directivity_index(q),
-        wng=w,
-        wng_db=directivity_index(w),
-        k=k,
-        r0=r0,
-        unit_weight_norm=unit_weight_norm,
-    )
+    return MetricReport(q=q, di_db=directivity_index(q), wng=w, wng_db=directivity_index(w))

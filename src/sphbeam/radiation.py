@@ -181,18 +181,12 @@ def radial_far(n, k, r0, medium=Medium()):
     return 1j * medium.rho0 * medium.c * (-1j) ** (n + 1) / (k * dhn0)
 
 
-def pressure_field(u, k, r, dirs, geom, medium=Medium(), max_order=None):
+def pressure_field(u, k, r, dirs, geom, medium=Medium()):
     """Radiated pressure at radius r for modal surface velocity u.
 
     p(theta, phi) = sum_{n,m} radial_near(n) u_nm Y_n^m(theta, phi),
-    summed over all orders carried by ``u`` (or up to ``max_order``,
-    which must be >= u.order -- the coefficients above u.order are zero
-    so the series terminates exactly).
+    summed over all orders carried by ``u``.
     """
-    if max_order is None:
-        max_order = u.order
-    if max_order < u.order:
-        raise ValueError(f"max_order {max_order} < coefficient order {u.order}")
     dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
     orders = np.arange(u.order + 1)
     rad = np.repeat(radial_near(orders, k, r, geom.r0, medium), 2 * orders + 1)

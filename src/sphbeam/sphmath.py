@@ -13,10 +13,8 @@ __all__ = [
     "sh_unpack",
     "num_coeffs",
     "legendre",
-    "sph_harmonic",
     "sh_matrix",
     "sph_bessel_j",
-    "sph_bessel_y",
     "sph_hankel1",
 ]
 
@@ -62,22 +60,14 @@ def legendre(n, x):
     return p if x.ndim else float(p)
 
 
-def sph_harmonic(n, m, theta, phi):
-    """Orthonormal complex spherical harmonic Y_n^m(theta, phi).
-
-    theta is the polar angle measured from the z-axis, phi the azimuth.
-    Includes the Condon-Shortley phase, so Y_n^{-m} = (-1)^m (Y_n^m)*.
-    """
-    if n < 0 or abs(m) > n:
-        raise ValueError(f"invalid spherical-harmonic index (n={n}, m={m})")
-    return _sp.sph_harm_y(n, m, theta, phi)
-
-
 def sh_matrix(order, theta, phi):
     """All spherical harmonics up to ``order`` at the given directions.
 
     Returns a complex array of shape (len(theta), (order+1)^2) whose
-    column q holds Y_n^m with (n, m) = sh_unpack(q).
+    column q holds the orthonormal Y_n^m(theta, phi) with
+    (n, m) = sh_unpack(q); theta is the polar angle from the z-axis, phi
+    the azimuth.  Includes the Condon-Shortley phase, so
+    Y_n^{-m} = (-1)^m (Y_n^m)*.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
@@ -99,12 +89,6 @@ def sph_bessel_j(n, x):
     """Spherical Bessel function j_n(x) and its derivative, x > 0."""
     x = _check_positive(x)
     return _sp.spherical_jn(n, x), _sp.spherical_jn(n, x, derivative=True)
-
-
-def sph_bessel_y(n, x):
-    """Spherical Bessel function y_n(x) and its derivative, x > 0."""
-    x = _check_positive(x)
-    return _sp.spherical_yn(n, x), _sp.spherical_yn(n, x, derivative=True)
 
 
 def sph_hankel1(n, x):

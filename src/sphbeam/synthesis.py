@@ -15,9 +15,7 @@ from . import sphmath
 from .radiation import Medium, SHVector, cap_gain_diag, radial_far, radial_near
 
 __all__ = [
-    "SteeredWeights",
     "TransformMatrices",
-    "UnitWeights",
     "steer",
     "near_field_steer",
     "build_transform",
@@ -29,22 +27,13 @@ _SV_CUTOFF = 1e-10  # relative singular-value truncation for the pseudo-inverse
 
 
 @dataclass(frozen=True)
-class SteeredWeights:
-    """Spherical-harmonic beamforming coefficients w_nm."""
-
-    coeffs: SHVector
-
-    @property
-    def order(self):
-        return self.coeffs.order
-
-
-@dataclass(frozen=True)
 class TransformMatrices:
-    """Y (conjugated SH at the cap directions, (N+1)^2 x L) and the
-    diagonal of G (g_n with multiplicity 2n+1)."""
+    """Y (conjugated SH at the cap directions, (N+1)^2 x L), its
+    pseudo-inverse Y^+ (L x (N+1)^2), and the diagonal of G (g_n with
+    multiplicity 2n+1)."""
 
     ymat: np.ndarray
+    ypinv: np.ndarray
     g_diag: np.ndarray
 
     @property
@@ -54,16 +43,6 @@ class TransformMatrices:
     @property
     def num_caps(self):
         return self.ymat.shape[1]
-
-
-@dataclass(frozen=True)
-class UnitWeights:
-    """Per-loudspeaker complex driving weights w_l, l = 1..L."""
-
-    w: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "w", np.asarray(self.w, dtype=complex))
 
 
 def _steer_coeffs(d, look, per_order_divisor):
@@ -76,14 +55,14 @@ def _steer_coeffs(d, look, per_order_divisor):
     reps = [2 * n + 1 for n in range(order + 1)]
     ylook = sphmath.sh_matrix(order, look[0], look[1])[0]
     coeffs = np.repeat(d / per_order_divisor, reps) * ylook.conj()
-    return SteeredWeights(coeffs=SHVector(order=order, coeffs=coeffs))
+    return SHVector(order=order, coeffs=coeffs)
 
 
 def steer(d, look, k, r0, medium=Medium()):
     """Steer modal weights d_n to a look direction.
 
-    w_nm = (d_n / b_n(k r0)) [Y_n^m(theta0, phi0)]*.  Raises if any
-    b_n vanishes at this k r0.
+    Returns the SHVector w_nm = (d_n / b_n(k r0)) [Y_n^m(theta0, phi0)]*.
+    Raises if any b_n vanishes at this k r0.
     """
     dv = np.asarray(getattr(d, "d", d), dtype=complex)
     return _steer_coeffs(dv, look, radial_far(np.arange(dv.size), k, r0, medium))
@@ -121,26 +100,21 @@ def build_transform(geom, order):
             f"spherical-harmonic matrix is rank deficient for this cap layout "
             f"(sigma_min/sigma_max = {sv[-1] / sv[0]:.2e})"
         )
-    return TransformMatrices(ymat=ymat, g_diag=cap_gain_diag(order, geom.alpha))
+    return TransformMatrices(ymat=ymat, ypinv=np.linalg.pinv(ymat, rcond=_SV_CUTOFF),
+                             g_diag=cap_gain_diag(order, geom.alpha))
 
 
-def unit_weights(steered, transform):
+def unit_weights(w_nm, transform):
     """Per-unit weights w = Y^+ G^{-1} w_nm (minimum-norm solution of
-    G Y w = w_nm).
-
-    ``steered`` may be a SteeredWeights or a bare SHVector.
-    """
-    if isinstance(steered, SteeredWeights):
-        steered = steered.coeffs
-    if steered.coeffs.shape != (transform.ymat.shape[0],):
+    G Y w = w_nm): the complex (L,) array for the SHVector ``w_nm``."""
+    if w_nm.coeffs.shape != (transform.ymat.shape[0],):
         raise ValueError("coefficient length does not match transform order")
-    ypinv = np.linalg.pinv(transform.ymat, rcond=_SV_CUTOFF)
-    return UnitWeights(w=ypinv @ (steered.coeffs / transform.g_diag))
+    return transform.ypinv @ (w_nm.coeffs / transform.g_diag)
 
 
 def forward_weights(w, transform):
     """Forward transform w_nm = G Y w from per-unit weights."""
-    wv = np.asarray(getattr(w, "w", w), dtype=complex)
+    wv = np.asarray(w, dtype=complex)
     if wv.shape != (transform.num_caps,):
         raise ValueError(f"expected {transform.num_caps} unit weights, got {wv.shape}")
     return SHVector(order=transform.order, coeffs=transform.g_diag * (transform.ymat @ wv))

@@ -13,7 +13,8 @@ virtual measurement just as they are in a physical one.  Each cap is an
 axis-symmetric radiator, so by the spherical-harmonic addition theorem its
 pressure is a Legendre series in the angle between microphone and cap;
 no spherical-harmonic matrix at the simulation order is built.  The
-relative size of the last series term is reported as ``sim_tail``.
+relative size of the largest of the last three series terms is reported
+as ``sim_tail``.
 """
 
 from dataclasses import dataclass, replace
@@ -69,8 +70,11 @@ class SamplingGrid:
 class TransferMatrix:
     """Pressure at each grid microphone per unit velocity of each cap.
 
-    ``sim_tail`` is |c_N| / max_n |c_n| for the per-order series terms
-    c_n of :func:`transfer_matrix` at N = ``sim_order``.
+    ``sim_tail`` is max(|c_{N-2}|, |c_{N-1}|, |c_N|) / max_n |c_n| for
+    the per-order series terms c_n of :func:`transfer_matrix` at
+    N = ``sim_order``.  The last three terms are taken because the cap
+    gain g_n passes near zero at some orders (near n = 23 and n = 44 for
+    alpha = 0.3), where the last term alone would understate the tail.
     """
 
     values: np.ndarray  # (M, L) complex
@@ -120,7 +124,7 @@ def transfer_matrix(geom, grid, k, medium=Medium(), sim_order=None):
     # mic directions as (M, 1) columns against the L caps: gamma is (M, L)
     h = beam_pattern_modal(rg, great_circle_angle(grid.directions.T[..., None], geom.cap_dirs))
     c = np.abs(rg) * (2 * orders + 1)
-    return TransferMatrix(values=h, sim_order=sim_order, sim_tail=float(c[-1] / c.max()))
+    return TransferMatrix(values=h, sim_order=sim_order, sim_tail=float(c[-3:].max() / c.max()))
 
 
 def perturb_transfer(transfer, gain_db=0.0, phase_deg=0.0, noise=0.0, seed=0):
@@ -158,7 +162,7 @@ def discrete_sft(samples, grid, order):
 
 def virtual_measure(w, transfer):
     """Sampled pressure p_j = sum_l H[j, l] w_l of a driven array."""
-    wv = np.asarray(getattr(w, "w", w), dtype=complex)
+    wv = np.asarray(w, dtype=complex)
     if wv.shape != (transfer.values.shape[1],):
         raise ValueError(f"expected {transfer.values.shape[1]} unit weights, got {wv.shape}")
     return transfer.values @ wv

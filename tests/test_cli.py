@@ -260,6 +260,17 @@ class TestBoundary:
         ("simulate", "modal_weights", {"d": [[1, 0], [0]]}, "d: "),
         ("synthesize", "steered_weights", {"coeffs": [[1.0, math.nan]] * 9}, "coeffs: "),
         ("simulate", "unit_weights", {"w": "abc"}, "w: "),
+        ("steer", "modal_weights", {"k_per_m": "x"}, "k_per_m: "),
+        ("metrics", "modal_weights", {"k_per_m": "x"}, "k_per_m: "),
+        ("metrics", "modal_weights", {"k_per_m": 10**400}, "k_per_m: "),
+        ("simulate", "modal_weights", {"k_per_m": "x"}, "k_per_m: "),
+        ("simulate", "modal_weights", {"order": "x"}, "order: "),
+        ("simulate", "modal_weights", {"order": -3}, "order: "),
+        ("steer", "modal_weights", {"frequency_hz": "x"}, "frequency_hz: "),
+        ("synthesize", "steered_weights", {"order": "x"}, "order: "),
+        ("synthesize", "steered_weights", {"order": 1.5}, "order: "),
+        ("synthesize", "steered_weights", {"coeffs": [[1.0, 0.0]] * 8}, "coeffs: "),
+        ("simulate", "unit_weights", {"num_caps": 11}, "num_caps: "),
     ])
     def test_malformed_coefficient_file_exits_2(self, runner, tmp_path, command, kind, change,
                                                 message):

@@ -93,7 +93,7 @@ class TestWng:
             d = rng.standard_normal(order + 1) + 1j * rng.standard_normal(order + 1)
             look = (rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi))
             sw = steer(d, look, k, R0, MEDIUM)
-            lhs = wng_coefficients(sw.coeffs, look, k, R0, MEDIUM)
+            lhs = wng_coefficients(sw, look, k, R0, MEDIUM)
             assert lhs == pytest.approx(wng(d, k, R0, MEDIUM), rel=1e-9)
 
 
@@ -117,9 +117,8 @@ class TestRayleighQuotientForms:
 class TestReport:
     def test_fields(self):
         k = 1.1 / R0
-        rep = report(np.ones(3), k, R0, MEDIUM, unit_weight_norm=0.5)
+        rep = report(np.ones(3), k, R0, MEDIUM)
         assert rep.q == pytest.approx(9.0)
         assert rep.di_db == pytest.approx(10 * np.log10(9.0))
         assert rep.wng_db == pytest.approx(10 * np.log10(rep.wng))
-        assert rep.unit_weight_norm == 0.5
         assert rep.q > 0 and rep.wng > 0

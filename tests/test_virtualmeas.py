@@ -6,9 +6,11 @@ from sphbeam.design import max_directivity_weights, max_wng_weights
 from sphbeam.radiation import (
     Medium,
     beam_pattern_modal,
+    cap_gain,
     dodecahedron,
     great_circle_angle,
     pressure_field,
+    radial_near,
     velocity_coeffs,
 )
 from sphbeam.synthesis import build_transform, steer, unit_weights
@@ -137,6 +139,18 @@ class TestTransferMatrix:
         assert all(np.diff(tails) > 0)
         assert 0 < tails[0] and tails[-1] < 1
 
+    def test_sim_tail_covers_a_vanishing_last_term(self):
+        # g_44 nearly vanishes for alpha = 0.3, so at sim order 44 (analysis
+        # order 29) the last series term alone understates the tail
+        grid = gaussian_grid(29, RADIUS)
+        k = freq_to_k(1000.0)
+        n = np.arange(45)
+        gains = np.array([cap_gain(j, GEOM.alpha) for j in n])
+        c = np.abs(radial_near(n, k, RADIUS, GEOM.r0, MEDIUM) * gains) * (2 * n + 1)
+        h = transfer_matrix(GEOM, grid, k)
+        assert h.sim_order == 44
+        assert h.sim_tail >= (1 - 1e-12) * c[43] / c.max()
+
     def test_superposition(self):
         grid = gaussian_grid(3, RADIUS)
         k = freq_to_k(400.0)
@@ -165,16 +179,16 @@ class TestNearFieldSteer:
     def test_far_radius_limit(self):
         d = np.array([1.0, 0.6, 0.3])
         k = freq_to_k(400.0)
-        far = steer(d, LOOK, k, GEOM.r0, MEDIUM).coeffs.coeffs
+        far = steer(d, LOOK, k, GEOM.r0, MEDIUM).coeffs
         r = 1e4 * 3 / k
-        near = near_field_steer(d, LOOK, k, r, GEOM.r0, MEDIUM).coeffs.coeffs
+        near = near_field_steer(d, LOOK, k, r, GEOM.r0, MEDIUM).coeffs
         assert np.max(np.abs(near - far) / np.abs(far).max()) < 0.01
 
     def test_compensation_is_nontrivial_at_measurement_radius(self):
         d = np.array([1.0, 0.6, 0.3])
         k = freq_to_k(400.0)
-        far = steer(d, LOOK, k, GEOM.r0, MEDIUM).coeffs.coeffs
-        near = near_field_steer(d, LOOK, k, RADIUS, GEOM.r0, MEDIUM).coeffs.coeffs
+        far = steer(d, LOOK, k, GEOM.r0, MEDIUM).coeffs
+        near = near_field_steer(d, LOOK, k, RADIUS, GEOM.r0, MEDIUM).coeffs
         rel = np.abs(near - far) / np.abs(far)
         assert np.max(rel[np.abs(far) > 0]) > 0.01
 
@@ -183,7 +197,7 @@ class TestNearFieldSteer:
         k = freq_to_k(400.0)
         sw = near_field_steer(d, LOOK, k, RADIUS, GEOM.r0, MEDIUM)
         grid = gaussian_grid(5, RADIUS)
-        p = pressure_field(sw.coeffs, k, RADIUS, grid.directions, GEOM, MEDIUM)
+        p = pressure_field(sw, k, RADIUS, grid.directions, GEOM, MEDIUM)
         ref = beam_pattern_modal(d, great_circle_angle(LOOK, grid.directions))
         scaled = RADIUS * np.exp(-1j * k * RADIUS) * p
         assert np.max(np.abs(scaled - ref)) < 1e-8
