@@ -2,11 +2,12 @@
 loudspeaker arrays."""
 
 from .design import (
-    ModalWeights,
+    Sweep,
     dolph_chebyshev_weights,
     hypercardioid_pattern,
     max_directivity_weights,
     max_wng_weights,
+    sweep,
 )
 from .metrics import (
     MetricReport,
@@ -36,6 +37,7 @@ from .synthesis import (
     forward_weights,
     near_field_steer,
     steer,
+    steer_at,
     unit_weights,
 )
 from .virtualmeas import (

@@ -31,7 +31,6 @@ from .radiation import (
     great_circle_angle,
 )
 
-METHODS = ("max-di", "max-wng", "dolph-chebyshev")
 DEFAULT_R0 = 0.15
 DEFAULT_ALPHA = 0.3
 BALLOON_STEP_DEG = 2.0
@@ -105,27 +104,10 @@ def parse_perturb(text: str) -> dict:
             value = None
         if key == "seed" and (value is None or value < 0):
             raise ValueError(f"perturb.seed: expected an integer >= 0, got {val!r}")
-        if value is None or not np.isfinite(value):
-            raise ValueError(f"perturb.{key}: expected a finite number, got {val!r}")
+        if value is None or not 0 <= value < np.inf:
+            raise ValueError(f"perturb.{key}: expected a finite number >= 0, got {val!r}")
         allowed[key] = value
     return allowed
-
-
-def _design_weights(method, order, sidelobe_db, k, r0, medium):
-    if method == "max-di":
-        return designs.max_directivity_weights(order)
-    if method == "max-wng":
-        return designs.max_wng_weights(order, k, r0, medium)
-    if sidelobe_db is None:
-        raise ValueError("sidelobe: required for method dolph-chebyshev")
-    return designs.dolph_chebyshev_weights(order, sidelobe_db)
-
-
-def _steer(d, look_rad, k, r0, near_field_radius, medium):
-    """Far-field steering, or near-field steering when a radius is given."""
-    if near_field_radius is None:
-        return synthesis.steer(d, look_rad, k, r0, medium)
-    return synthesis.near_field_steer(d, look_rad, k, near_field_radius, r0, medium)
 
 
 # ---------------------------------------------------------------------------
@@ -155,10 +137,10 @@ def write_json(path: Path, kind: str, cfg_hash: str, payload: dict):
     path.write_text(text + "\n")
 
 
-def write_steered(out: Path, cfg_hash: str, f, k, look_deg, near_field_radius, w_nm):
+def write_steered(out: Path, cfg_hash: str, f, k, look_deg, near_field_radius, order, coeffs):
     write_json(out / f"steered_weights_{f:g}Hz.json", "steered_weights", cfg_hash, {
-        "order": w_nm.order, "frequency_hz": f, "k_per_m": k, "look_deg": look_deg,
-        "near_field_radius_m": near_field_radius, "coeffs": _c2l(w_nm.coeffs),
+        "order": order, "frequency_hz": f, "k_per_m": k, "look_deg": look_deg,
+        "near_field_radius_m": near_field_radius, "coeffs": _c2l(coeffs),
     })
 
 
@@ -201,11 +183,11 @@ def _field(data: dict, name: str):
 
 
 def read_modal(path: Path):
-    """Modal weights file -> (ModalWeights, k_per_m, frequency_hz, config_hash)."""
+    """Modal weights file -> (complex (N+1,) d, k_per_m, frequency_hz, config_hash)."""
     data = read_json(path, "modal_weights")
-    d = designs.ModalWeights(d=_l2c(data.get("d"), "d"))
-    if _field(data, "order") != d.order:
-        raise ValueError(f"order: expected len(d) - 1 = {d.order}, got {data['order']}")
+    d = _l2c(data.get("d"), "d")
+    if _field(data, "order") != d.size - 1:
+        raise ValueError(f"order: expected len(d) - 1 = {d.size - 1}, got {data['order']}")
     return d, _field(data, "k_per_m"), _field(data, "frequency_hz"), _field(data, "config_hash")
 
 
@@ -316,7 +298,7 @@ def main():
 
 @main.command("design")
 @geometry_opt
-@click.option("--method", type=click.Choice(METHODS), required=True)
+@click.option("--method", type=click.Choice(designs.METHODS), required=True)
 @click.option("--order", "-N", type=click.IntRange(min=0), required=True,
               help="Design order N.")
 @click.option("--freq", required=True, help="Frequency list in Hz, comma separated.")
@@ -332,7 +314,6 @@ def cmd_design(geometry, method, order, freq, look, sidelobe, near_field, radius
     geom, geom_doc = load_geometry(geometry)
     look_rad = parse_look(look)
     freqs = parse_freqs(freq)
-    transform = synthesis.build_transform(geom, order)
     medium = Medium()
     cfg = {
         "command": "design", "geometry": geom_doc, "method": method, "order": order,
@@ -342,25 +323,24 @@ def cmd_design(geometry, method, order, freq, look, sidelobe, near_field, radius
     }
     cfg_hash = _config_hash(cfg)
     nf_radius = radius if near_field else None
+    ks = 2 * np.pi * np.asarray(freqs) / medium.c
+    sw = designs.sweep(geom, method, order, ks, look_rad, sidelobe, nf_radius, medium)
     out.mkdir(parents=True, exist_ok=True)
 
-    for f in freqs:
-        k = 2 * np.pi * f / medium.c
-        d = _design_weights(method, order, sidelobe, k, geom.r0, medium)
-        w_nm = _steer(d, look_rad, k, geom.r0, nf_radius, medium)
-        w = synthesis.unit_weights(w_nm, transform)
-        rep = metricsmod.report(d, k, geom.r0, medium)
+    rep = sw.report
+    scalars = zip(freqs, ks.tolist(), rep.q.tolist(), rep.di_db.tolist(), rep.wng.tolist(),
+                  rep.wng_db.tolist(), sw.unit_weight_norm.tolist())
+    for i, (f, k, q, di_db, wng, wng_db, norm) in enumerate(scalars):
         tag = f"{f:g}Hz"
         write_json(out / f"modal_weights_{tag}.json", "modal_weights", cfg_hash, {
             "method": method, "order": order, "frequency_hz": f, "k_per_m": k,
-            "r0_m": geom.r0, "d": _c2l(d.d),
+            "r0_m": geom.r0, "d": _c2l(sw.d[i]),
         })
-        write_steered(out, cfg_hash, f, k, cfg["look_deg"], nf_radius, w_nm)
-        write_unit(out, cfg_hash, f, w)
-        write_json(out / f"metrics_{tag}.json", "metrics", cfg_hash,
-                   _report_doc(rep, f, k, geom.r0, float(np.sum(np.abs(w) ** 2))))
-        click.echo(f"{tag}: Q={rep.q:.6g} DI={rep.di_db:.4f} dB "
-                   f"WNG={rep.wng:.6g} ({rep.wng_db:.4f} dB)")
+        write_steered(out, cfg_hash, f, k, cfg["look_deg"], nf_radius, order, sw.w_nm.coeffs[i])
+        write_unit(out, cfg_hash, f, sw.w[i])
+        write_json(out / f"metrics_{tag}.json", "metrics", cfg_hash, _report_doc(
+            metricsmod.MetricReport(q, di_db, wng, wng_db), f, k, geom.r0, norm))
+        click.echo(f"{tag}: Q={q:.6g} DI={di_db:.4f} dB WNG={wng:.6g} ({wng_db:.4f} dB)")
 
 
 def _report_doc(rep, f, k, r0, unit_weight_norm):
@@ -384,12 +364,13 @@ def cmd_steer(weights_file, geometry, look, near_field, radius, out):
     look_rad = parse_look(look)
     d, k, f, source = read_modal(weights_file)
     nf_radius = radius if near_field else None
-    w_nm = _steer(d, look_rad, k, geom.r0, nf_radius, Medium())
+    w_nm = synthesis.steer_at(d, look_rad, k, geom.r0, nf_radius, Medium())
     cfg = {"command": "steer", "geometry": geom_doc, "source": source,
            "look_deg": look_degrees(look_rad), "near_field": near_field, "radius_m": radius}
     out.mkdir(parents=True, exist_ok=True)
-    write_steered(out, _config_hash(cfg), f, k, cfg["look_deg"], nf_radius, w_nm)
-    click.echo(f"steered order-{d.order} weights to look {look} deg")
+    write_steered(out, _config_hash(cfg), f, k, cfg["look_deg"], nf_radius, w_nm.order,
+                  w_nm.coeffs)
+    click.echo(f"steered order-{w_nm.order} weights to look {look} deg")
 
 
 @main.command("synthesize")
@@ -472,13 +453,12 @@ def cmd_simulate(modal_file, unit_file, geometry, analysis_order, radius, look, 
     """Virtually measure a synthesized design and export designed and
     measured balloon grids and cross-sections."""
     geom, geom_doc = load_geometry(geometry)
-    modal, k, f, source = read_modal(modal_file)
+    d, k, f, source = read_modal(modal_file)
     w, unit_f = read_unit(unit_file)
     if f != unit_f:
         raise ValueError("modal and unit weight files are for different frequencies")
     if w.size != geom.num_caps:
         raise ValueError(f"unit weights for {w.size} caps, geometry has {geom.num_caps}")
-    d = modal.d
     look_rad = parse_look(look)
     perturbation = parse_perturb(perturb)
 
@@ -494,7 +474,7 @@ def cmd_simulate(modal_file, unit_file, geometry, analysis_order, radius, look, 
     if any(perturbation[key] for key in ("gain_db", "phase_deg", "noise")):
         transfer = virtualmeas.perturb_transfer(transfer, **perturbation)
     samples = virtualmeas.virtual_measure(w, transfer)
-    measured_nm = virtualmeas.discrete_sft(samples, grid, modal.order)
+    measured_nm = virtualmeas.discrete_sft(samples, grid, d.size - 1)
 
     designed_look = beam_pattern_modal(d, 0.0)
     measured_look = virtualmeas.measured_pattern(measured_nm, [look_rad])[0]

@@ -1,47 +1,39 @@
-"""Closed-form axis-symmetric beamformer designs.
+"""Closed-form axis-symmetric beamformer designs, and the design pipeline.
 
 Three designs are provided: maximum directivity (d_n = 1, the
 hyper-cardioid / plane-wave-decomposition pattern), maximum white-noise
-gain, and Dolph-Chebyshev with a prescribed sidelobe level.
+gain, and Dolph-Chebyshev with a prescribed sidelobe level.  Each returns
+the modal weights d_n as an array whose last axis is n = 0..N.
+:func:`sweep` runs design -> steering -> synthesis -> metrics for every
+frequency of a sweep at once.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import sphmath
-from .radiation import Medium, beam_pattern_modal, radial_far
+from . import metrics, sphmath, synthesis
+from .metrics import MetricReport
+from .radiation import Medium, SHVector, beam_pattern_modal, radial_far
 
 __all__ = [
-    "ModalWeights",
+    "METHODS",
+    "Sweep",
     "max_directivity_weights",
     "hypercardioid_pattern",
     "max_wng_weights",
     "dolph_chebyshev_weights",
+    "sweep",
 ]
 
-
-@dataclass(frozen=True)
-class ModalWeights:
-    """Axis-symmetric modal weights d_n, n = 0..N."""
-
-    d: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "d", np.asarray(self.d, dtype=complex))
-        if self.d.ndim != 1 or self.d.size < 1 or not np.all(np.isfinite(self.d)):
-            raise ValueError("modal weights must be a finite 1-d vector")
-
-    @property
-    def order(self):
-        return self.d.size - 1
+METHODS = ("max-di", "max-wng", "dolph-chebyshev")
 
 
 def max_directivity_weights(order):
     """Maximum-directivity weights d_n = 1, achieving Q = (N+1)^2."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    return ModalWeights(d=np.ones(order + 1))
+    return np.ones(order + 1)
 
 
 def hypercardioid_pattern(order, theta_gc):
@@ -70,16 +62,17 @@ def max_wng_weights(order, k, r0, medium=Medium()):
     """Maximum white-noise-gain weights.
 
     d_n = 4 pi |b_n(k r0)|^2 / sum_n' |b_n'(k r0)|^2 (2n'+1); the
-    resulting pattern is distortionless, B(0) = 1.
+    resulting pattern is distortionless, B(0) = 1.  Vectorized over k:
+    the result has shape k.shape + (N+1,).
     """
     if order < 0:
         raise ValueError("order must be >= 0")
     n = np.arange(order + 1)
     b2 = np.abs(radial_far(n, k, r0, medium)) ** 2
-    denom = np.sum(b2 * (2 * n + 1))
-    if denom == 0.0:
+    denom = np.sum(b2 * (2 * n + 1), axis=-1, keepdims=True)
+    if np.any(denom == 0.0):
         raise ArithmeticError("all radial functions vanish; cannot normalize")
-    return ModalWeights(d=4 * np.pi * b2 / denom)
+    return 4 * np.pi * b2 / denom
 
 
 def _chebyshev(m, x):
@@ -121,4 +114,58 @@ def dolph_chebyshev_weights(order, sidelobe_db):
         raise ArithmeticError(f"Legendre projection did not converge (residual {resid:.2e})")
 
     b0 = np.sum(d * (2 * np.arange(order + 1) + 1)) / (4 * np.pi)
-    return ModalWeights(d=d / b0)
+    return d / b0
+
+
+@dataclass(frozen=True)
+class Sweep:
+    """One design at every frequency of a sweep, with a leading frequency
+    axis of shape k.shape on every field:
+
+    d (..., N+1) modal weights; w_nm steered coefficients with coeffs of
+    shape (..., (N+1)^2); w (..., L) unit weights; report a MetricReport
+    whose fields have shape k.shape; unit_weight_norm (...,) ||w||^2.
+    """
+
+    d: np.ndarray
+    w_nm: SHVector
+    w: np.ndarray
+    report: MetricReport
+    unit_weight_norm: np.ndarray
+
+
+def sweep(geom, method, order, k, look, sidelobe_db=None, near_field_radius=None,
+          medium=Medium()):
+    """Design, steer to ``look``, synthesize and report at every wavenumber k.
+
+    ``method`` is one of METHODS; ``sidelobe_db`` is required for
+    dolph-chebyshev.  Steering is far-field, or compensated for the
+    sphere of radius ``near_field_radius`` when one is given.  Max-DI and
+    Dolph-Chebyshev weights do not depend on k and are designed once.
+    Raises ArithmeticError when any result is not finite, so a caller
+    that writes only after this returns writes all frequencies or none.
+    """
+    k = np.asarray(k, dtype=float)
+    transform = synthesis.build_transform(geom, order)
+    if method == "max-di":
+        d = max_directivity_weights(order)
+    elif method == "max-wng":
+        d = max_wng_weights(order, k, geom.r0, medium)
+    elif method == "dolph-chebyshev":
+        if sidelobe_db is None:
+            raise ValueError("sidelobe: required for method dolph-chebyshev")
+        d = dolph_chebyshev_weights(order, sidelobe_db)
+    else:
+        raise ValueError(f"method: expected one of {', '.join(METHODS)}, got {method!r}")
+    d = np.broadcast_to(d, k.shape + (order + 1,))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        w_nm = synthesis.steer_at(d, look, k, geom.r0, near_field_radius, medium)
+        w = synthesis.unit_weights(w_nm, transform)
+        rep = metrics.report(d, k, geom.r0, medium)
+        norm = np.sum(np.abs(w) ** 2, axis=-1)
+    for name, value in (("d", d), ("w_nm", w_nm.coeffs), ("w", w), *vars(rep).items(),
+                        ("unit_weight_norm", norm)):
+        ok = np.all(np.isfinite(value).reshape(k.shape + (-1,)), axis=-1)
+        if not np.all(ok):
+            raise ArithmeticError(f"{name} is not finite at k = {k[~ok].flat[0]:.6g} 1/m")
+    return Sweep(d=d, w_nm=w_nm, w=w, report=rep, unit_weight_norm=norm)

@@ -25,26 +25,33 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MetricReport:
-    """Directivity factor/index and WNG for one design at one frequency."""
+    """Directivity factor/index and WNG of a design: floats at one
+    frequency, arrays of shape k.shape over a frequency axis."""
 
-    q: float
-    di_db: float
-    wng: float
-    wng_db: float
+    q: float | np.ndarray
+    di_db: float | np.ndarray
+    wng: float | np.ndarray
+    wng_db: float | np.ndarray
 
 
 def _dvec(d):
-    d = np.asarray(getattr(d, "d", d), dtype=complex)
-    if not np.any(d):
+    """Modal weights as a complex (..., N+1) array, each row nonzero."""
+    d = np.asarray(d, dtype=complex)
+    if not np.all(np.any(d, axis=-1)):
         raise ValueError("modal weights must be nonzero")
     return d
 
 
+def _float(x):
+    """A Python float for a single value, else the array."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
 def directivity_factor(d):
-    """Q = |sum_n d_n (2n+1)|^2 / sum_n |d_n|^2 (2n+1)."""
+    """Q = |sum_n d_n (2n+1)|^2 / sum_n |d_n|^2 (2n+1), over the last axis of d."""
     d = _dvec(d)
-    a = 2 * np.arange(d.size) + 1
-    return float(np.abs(np.sum(d * a)) ** 2 / np.sum(np.abs(d) ** 2 * a))
+    a = 2 * np.arange(d.shape[-1]) + 1
+    return _float(np.abs(np.sum(d * a, axis=-1)) ** 2 / np.sum(np.abs(d) ** 2 * a, axis=-1))
 
 
 def directivity_factor_integral(look_value, values, weights):
@@ -63,22 +70,23 @@ def directivity_factor_integral(look_value, values, weights):
 
 def directivity_index(q):
     """DI = 10 log10 Q, in dB."""
-    return float(10.0 * np.log10(q))
+    return _float(10.0 * np.log10(q))
 
 
 def wng(d, k, r0, medium=Medium()):
     """White-noise gain of modal weights at wavenumber k.
 
     WNG = |sum_n d_n (2n+1)|^2 / sum_n (|d_n|^2 / |b_n(k r0)|^2)(2n+1).
+    d of shape (..., N+1) broadcasts against k over the leading axes.
     """
     d = _dvec(d)
-    n = np.arange(d.size)
+    n = np.arange(d.shape[-1])
     a = 2 * n + 1
     b2 = np.abs(radial_far(n, k, r0, medium)) ** 2
-    denom = np.sum(np.abs(d) ** 2 / b2 * a)
-    if denom == 0.0:
+    denom = np.sum(np.abs(d) ** 2 / b2 * a, axis=-1)
+    if np.any(denom == 0.0):
         raise ValueError("degenerate weights: zero WNG denominator")
-    return float(np.abs(np.sum(d * a)) ** 2 / denom)
+    return _float(np.abs(np.sum(d * a, axis=-1)) ** 2 / denom)
 
 
 def wng_coefficients(w_nm, look, k, r0, medium=Medium()):
@@ -100,7 +108,12 @@ def wng_coefficients(w_nm, look, k, r0, medium=Medium()):
 
 
 def report(d, k, r0, medium=Medium()):
-    """Assemble a :class:`MetricReport` for modal weights at wavenumber k."""
-    q = directivity_factor(d)
+    """Assemble a :class:`MetricReport` for modal weights at wavenumber k.
+
+    d of shape (..., N+1) broadcasts against k: one d for every k, or one
+    row per k.  The fields have the broadcast shape, k.shape for a k array
+    and floats for a scalar k and a 1-d d.
+    """
     w = wng(d, k, r0, medium)
+    q = _float(np.broadcast_to(directivity_factor(d), np.shape(w)))
     return MetricReport(q=q, di_db=directivity_index(q), wng=w, wng_db=directivity_index(w))

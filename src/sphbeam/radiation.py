@@ -77,7 +77,8 @@ class ArrayGeometry:
 class SHVector:
     """Packed complex spherical-harmonic coefficient vector.
 
-    Entry q holds the coefficient of Y_n^m with q = n^2 + n + m.
+    Entry q of the last axis holds the coefficient of Y_n^m with
+    q = n^2 + n + m; leading axes, if any, index frequencies.
     """
 
     order: int
@@ -85,7 +86,7 @@ class SHVector:
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=complex))
-        if self.coeffs.shape != (sphmath.num_coeffs(self.order),):
+        if self.coeffs.shape[-1:] != (sphmath.num_coeffs(self.order),):
             raise ValueError(
                 f"expected {sphmath.num_coeffs(self.order)} coefficients for "
                 f"order {self.order}, got {self.coeffs.shape}"
@@ -93,7 +94,7 @@ class SHVector:
 
     def __getitem__(self, nm):
         n, m = nm
-        return self.coeffs[sphmath.sh_index(n, m)]
+        return self.coeffs[..., sphmath.sh_index(n, m)]
 
 
 _GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
@@ -147,13 +148,22 @@ def velocity_coeffs(geom, v, order):
     return SHVector(order=order, coeffs=coeffs)
 
 
+def _per_k(k, n):
+    """k as a float array with one trailing axis per axis of n, so that a
+    kernel over (k, n) has shape k.shape + n.shape."""
+    k = np.asarray(k, dtype=float)
+    return k.reshape(k.shape + (1,) * np.ndim(n))
+
+
 def radial_near(n, k, r, r0, medium=Medium()):
     """Radial propagator i rho0 c h_n(kr) / h'_n(k r0) for r > r0.
 
     Multiplying the modal surface velocity u_nm by this term gives the
-    pressure coefficient p_nm at radius r.  Vectorized over n.
+    pressure coefficient p_nm at radius r.  Vectorized over n and k: the
+    result has shape k.shape + n.shape.
     """
-    if not 0 < k < np.inf:
+    k = _per_k(k, n)
+    if not np.all((0 < k) & (k < np.inf)):
         raise ValueError("wavenumber k must be finite and positive")
     if not 0 < r0 < r < np.inf:
         raise ValueError("evaluation radius must satisfy r > r0 > 0 and be finite")
@@ -172,11 +182,12 @@ def radial_far(n, k, r0, medium=Medium()):
 
     Beam patterns are invariant to this global convention because the
     design divides by b_n and the pattern evaluation multiplies by it.
-    Vectorized over n.
+    Vectorized over n and k: the result has shape k.shape + n.shape.
     """
-    if not (0 < k < np.inf and 0 < r0 < np.inf):
-        raise ValueError("k and r0 must be finite and positive")
     n = np.asarray(n)
+    k = _per_k(k, n)
+    if not (np.all((0 < k) & (k < np.inf)) and 0 < r0 < np.inf):
+        raise ValueError("k and r0 must be finite and positive")
     _, dhn0 = sphmath.sph_hankel1(n, k * r0)
     return 1j * medium.rho0 * medium.c * (-1j) ** (n + 1) / (k * dhn0)
 

@@ -5,6 +5,10 @@ The steered coefficients are w_nm = (d_n / b_n) [Y_n^m(look)]* and the
 per-unit weights solve G Y w = w_nm in the minimum-norm sense via an
 SVD pseudo-inverse.  Near-field compensated steering replaces b_n by the
 radial term at a finite analysis radius.
+
+Steering and synthesis broadcast over a leading frequency axis: with k of
+shape (F,), d is (F, N+1) or one (N+1,) for all, w_nm.coeffs is
+(F, (N+1)^2) and the unit weights are (F, L).
 """
 
 from dataclasses import dataclass
@@ -18,6 +22,7 @@ __all__ = [
     "TransformMatrices",
     "steer",
     "near_field_steer",
+    "steer_at",
     "build_transform",
     "unit_weights",
     "forward_weights",
@@ -46,15 +51,16 @@ class TransformMatrices:
 
 
 def _steer_coeffs(d, look, per_order_divisor):
-    """w_nm = (d_n / divisor_n) [Y_n^m(look)]* in packed form; raises if
-    any divisor_n vanishes."""
-    bad = np.nonzero(np.abs(per_order_divisor) < 1e-300)[0]
-    if bad.size:
-        raise ArithmeticError(f"steering radial term vanishes for n={bad.tolist()}")
-    order = d.size - 1
+    """w_nm = (d_n / divisor_n) [Y_n^m(look)]* in packed form, broadcast
+    over leading axes; raises if any divisor_n vanishes."""
+    bad = np.abs(per_order_divisor) < 1e-300
+    if np.any(bad):
+        orders = np.nonzero(bad.reshape(-1, bad.shape[-1]).any(axis=0))[0]
+        raise ArithmeticError(f"steering radial term vanishes for n={orders.tolist()}")
+    order = d.shape[-1] - 1
     reps = [2 * n + 1 for n in range(order + 1)]
     ylook = sphmath.sh_matrix(order, look[0], look[1])[0]
-    coeffs = np.repeat(d / per_order_divisor, reps) * ylook.conj()
+    coeffs = np.repeat(d / per_order_divisor, reps, axis=-1) * ylook.conj()
     return SHVector(order=order, coeffs=coeffs)
 
 
@@ -62,10 +68,12 @@ def steer(d, look, k, r0, medium=Medium()):
     """Steer modal weights d_n to a look direction.
 
     Returns the SHVector w_nm = (d_n / b_n(k r0)) [Y_n^m(theta0, phi0)]*.
-    Raises if any b_n vanishes at this k r0.
+    ``d`` has shape (..., N+1) and broadcasts against k: coeffs has shape
+    broadcast(d.shape[:-1], k.shape) + ((N+1)^2,).  Raises if any b_n
+    vanishes at this k r0.
     """
-    dv = np.asarray(getattr(d, "d", d), dtype=complex)
-    return _steer_coeffs(dv, look, radial_far(np.arange(dv.size), k, r0, medium))
+    dv = np.asarray(d, dtype=complex)
+    return _steer_coeffs(dv, look, radial_far(np.arange(dv.shape[-1]), k, r0, medium))
 
 
 def near_field_steer(d, look, k, r, r0, medium=Medium()):
@@ -74,11 +82,21 @@ def near_field_steer(d, look, k, r, r0, medium=Medium()):
     Replaces b_n in the steering by the exact radius-r radial term
     r e^{-ikr} radial_near(n, k, r, r0), so the pattern on the radius-r
     sphere equals the designed far-field pattern.  Converges to
-    :func:`steer` for k r >> N.
+    :func:`steer` for k r >> N.  Broadcasts over k as :func:`steer` does.
     """
-    dv = np.asarray(getattr(d, "d", d), dtype=complex)
-    rad = r * np.exp(-1j * k * r) * radial_near(np.arange(dv.size), k, r, r0, medium)
+    dv = np.asarray(d, dtype=complex)
+    phase = np.exp(-1j * np.asarray(k, dtype=float) * r)[..., None]
+    rad = r * phase * radial_near(np.arange(dv.shape[-1]), k, r, r0, medium)
     return _steer_coeffs(dv, look, rad)
+
+
+def steer_at(d, look, k, r0, near_field_radius=None, medium=Medium()):
+    """Far-field steering (:func:`steer`), or near-field steering for the
+    sphere of radius ``near_field_radius`` when one is given
+    (:func:`near_field_steer`)."""
+    if near_field_radius is None:
+        return steer(d, look, k, r0, medium)
+    return near_field_steer(d, look, k, near_field_radius, r0, medium)
 
 
 def build_transform(geom, order):
@@ -106,10 +124,12 @@ def build_transform(geom, order):
 
 def unit_weights(w_nm, transform):
     """Per-unit weights w = Y^+ G^{-1} w_nm (minimum-norm solution of
-    G Y w = w_nm): the complex (L,) array for the SHVector ``w_nm``."""
-    if w_nm.coeffs.shape != (transform.ymat.shape[0],):
+    G Y w = w_nm): the complex (..., L) array for the SHVector ``w_nm``
+    with coeffs of shape (..., (N+1)^2).  One stacked matrix-vector
+    product covers all rows; it rounds each row as Y^+ @ v does."""
+    if w_nm.coeffs.shape[-1] != transform.ymat.shape[0]:
         raise ValueError("coefficient length does not match transform order")
-    return transform.ypinv @ (w_nm.coeffs / transform.g_diag)
+    return (transform.ypinv @ (w_nm.coeffs / transform.g_diag)[..., None])[..., 0]
 
 
 def forward_weights(w, transform):

@@ -133,15 +133,23 @@ def perturb_transfer(transfer, gain_db=0.0, phase_deg=0.0, noise=0.0, seed=0):
     Emulates transducer mismatch and measurement noise; gain errors are
     normally distributed in dB, phase errors in degrees, and ``noise``
     is the standard deviation of complex additive noise per entry.
+    Raises ArithmeticError, naming the field, when a perturbed entry is
+    not finite.
     """
     rng = np.random.default_rng(seed)
     h = transfer.values.copy()
     num_caps = h.shape[1]
-    gains = 10.0 ** (rng.normal(0.0, gain_db, num_caps) / 20.0)
-    phases = np.deg2rad(rng.normal(0.0, phase_deg, num_caps))
-    h = h * (gains * np.exp(1j * phases))
-    if noise > 0.0:
-        h = h + noise * (rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape))
+    with np.errstate(over="ignore", invalid="ignore"):
+        gains = 10.0 ** (rng.normal(0.0, gain_db, num_caps) / 20.0)
+        phases = np.deg2rad(rng.normal(0.0, phase_deg, num_caps))
+        h = h * (gains * np.exp(1j * phases))
+        if not np.all(np.isfinite(h)):
+            field = "gain_db" if np.all(np.isfinite(phases)) else "phase_deg"
+            raise ArithmeticError(f"perturb.{field}: perturbed transfer matrix is not finite")
+        if noise > 0.0:
+            h = h + noise * (rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape))
+            if not np.all(np.isfinite(h)):
+                raise ArithmeticError("perturb.noise: perturbed transfer matrix is not finite")
     return replace(transfer, values=h)
 
 

@@ -134,11 +134,11 @@ def test_criterion_6_end_to_end_replication():
                        (1000.0, lambda k: max_directivity_weights(2))):
         k = 2 * np.pi * f / MEDIUM.c
         d = factory(k)
-        sw = near_field_steer(d.d, look, k, RADIUS, R0, MEDIUM)
+        sw = near_field_steer(d, look, k, RADIUS, R0, MEDIUM)
         w = unit_weights(sw, transform)
         samples = virtual_measure(w, transfer_matrix(GEOM, grid, k))
         measured = measured_pattern(discrete_sft(samples, grid, 2), grid.directions)
-        designed = beam_pattern_modal(d.d, great_circle_angle(look, grid.directions))
+        designed = beam_pattern_modal(d, great_circle_angle(look, grid.directions))
         errs[f] = pattern_error(measured, designed, grid.weights)
     elapsed = time.perf_counter() - start
     _check(6, f"virtual-measured vs designed pattern errors {errs[400.0]:.1e} (400 Hz), "
@@ -187,8 +187,8 @@ def test_criterion_8_dolph_chebyshev():
             ratio = 10.0 ** (-sidelobe_db / 20.0)
             x0 = np.cosh(np.arccosh(1.0 / ratio) / (2 * order))
             theta = np.linspace(2 * np.arccos(1 / x0), np.pi, 40001)
-            mag = np.abs(beam_pattern_modal(d.d, theta))
-            b0 = abs(beam_pattern_modal(d.d, 0.0))
+            mag = np.abs(beam_pattern_modal(d, theta))
+            b0 = abs(beam_pattern_modal(d, 0.0))
             interior = (mag[1:-1] > mag[:-2]) & (mag[1:-1] > mag[2:])
             ripples = np.append(mag[1:-1][interior], mag[-1])
             worst = max(worst, np.max(np.abs(ripples - ratio * b0)) / (ratio * b0))

@@ -268,6 +268,9 @@ class TestBoundary:
         (["simulate", "--perturb", "seed=x"], "perturb.seed"),
         (["simulate", "--perturb", "seed=-1"], "perturb.seed"),
         (["simulate", "--perturb", "seed=1.5"], "perturb.seed"),
+        (["simulate", "--perturb", "gain_db=-1"], "perturb.gain_db"),
+        (["simulate", "--perturb", "phase_deg=-2"], "perturb.phase_deg"),
+        (["simulate", "--perturb", "noise=-1"], "perturb.noise"),
     ])
     def test_grid_and_simulate_reject_bad_options(self, runner, tmp_path, args, field):
         _design(runner, tmp_path)
@@ -288,6 +291,35 @@ class TestBoundary:
         assert result.returncode == 3, result.stderr
         assert len(result.stderr.strip().splitlines()) == 1, result.stderr
         assert "numerical failure" in result.stderr
+        assert "RuntimeWarning" not in result.stderr
+
+    @pytest.mark.parametrize("freq", ["400,1e-200", "400,1e-60"])
+    def test_design_failure_at_one_frequency_writes_nothing(self, tmp_path, freq):
+        # 1e-200 Hz overflows h_n(k r0); at 1e-60 Hz WNG is 0/0.  Every
+        # frequency is computed before the first file is written.
+        out = tmp_path / "out"
+        result = _python("-m", "sphbeam.cli", "design", "--method", "max-wng", "--order", "2",
+                         "--freq", freq, "--out", str(out))
+        assert result.returncode == 3, result.stderr
+        assert len(result.stderr.strip().splitlines()) == 1, result.stderr
+        assert "RuntimeWarning" not in result.stderr
+        assert result.stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("perturb, field", [
+        ("gain_db=1e308", "perturb.gain_db"),
+        ("phase_deg=1e308", "perturb.phase_deg"),
+        ("noise=1e308", "perturb.noise"),
+    ])
+    def test_perturbation_overflow_exits_3_on_one_line(self, runner, tmp_path, perturb, field):
+        _design(runner, tmp_path)
+        result = _python("-m", "sphbeam.cli", "simulate",
+                         str(tmp_path / "modal_weights_400Hz.json"),
+                         str(tmp_path / "unit_weights_400Hz.json"), "--look", "90,0",
+                         "--perturb", perturb, "--out", str(tmp_path / "sim"))
+        assert result.returncode == 3, result.stderr
+        assert len(result.stderr.strip().splitlines()) == 1, result.stderr
+        assert field in result.stderr
         assert "RuntimeWarning" not in result.stderr
 
     def test_simulate_rejects_non_finite_radius(self, runner, tmp_path):

@@ -209,11 +209,11 @@ class TestVirtualMeasure:
     def _pipeline(self, f, d_factory, order=2):
         k = freq_to_k(f)
         d = d_factory(order, k)
-        sw = near_field_steer(d.d, LOOK, k, RADIUS, GEOM.r0, MEDIUM)
+        sw = near_field_steer(d, LOOK, k, RADIUS, GEOM.r0, MEDIUM)
         w = unit_weights(sw, build_transform(GEOM, order))
         h = transfer_matrix(GEOM, self.grid, k)
         samples = virtual_measure(w, h)
-        designed = beam_pattern_modal(d.d, great_circle_angle(LOOK, self.grid.directions))
+        designed = beam_pattern_modal(d, great_circle_angle(LOOK, self.grid.directions))
         return samples, designed, order
 
     def test_zero_weights(self):
