@@ -2,9 +2,12 @@
 
 Subcommands: design, steer, synthesize, simulate, metrics, grid.
 Angles are degrees at the CLI boundary and radians internally.
-Coefficient files are JSON; pattern grids and cross-sections are CSV
-with columns theta_deg, phi_deg, re, im, abs, db.  Identical inputs
-produce bit-identical outputs; every file carries the config hash.
+Coefficient files are JSON as ``json.dumps(doc, sort_keys=True, indent=2)``
+writes it, plus a newline; each file kind is one ``%`` template
+(JsonLayout), filled per frequency from the sweep arrays.  Pattern grids
+and cross-sections are CSV with columns theta_deg, phi_deg, re, im, abs,
+db.  Identical inputs produce bit-identical outputs; every file carries
+the config hash.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -86,9 +89,16 @@ def look_degrees(look_rad) -> list[float]:
 
 
 def parse_freqs(text: str) -> list[float]:
+    """Frequencies in Hz; each names its files by a distinct f"{f:g}Hz" tag."""
     freqs = [float(v) for v in text.split(",")]
     if not all(0 < f < np.inf for f in freqs):
         raise ValueError("freq: frequencies must be finite and positive")
+    tags = {}
+    for f in freqs:
+        tag = f"{f:g}Hz"
+        if tag in tags:
+            raise ValueError(f"freq: {tags[tag]!r} and {f!r} share the file tag {tag}")
+        tags[tag] = f
     return freqs
 
 
@@ -114,8 +124,68 @@ def parse_perturb(text: str) -> dict:
 # serialization
 
 
-def _c2l(values) -> list:
-    return [[float(v.real), float(v.imag)] for v in np.asarray(values, dtype=complex)]
+class JsonLayout:
+    """One kind of JSON file: ``{"kind": kind, "config_hash": cfg_hash,
+    **payload}`` laid out once as ``json.dumps(doc, sort_keys=True,
+    indent=2)`` lays it out, as a ``%`` template filled per row.
+
+    Float or complex ndarrays in ``payload`` vary per row: with ``rows``
+    given their first axis indexes the rows, without it there is one row.
+    Each of their numbers is a ``%r`` slot (a complex one an ``[re, im]``
+    pair), filled from row i of the ``values`` matrix; ``float.__repr__``
+    is what ``json.dumps`` writes for a finite float.  Other values are
+    constants.  Raises ArithmeticError naming the kind and field when a
+    number is not finite.
+    """
+
+    def __init__(self, kind: str, cfg_hash: str, payload: dict, rows: int | None = None):
+        self.kind = kind
+        self._lead = () if rows is None else (rows,)
+        self._columns = []  # (field, (rows, slots) float array) in slot order
+        doc = {"kind": kind, "config_hash": cfg_hash, **payload}
+        self.template = self._render(doc, "", kind) + "\n"
+        matrix = np.hstack([np.empty((rows or 1, 0)), *(c for _, c in self._columns)])
+        if not np.all(np.isfinite(matrix)):
+            bad = next(f for f, c in self._columns if not np.all(np.isfinite(c)))
+            raise ArithmeticError(f"{bad}: non-finite value in output")
+        self.values = matrix
+
+    def _render(self, value, indent: str, field: str) -> str:
+        inner = indent + "  "
+        if isinstance(value, np.ndarray):
+            value = self._slots(value, field)
+        if isinstance(value, dict):
+            items = [f"{_json_const(key)}: {self._render(v, inner, f'{field}.{key}')}"
+                     for key, v in sorted(value.items())]
+            brackets = "{}"
+        elif isinstance(value, (list, tuple)):
+            items = [self._render(v, inner, field) for v in value]
+            brackets = "[]"
+        elif value is _SLOT:
+            return "%r"
+        else:
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ArithmeticError(f"{field}: non-finite value in output")
+            return _json_const(value)
+        if not items:
+            return brackets
+        return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+
+    def _slots(self, array: np.ndarray, field: str):
+        """Record an array's numbers as columns; return its slot skeleton."""
+        flat = np.ascontiguousarray(array).reshape(*self._lead or (1,), -1)
+        self._columns.append((field, flat.view(float) if array.dtype.kind == "c" else flat))
+        skeleton = [_SLOT, _SLOT] if array.dtype.kind == "c" else _SLOT
+        for size in reversed(array.shape[len(self._lead):]):
+            skeleton = [skeleton] * size
+        return skeleton
+
+
+_SLOT = object()
+
+
+def _json_const(value) -> str:
+    return json.dumps(value).replace("%", "%%")
 
 
 def _l2c(pairs, field: str) -> np.ndarray:
@@ -128,26 +198,22 @@ def _l2c(pairs, field: str) -> np.ndarray:
     return arr[:, 0] + 1j * arr[:, 1]
 
 
-def write_json(path: Path, kind: str, cfg_hash: str, payload: dict):
-    doc = {"kind": kind, "config_hash": cfg_hash, **payload}
-    try:
-        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
-    except ValueError as exc:
-        raise ArithmeticError(f"{path}: non-finite value in output") from exc
-    path.write_text(text + "\n")
+def write_json(path: Path, layout: JsonLayout, row: int = 0):
+    """Write one row of a JSON layout: the only place a JSON file is opened."""
+    path.write_text(layout.template % tuple(layout.values[row].tolist()))
 
 
-def write_steered(out: Path, cfg_hash: str, f, k, look_deg, near_field_radius, order, coeffs):
-    write_json(out / f"steered_weights_{f:g}Hz.json", "steered_weights", cfg_hash, {
+def steered_layout(cfg_hash, f, k, look_deg, near_field_radius, order, coeffs, rows=None):
+    return JsonLayout("steered_weights", cfg_hash, {
         "order": order, "frequency_hz": f, "k_per_m": k, "look_deg": look_deg,
-        "near_field_radius_m": near_field_radius, "coeffs": _c2l(coeffs),
-    })
+        "near_field_radius_m": near_field_radius, "coeffs": coeffs,
+    }, rows)
 
 
-def write_unit(out: Path, cfg_hash: str, f, w):
-    write_json(out / f"unit_weights_{f:g}Hz.json", "unit_weights", cfg_hash, {
-        "frequency_hz": f, "num_caps": w.size, "w": _c2l(w),
-    })
+def unit_layout(cfg_hash, f, w, rows=None):
+    return JsonLayout("unit_weights", cfg_hash, {
+        "frequency_hz": f, "num_caps": w.shape[-1], "w": w,
+    }, rows)
 
 
 def read_json(path: Path, kind: str) -> dict:
@@ -323,24 +389,30 @@ def cmd_design(geometry, method, order, freq, look, sidelobe, near_field, radius
     }
     cfg_hash = _config_hash(cfg)
     nf_radius = radius if near_field else None
-    ks = 2 * np.pi * np.asarray(freqs) / medium.c
+    fs = np.asarray(freqs)
+    ks = 2 * np.pi * fs / medium.c
     sw = designs.sweep(geom, method, order, ks, look_rad, sidelobe, nf_radius, medium)
+    rows = len(freqs)
+    layouts = (
+        JsonLayout("modal_weights", cfg_hash, {
+            "method": method, "order": order, "frequency_hz": fs, "k_per_m": ks,
+            "r0_m": geom.r0, "d": sw.d.astype(complex),
+        }, rows),
+        steered_layout(cfg_hash, fs, ks, cfg["look_deg"], nf_radius, order, sw.w_nm.coeffs, rows),
+        unit_layout(cfg_hash, fs, sw.w, rows),
+        JsonLayout("metrics", cfg_hash,
+                   _report_doc(sw.report, fs, ks, geom.r0, sw.unit_weight_norm), rows),
+    )
     out.mkdir(parents=True, exist_ok=True)
 
+    tags = [f"{f:g}Hz" for f in freqs]
+    for i, tag in enumerate(tags):
+        for layout in layouts:
+            write_json(out / f"{layout.kind}_{tag}.json", layout, i)
     rep = sw.report
-    scalars = zip(freqs, ks.tolist(), rep.q.tolist(), rep.di_db.tolist(), rep.wng.tolist(),
-                  rep.wng_db.tolist(), sw.unit_weight_norm.tolist())
-    for i, (f, k, q, di_db, wng, wng_db, norm) in enumerate(scalars):
-        tag = f"{f:g}Hz"
-        write_json(out / f"modal_weights_{tag}.json", "modal_weights", cfg_hash, {
-            "method": method, "order": order, "frequency_hz": f, "k_per_m": k,
-            "r0_m": geom.r0, "d": _c2l(sw.d[i]),
-        })
-        write_steered(out, cfg_hash, f, k, cfg["look_deg"], nf_radius, order, sw.w_nm.coeffs[i])
-        write_unit(out, cfg_hash, f, sw.w[i])
-        write_json(out / f"metrics_{tag}.json", "metrics", cfg_hash, _report_doc(
-            metricsmod.MetricReport(q, di_db, wng, wng_db), f, k, geom.r0, norm))
-        click.echo(f"{tag}: Q={q:.6g} DI={di_db:.4f} dB WNG={wng:.6g} ({wng_db:.4f} dB)")
+    lines = zip(tags, rep.q.tolist(), rep.di_db.tolist(), rep.wng.tolist(), rep.wng_db.tolist())
+    click.echo("\n".join(f"{tag}: Q={q:.6g} DI={di_db:.4f} dB WNG={wng:.6g} ({wng_db:.4f} dB)"
+                         for tag, q, di_db, wng, wng_db in lines))
 
 
 def _report_doc(rep, f, k, r0, unit_weight_norm):
@@ -368,8 +440,8 @@ def cmd_steer(weights_file, geometry, look, near_field, radius, out):
     cfg = {"command": "steer", "geometry": geom_doc, "source": source,
            "look_deg": look_degrees(look_rad), "near_field": near_field, "radius_m": radius}
     out.mkdir(parents=True, exist_ok=True)
-    write_steered(out, _config_hash(cfg), f, k, cfg["look_deg"], nf_radius, w_nm.order,
-                  w_nm.coeffs)
+    write_json(out / f"steered_weights_{f:g}Hz.json", steered_layout(
+        _config_hash(cfg), f, k, cfg["look_deg"], nf_radius, w_nm.order, w_nm.coeffs))
     click.echo(f"steered order-{w_nm.order} weights to look {look} deg")
 
 
@@ -385,7 +457,7 @@ def cmd_synthesize(steered_file, geometry, out):
     w = synthesis.unit_weights(w_nm, synthesis.build_transform(geom, w_nm.order))
     cfg = {"command": "synthesize", "geometry": geom_doc, "source": source}
     out.mkdir(parents=True, exist_ok=True)
-    write_unit(out, _config_hash(cfg), f, w)
+    write_json(out / f"unit_weights_{f:g}Hz.json", unit_layout(_config_hash(cfg), f, w))
     click.echo(f"synthesized {geom.num_caps} unit weights")
 
 
@@ -406,7 +478,7 @@ def cmd_metrics(weights_file, geometry, out, fmt):
     tag = f"{f:g}Hz"
     doc = _report_doc(rep, f, k, geom.r0, None)
     if fmt == "json":
-        write_json(out / f"metrics_{tag}.json", "metrics", cfg_hash, doc)
+        write_json(out / f"metrics_{tag}.json", JsonLayout("metrics", cfg_hash, doc))
     else:
         keys = sorted(doc)
         lines = [f"# config_hash: {cfg_hash}", ",".join(keys),
@@ -426,13 +498,12 @@ def cmd_grid(analysis_order, radius, out):
     grid = virtualmeas.gaussian_grid(analysis_order, radius)
     cfg = {"command": "grid", "analysis_order": analysis_order, "radius_m": radius}
     out.mkdir(parents=True, exist_ok=True)
-    write_json(out / f"grid_N{analysis_order}.json", "sampling_grid", _config_hash(cfg), {
-        "analysis_order": analysis_order, "radius_m": radius,
-        "num_points": grid.num_points,
-        "theta_deg": [float(v) for v in np.rad2deg(grid.directions[:, 0])],
-        "phi_deg": [float(v) for v in np.rad2deg(grid.directions[:, 1])],
-        "weights_sr": [float(v) for v in grid.weights],
+    layout = JsonLayout("sampling_grid", _config_hash(cfg), {
+        "analysis_order": analysis_order, "radius_m": radius, "num_points": grid.num_points,
+        "theta_deg": np.rad2deg(grid.directions[:, 0]),
+        "phi_deg": np.rad2deg(grid.directions[:, 1]), "weights_sr": grid.weights,
     })
+    write_json(out / f"grid_N{analysis_order}.json", layout)
     click.echo(f"wrote {grid.num_points}-point Gaussian grid of order {analysis_order}")
 
 
@@ -466,7 +537,6 @@ def cmd_simulate(modal_file, unit_file, geometry, analysis_order, radius, look, 
            "analysis_order": analysis_order, "radius_m": radius,
            "look_deg": look_degrees(look_rad), "perturb": perturbation}
     cfg_hash = _config_hash(cfg)
-    out.mkdir(parents=True, exist_ok=True)
     tag = f"{f:g}Hz"
 
     grid = virtualmeas.gaussian_grid(analysis_order, radius)
@@ -476,6 +546,17 @@ def cmd_simulate(modal_file, unit_file, geometry, analysis_order, radius, look, 
     samples = virtualmeas.virtual_measure(w, transfer)
     measured_nm = virtualmeas.discrete_sft(samples, grid, d.size - 1)
 
+    # error between designed and measured patterns on the analysis grid
+    designed_grid = beam_pattern_modal(d, great_circle_angle(look_rad, grid.directions))
+    measured_grid = virtualmeas.measured_pattern(measured_nm, grid.directions)
+    err = virtualmeas.pattern_error(measured_grid, designed_grid, grid.weights)
+    report = JsonLayout("simulation_report", cfg_hash, {
+        "frequency_hz": f, "analysis_order": analysis_order,
+        "radius_m": radius, "sim_order": transfer.sim_order,
+        "sim_tail": transfer.sim_tail, "pattern_error": err,
+    })
+
+    out.mkdir(parents=True, exist_ok=True)
     designed_look = beam_pattern_modal(d, 0.0)
     measured_look = virtualmeas.measured_pattern(measured_nm, [look_rad])[0]
     for name, dirs in (("balloon", _balloon_dirs()), ("cross_section", _cross_section_dirs())):
@@ -485,16 +566,7 @@ def cmd_simulate(modal_file, unit_file, geometry, analysis_order, radius, look, 
                           designed_look)
         write_pattern_csv(out / f"{name}_measured_{tag}.csv", cfg_hash, dirs, measured,
                           measured_look)
-
-    # error between designed and measured patterns on the analysis grid
-    designed_grid = beam_pattern_modal(d, great_circle_angle(look_rad, grid.directions))
-    measured_grid = virtualmeas.measured_pattern(measured_nm, grid.directions)
-    err = virtualmeas.pattern_error(measured_grid, designed_grid, grid.weights)
-    write_json(out / f"simulation_{tag}.json", "simulation_report", cfg_hash, {
-        "frequency_hz": f, "analysis_order": analysis_order,
-        "radius_m": radius, "sim_order": transfer.sim_order,
-        "sim_tail": transfer.sim_tail, "pattern_error": err,
-    })
+    write_json(out / f"simulation_{tag}.json", report)
     click.echo(f"{tag}: pattern_error={err:.3e}")
 
 

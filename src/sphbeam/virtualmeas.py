@@ -193,7 +193,9 @@ def pattern_error(measured, reference, weights):
     """Scale-aligned relative L2 error between two sampled patterns.
 
     ||m - rho r|| / ||rho r|| under the quadrature inner product, with
-    rho the least-squares complex scale aligning m to r.
+    rho the least-squares complex scale aligning m to r.  Raises
+    ArithmeticError when the error is not finite, e.g. when a huge
+    measured pattern overflows its squared norm.
     """
     m = np.asarray(measured)
     r = np.asarray(reference)
@@ -201,5 +203,9 @@ def pattern_error(measured, reference, weights):
     ref_sq = np.sum(a * np.abs(r) ** 2)
     if ref_sq == 0.0:
         raise ValueError("reference pattern has zero norm")
-    rho = np.sum(a * np.conj(r) * m) / ref_sq
-    return float(np.sqrt(np.sum(a * np.abs(m - rho * r) ** 2) / ref_sq))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = np.sum(a * np.conj(r) * m) / ref_sq
+        err = float(np.sqrt(np.sum(a * np.abs(m - rho * r) ** 2) / ref_sq))
+    if not np.isfinite(err):
+        raise ArithmeticError("pattern_error: the measured pattern's error is not finite")
+    return err

@@ -13,7 +13,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sphbeam.cli import _run, main, write_json
+from sphbeam.cli import JsonLayout, _run, main, write_json
 from sphbeam.radiation import dodecahedron
 
 
@@ -236,7 +236,7 @@ class TestBoundary:
     def test_write_json_rejects_non_finite(self, tmp_path):
         path = tmp_path / "x.json"
         with pytest.raises(ArithmeticError, match="non-finite"):
-            write_json(path, "metrics", "0", {"q": float("nan")})
+            write_json(path, JsonLayout("metrics", "0", {"q": float("nan")}))
         assert not path.exists()
 
     @pytest.mark.parametrize("args, field", [
@@ -305,6 +305,30 @@ class TestBoundary:
         assert "RuntimeWarning" not in result.stderr
         assert result.stdout == ""
         assert not out.exists()
+
+    def test_colliding_frequency_tags_exit_2(self, runner, tmp_path):
+        # both would be written as *_1000Hz.json, the second over the first
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["design", "--method", "max-wng", "--order", "2",
+                                      "--freq", "1000.001,1000.002", "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "freq" in result.output
+        assert "1000.001" in result.output and "1000.002" in result.output
+        assert not out.exists()
+
+    def test_pattern_error_overflow_exits_3_without_files(self, runner, tmp_path):
+        # the perturbed transfer matrix is finite, its squared error is not
+        _design(runner, tmp_path)
+        out = tmp_path / "sim"
+        result = _python("-m", "sphbeam.cli", "simulate",
+                         str(tmp_path / "modal_weights_400Hz.json"),
+                         str(tmp_path / "unit_weights_400Hz.json"), "--look", "90,0",
+                         "--perturb", "noise=1e300", "--out", str(out))
+        assert result.returncode == 3, result.stderr
+        assert len(result.stderr.strip().splitlines()) == 1, result.stderr
+        assert "pattern_error" in result.stderr
+        assert "RuntimeWarning" not in result.stderr
+        assert not list(out.glob("*.csv"))
 
     @pytest.mark.parametrize("perturb, field", [
         ("gain_db=1e308", "perturb.gain_db"),
