@@ -4,7 +4,6 @@ loudspeaker arrays."""
 from .design import (
     Sweep,
     dolph_chebyshev_weights,
-    hypercardioid_pattern,
     max_directivity_weights,
     max_wng_weights,
     sweep,
@@ -12,7 +11,6 @@ from .design import (
 from .metrics import (
     MetricReport,
     directivity_factor,
-    directivity_factor_integral,
     directivity_index,
     report,
     wng,
@@ -21,20 +19,16 @@ from .radiation import (
     ArrayGeometry,
     Medium,
     SHVector,
-    beam_pattern_field,
     beam_pattern_modal,
     cap_gain,
     dodecahedron,
     great_circle_angle,
-    pressure_field,
     radial_far,
     radial_near,
-    velocity_coeffs,
 )
 from .synthesis import (
     TransformMatrices,
     build_transform,
-    forward_weights,
     near_field_steer,
     steer,
     steer_at,
@@ -42,12 +36,14 @@ from .synthesis import (
 )
 from .virtualmeas import (
     SamplingGrid,
+    Simulation,
     TransferMatrix,
     discrete_sft,
     gaussian_grid,
     measured_pattern,
     pattern_error,
     perturb_transfer,
+    simulate,
     transfer_matrix,
     virtual_measure,
 )

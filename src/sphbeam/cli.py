@@ -25,18 +25,10 @@ import numpy as np
 from . import design as designs
 from . import metrics as metricsmod
 from . import synthesis, virtualmeas
-from .radiation import (
-    ArrayGeometry,
-    Medium,
-    SHVector,
-    beam_pattern_modal,
-    dodecahedron,
-    great_circle_angle,
-)
+from .radiation import ArrayGeometry, Medium, SHVector, dodecahedron
 
 DEFAULT_R0 = 0.15
 DEFAULT_ALPHA = 0.3
-BALLOON_STEP_DEG = 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -45,6 +37,13 @@ BALLOON_STEP_DEG = 2.0
 
 def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def _number(value, field: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{field}: expected a number, got {value!r}") from exc
 
 
 def load_geometry(spec: str) -> tuple[ArrayGeometry, dict]:
@@ -57,16 +56,17 @@ def load_geometry(spec: str) -> tuple[ArrayGeometry, dict]:
                 key, _, val = item.partition("=")
                 if key not in params:
                     raise ValueError(f"geometry: unknown dodecahedron parameter {key!r}")
-                params[key] = float(val)
+                params[key] = _number(val, f"geometry.{key}")
         geom = dodecahedron(**params)
         return geom, {"builtin": "dodecahedron", **params}
     path = Path(spec)
     if not path.exists():
         raise ValueError(f"geometry: file not found: {spec}")
-    data = json.loads(path.read_text())
+    data = _load_json(path)
     try:
-        caps = np.deg2rad(np.asarray(data["caps_deg"], dtype=float))
-        geom = ArrayGeometry(r0=float(data["r0"]), alpha=float(data["alpha"]), cap_dirs=caps)
+        caps = np.deg2rad(_pairs(data["caps_deg"], "geometry.caps_deg", "[theta, phi]"))
+        geom = ArrayGeometry(r0=_number(data["r0"], "geometry.r0"),
+                             alpha=_number(data["alpha"], "geometry.alpha"), cap_dirs=caps)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"geometry.{exc}: expected fields r0, alpha, caps_deg") from exc
     return geom, data
@@ -90,7 +90,7 @@ def look_degrees(look_rad) -> list[float]:
 
 def parse_freqs(text: str) -> list[float]:
     """Frequencies in Hz; each names its files by a distinct f"{f:g}Hz" tag."""
-    freqs = [float(v) for v in text.split(",")]
+    freqs = [_number(v, "freq") for v in text.split(",")]
     if not all(0 < f < np.inf for f in freqs):
         raise ValueError("freq: frequencies must be finite and positive")
     tags = {}
@@ -188,13 +188,19 @@ def _json_const(value) -> str:
     return json.dumps(value).replace("%", "%%")
 
 
-def _l2c(pairs, field: str) -> np.ndarray:
+def _pairs(value, field: str, pair: str) -> np.ndarray:
+    """A non-empty (n, 2) float array of finite numbers, or ValueError naming field."""
     try:
-        arr = np.asarray(pairs, dtype=float)
-    except (TypeError, ValueError):
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
         arr = np.empty(0)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] != 2 or not np.all(np.isfinite(arr)):
-        raise ValueError(f"{field}: expected a non-empty list of finite [re, im] pairs")
+        raise ValueError(f"{field}: expected a non-empty list of finite {pair} pairs")
+    return arr
+
+
+def _l2c(pairs, field: str) -> np.ndarray:
+    arr = _pairs(pairs, field, "[re, im]")
     return arr[:, 0] + 1j * arr[:, 1]
 
 
@@ -216,8 +222,15 @@ def unit_layout(cfg_hash, f, w, rows=None):
     }, rows)
 
 
+def _load_json(path: Path):
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:  # a directory, JSONDecodeError, UnicodeDecodeError
+        raise ValueError(f"{path}: not a readable JSON file ({exc})") from exc
+
+
 def read_json(path: Path, kind: str) -> dict:
-    data = json.loads(Path(path).read_text())
+    data = _load_json(path)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object")
     if data.get("kind") != kind:
@@ -278,11 +291,9 @@ def read_unit(path: Path):
 
 
 def write_pattern_csv(path: Path, cfg_hash: str, dirs_rad, values, look_value):
-    """Pattern CSV: angles in degrees, dB relative to the look direction."""
-    if not (np.all(np.isfinite(values)) and np.isfinite(look_value)):
-        raise ArithmeticError(f"{path}: non-finite pattern values")
-    if look_value == 0:
-        raise ArithmeticError(f"{path}: zero response in the look direction")
+    """Pattern CSV: angles in degrees, dB relative to the look value.  The
+    values must be finite and the look value nonzero (virtualmeas.simulate
+    checks both)."""
     scale = abs(look_value)
     lines = [
         f"# config_hash: {cfg_hash}",
@@ -297,18 +308,6 @@ def write_pattern_csv(path: Path, cfg_hash: str, dirs_rad, values, look_value):
     row = "%.6f,%.6f,%.12e,%.12e,%.12e,%.6f"
     lines += [row % r for r in zip(*(c.tolist() for c in columns))]
     path.write_text("\n".join(lines) + "\n")
-
-
-def _balloon_dirs() -> np.ndarray:
-    theta = np.deg2rad(np.arange(0.0, 180.0 + BALLOON_STEP_DEG, BALLOON_STEP_DEG))
-    phi = np.deg2rad(np.arange(0.0, 360.0, BALLOON_STEP_DEG))
-    tt, pp = np.meshgrid(theta, phi, indexing="ij")
-    return np.column_stack([tt.ravel(), pp.ravel()])
-
-
-def _cross_section_dirs() -> np.ndarray:
-    phi = np.deg2rad(np.arange(0.0, 360.0, 1.0))
-    return np.column_stack([np.full_like(phi, np.pi / 2), phi])
 
 
 # ---------------------------------------------------------------------------
@@ -527,9 +526,8 @@ def cmd_simulate(modal_file, unit_file, geometry, analysis_order, radius, look, 
     d, k, f, source = read_modal(modal_file)
     w, unit_f = read_unit(unit_file)
     if f != unit_f:
-        raise ValueError("modal and unit weight files are for different frequencies")
-    if w.size != geom.num_caps:
-        raise ValueError(f"unit weights for {w.size} caps, geometry has {geom.num_caps}")
+        raise ValueError(f"frequency_hz: the modal file is for {f!r} Hz, "
+                         f"the unit file for {unit_f!r} Hz")
     look_rad = parse_look(look)
     perturbation = parse_perturb(perturb)
 
@@ -538,36 +536,21 @@ def cmd_simulate(modal_file, unit_file, geometry, analysis_order, radius, look, 
            "look_deg": look_degrees(look_rad), "perturb": perturbation}
     cfg_hash = _config_hash(cfg)
     tag = f"{f:g}Hz"
-
-    grid = virtualmeas.gaussian_grid(analysis_order, radius)
-    transfer = virtualmeas.transfer_matrix(geom, grid, k)
-    if any(perturbation[key] for key in ("gain_db", "phase_deg", "noise")):
-        transfer = virtualmeas.perturb_transfer(transfer, **perturbation)
-    samples = virtualmeas.virtual_measure(w, transfer)
-    measured_nm = virtualmeas.discrete_sft(samples, grid, d.size - 1)
-
-    # error between designed and measured patterns on the analysis grid
-    designed_grid = beam_pattern_modal(d, great_circle_angle(look_rad, grid.directions))
-    measured_grid = virtualmeas.measured_pattern(measured_nm, grid.directions)
-    err = virtualmeas.pattern_error(measured_grid, designed_grid, grid.weights)
+    sim = virtualmeas.simulate(geom, d, w, k, look_rad, analysis_order, radius, perturbation)
     report = JsonLayout("simulation_report", cfg_hash, {
         "frequency_hz": f, "analysis_order": analysis_order,
-        "radius_m": radius, "sim_order": transfer.sim_order,
-        "sim_tail": transfer.sim_tail, "pattern_error": err,
+        "radius_m": radius, "sim_order": sim.sim_order,
+        "sim_tail": sim.sim_tail, "pattern_error": sim.pattern_error,
     })
 
     out.mkdir(parents=True, exist_ok=True)
-    designed_look = beam_pattern_modal(d, 0.0)
-    measured_look = virtualmeas.measured_pattern(measured_nm, [look_rad])[0]
-    for name, dirs in (("balloon", _balloon_dirs()), ("cross_section", _cross_section_dirs())):
-        designed = beam_pattern_modal(d, great_circle_angle(look_rad, dirs))
-        measured = virtualmeas.measured_pattern(measured_nm, dirs)
+    for name, (dirs, designed, measured) in sim.patterns.items():
         write_pattern_csv(out / f"{name}_designed_{tag}.csv", cfg_hash, dirs, designed,
-                          designed_look)
+                          sim.designed_look)
         write_pattern_csv(out / f"{name}_measured_{tag}.csv", cfg_hash, dirs, measured,
-                          measured_look)
+                          sim.measured_look)
     write_json(out / f"simulation_{tag}.json", report)
-    click.echo(f"{tag}: pattern_error={err:.3e}")
+    click.echo(f"{tag}: pattern_error={sim.pattern_error:.3e}")
 
 
 if __name__ == "__main__":

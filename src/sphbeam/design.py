@@ -20,7 +20,6 @@ __all__ = [
     "METHODS",
     "Sweep",
     "max_directivity_weights",
-    "hypercardioid_pattern",
     "max_wng_weights",
     "dolph_chebyshev_weights",
     "sweep",
@@ -34,28 +33,6 @@ def max_directivity_weights(order):
     if order < 0:
         raise ValueError("order must be >= 0")
     return np.ones(order + 1)
-
-
-def hypercardioid_pattern(order, theta_gc):
-    """Closed-form maximum-directivity pattern.
-
-    B(Theta) = (N+1) / (4 pi (cos Theta - 1)) [P_{N+1}(cos T) - P_N(cos T)],
-    with the Theta -> 0 limit (N+1)^2 / (4 pi).  Vectorized over theta_gc.
-    """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    x = np.cos(np.asarray(theta_gc, dtype=float))
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.full(x.shape, (order + 1) ** 2 / (4 * np.pi))
-    reg = x < 1.0 - 1e-12
-    xr = x[reg]
-    out[reg] = (
-        (order + 1)
-        / (4 * np.pi * (xr - 1.0))
-        * (sphmath.legendre(order + 1, xr) - sphmath.legendre(order, xr))
-    )
-    return float(out[0]) if scalar else out
 
 
 def max_wng_weights(order, k, r0, medium=Medium()):

@@ -1,24 +1,20 @@
 """Directivity and robustness measures.
 
 Directivity factor Q and white-noise gain (WNG) in the modal closed
-forms, plus integral/coefficient-domain variants that serve as
-independent cross-checks.
+forms.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import sphmath
 from .radiation import Medium, radial_far
 
 __all__ = [
     "MetricReport",
     "directivity_factor",
-    "directivity_factor_integral",
     "directivity_index",
     "wng",
-    "wng_coefficients",
     "report",
 ]
 
@@ -54,20 +50,6 @@ def directivity_factor(d):
     return _float(np.abs(np.sum(d * a, axis=-1)) ** 2 / np.sum(np.abs(d) ** 2 * a, axis=-1))
 
 
-def directivity_factor_integral(look_value, values, weights):
-    """Directivity factor from pattern samples on a quadrature grid.
-
-    Q = |B(look)|^2 / ((1/4pi) sum_j a_j |B(Omega_j)|^2).  The grid must
-    integrate |B|^2 exactly, i.e. its order must be >= 2N.
-    """
-    values = np.asarray(values)
-    weights = np.asarray(weights, dtype=float)
-    mean_sq = np.sum(weights * np.abs(values) ** 2) / (4 * np.pi)
-    if mean_sq == 0.0:
-        raise ValueError("pattern is identically zero on the grid")
-    return float(np.abs(look_value) ** 2 / mean_sq)
-
-
 def directivity_index(q):
     """DI = 10 log10 Q, in dB."""
     return _float(10.0 * np.log10(q))
@@ -87,24 +69,6 @@ def wng(d, k, r0, medium=Medium()):
     if np.any(denom == 0.0):
         raise ValueError("degenerate weights: zero WNG denominator")
     return _float(np.abs(np.sum(d * a, axis=-1)) ** 2 / denom)
-
-
-def wng_coefficients(w_nm, look, k, r0, medium=Medium()):
-    """WNG from steered coefficients w_nm (coefficient-domain form).
-
-    WNG = 4 pi |sum_{n,m} b_n w_nm Y_n^m(look)|^2 / sum_{n,m} |w_nm|^2.
-    The 4 pi keeps the addition-theorem reduction consistent with the
-    modal form of :func:`wng`, with which this agrees for weights built
-    by axis-symmetric steering.
-    """
-    orders = np.arange(w_nm.order + 1)
-    b = np.repeat(radial_far(orders, k, r0, medium), 2 * orders + 1)
-    ylook = sphmath.sh_matrix(w_nm.order, look[0], look[1])[0]
-    num = 4 * np.pi * np.abs(np.sum(b * w_nm.coeffs * ylook)) ** 2
-    denom = np.sum(np.abs(w_nm.coeffs) ** 2)
-    if denom == 0.0:
-        raise ValueError("zero steered weights")
-    return float(num / denom)
 
 
 def report(d, k, r0, medium=Medium()):

@@ -2,9 +2,9 @@
 
 A spherical source is a rigid sphere of radius r0 carrying L vibrating
 spherical caps of aperture angle alpha.  This module provides the cap
-gains g_n, the modal surface velocity, the radiated pressure at finite
-radius, the far-field radial functions b_n, and axis-symmetric beam
-pattern evaluation in both the full-field and modal forms.
+gains g_n, the radial propagator to a finite radius, the far-field
+radial functions b_n, and the axis-symmetric beam pattern as a Legendre
+series in the angle from the look direction.
 """
 
 from dataclasses import dataclass
@@ -20,13 +20,10 @@ __all__ = [
     "dodecahedron",
     "cap_gain",
     "cap_gain_diag",
-    "velocity_coeffs",
     "radial_near",
     "radial_far",
-    "pressure_field",
     "great_circle_angle",
     "beam_pattern_modal",
-    "beam_pattern_field",
 ]
 
 
@@ -135,19 +132,6 @@ def cap_gain_diag(order, alpha):
     return np.repeat(g, [2 * n + 1 for n in range(order + 1)])
 
 
-def velocity_coeffs(geom, v, order):
-    """Modal surface velocity u_nm = g_n sum_l v_l [Y_n^m(theta_l, phi_l)]*.
-
-    ``v`` holds one complex velocity per cap.
-    """
-    v = np.asarray(v, dtype=complex)
-    if v.shape != (geom.num_caps,):
-        raise ValueError(f"expected {geom.num_caps} cap velocities, got {v.shape}")
-    ymat = sphmath.sh_matrix(order, geom.cap_dirs[:, 0], geom.cap_dirs[:, 1])
-    coeffs = cap_gain_diag(order, geom.alpha) * (ymat.conj().T @ v)
-    return SHVector(order=order, coeffs=coeffs)
-
-
 def _per_k(k, n):
     """k as a float array with one trailing axis per axis of n, so that a
     kernel over (k, n) has shape k.shape + n.shape."""
@@ -192,19 +176,6 @@ def radial_far(n, k, r0, medium=Medium()):
     return 1j * medium.rho0 * medium.c * (-1j) ** (n + 1) / (k * dhn0)
 
 
-def pressure_field(u, k, r, dirs, geom, medium=Medium()):
-    """Radiated pressure at radius r for modal surface velocity u.
-
-    p(theta, phi) = sum_{n,m} radial_near(n) u_nm Y_n^m(theta, phi),
-    summed over all orders carried by ``u``.
-    """
-    dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-    orders = np.arange(u.order + 1)
-    rad = np.repeat(radial_near(orders, k, r, geom.r0, medium), 2 * orders + 1)
-    ymat = sphmath.sh_matrix(u.order, dirs[:, 0], dirs[:, 1])
-    return ymat @ (rad * u.coeffs)
-
-
 def great_circle_angle(look, dirs):
     """Angle Theta between the look direction and each direction in dirs.
 
@@ -227,17 +198,3 @@ def beam_pattern_modal(d, theta_gc):
     d = np.asarray(d, dtype=complex)
     x = np.cos(np.asarray(theta_gc, dtype=float))
     return np.polynomial.legendre.legval(x, d * (2 * np.arange(d.size) + 1) / (4 * np.pi))
-
-
-def beam_pattern_field(w_nm, k, r0, dirs, medium=Medium()):
-    """Far-field beam pattern B(theta, phi) = sum_{n,m} b_n w_nm Y_n^m.
-
-    Full spherical-harmonic route; equals :func:`beam_pattern_modal`
-    evaluated at the great-circle angle when w_nm comes from
-    axis-symmetric steering.
-    """
-    dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-    orders = np.arange(w_nm.order + 1)
-    b = np.repeat(radial_far(orders, k, r0, medium), 2 * orders + 1)
-    ymat = sphmath.sh_matrix(w_nm.order, dirs[:, 0], dirs[:, 1])
-    return ymat @ (b * w_nm.coeffs)

@@ -25,7 +25,6 @@ __all__ = [
     "steer_at",
     "build_transform",
     "unit_weights",
-    "forward_weights",
 ]
 
 _SV_CUTOFF = 1e-10  # relative singular-value truncation for the pseudo-inverse
@@ -40,14 +39,6 @@ class TransformMatrices:
     ymat: np.ndarray
     ypinv: np.ndarray
     g_diag: np.ndarray
-
-    @property
-    def order(self):
-        return int(np.sqrt(self.ymat.shape[0])) - 1
-
-    @property
-    def num_caps(self):
-        return self.ymat.shape[1]
 
 
 def _steer_coeffs(d, look, per_order_divisor):
@@ -130,11 +121,3 @@ def unit_weights(w_nm, transform):
     if w_nm.coeffs.shape[-1] != transform.ymat.shape[0]:
         raise ValueError("coefficient length does not match transform order")
     return (transform.ypinv @ (w_nm.coeffs / transform.g_diag)[..., None])[..., 0]
-
-
-def forward_weights(w, transform):
-    """Forward transform w_nm = G Y w from per-unit weights."""
-    wv = np.asarray(w, dtype=complex)
-    if wv.shape != (transform.num_caps,):
-        raise ValueError(f"expected {transform.num_caps} unit weights, got {wv.shape}")
-    return SHVector(order=transform.order, coeffs=transform.g_diag * (transform.ymat @ wv))

@@ -3,7 +3,8 @@
 Builds a Gaussian microphone grid around the source, computes the
 per-unit transfer matrix from the radiation model, performs the discrete
 spherical Fourier transform of the sampled pressure, and compares the
-measured beam pattern against the designed one.  Near-field compensated
+measured beam pattern against the designed one; :func:`simulate` runs
+that chain for one design at one frequency.  Near-field compensated
 steering (defined in :mod:`synthesis`, re-exported here) accounts for the
 finite analysis radius.
 
@@ -43,9 +44,12 @@ __all__ = [
     "virtual_measure",
     "measured_pattern",
     "pattern_error",
+    "Simulation",
+    "simulate",
 ]
 
 SIM_ORDER_MARGIN = 15  # default N_sim = N_a + margin; TransferMatrix.sim_tail checks it
+BALLOON_STEP_DEG = 2.0
 
 
 @dataclass(frozen=True)
@@ -172,7 +176,8 @@ def virtual_measure(w, transfer):
     """Sampled pressure p_j = sum_l H[j, l] w_l of a driven array."""
     wv = np.asarray(w, dtype=complex)
     if wv.shape != (transfer.values.shape[1],):
-        raise ValueError(f"expected {transfer.values.shape[1]} unit weights, got {wv.shape}")
+        raise ValueError(f"w: expected {transfer.values.shape[1]} unit weights, one per cap, "
+                         f"got shape {wv.shape}")
     return transfer.values @ wv
 
 
@@ -193,9 +198,10 @@ def pattern_error(measured, reference, weights):
     """Scale-aligned relative L2 error between two sampled patterns.
 
     ||m - rho r|| / ||rho r|| under the quadrature inner product, with
-    rho the least-squares complex scale aligning m to r.  Raises
-    ArithmeticError when the error is not finite, e.g. when a huge
-    measured pattern overflows its squared norm.
+    rho the least-squares complex scale aligning m to r, so the error
+    does not change when m is scaled.  Raises ArithmeticError when the
+    error is not finite: when rho = 0 (m has no component along r), or
+    when a huge measured pattern overflows its squared norm.
     """
     m = np.asarray(measured)
     r = np.asarray(reference)
@@ -203,9 +209,79 @@ def pattern_error(measured, reference, weights):
     ref_sq = np.sum(a * np.abs(r) ** 2)
     if ref_sq == 0.0:
         raise ValueError("reference pattern has zero norm")
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         rho = np.sum(a * np.conj(r) * m) / ref_sq
-        err = float(np.sqrt(np.sum(a * np.abs(m - rho * r) ** 2) / ref_sq))
+        err = float(np.sqrt(np.sum(a * np.abs(m - rho * r) ** 2) / ref_sq) / np.abs(rho))
     if not np.isfinite(err):
-        raise ArithmeticError("pattern_error: the measured pattern's error is not finite")
+        raise ArithmeticError("pattern_error: not finite; the measured pattern overflows "
+                              "or has no component along the design")
     return err
+
+
+@dataclass(frozen=True)
+class Simulation:
+    """The result of :func:`simulate` at one frequency.
+
+    ``patterns`` maps "balloon" (a BALLOON_STEP_DEG theta x phi grid) and
+    "cross_section" (the plane theta = 90 deg in 1-degree steps) to
+    (dirs (P, 2) of theta, phi; designed (P,); measured (P,)).  The look
+    values are each pattern's reference for dB.
+    """
+
+    sim_order: int
+    sim_tail: float
+    pattern_error: float
+    designed_look: complex
+    measured_look: complex
+    patterns: dict
+
+
+def _balloon_dirs():
+    theta = np.deg2rad(np.arange(0.0, 180.0 + BALLOON_STEP_DEG, BALLOON_STEP_DEG))
+    phi = np.deg2rad(np.arange(0.0, 360.0, BALLOON_STEP_DEG))
+    tt, pp = np.meshgrid(theta, phi, indexing="ij")
+    return np.column_stack([tt.ravel(), pp.ravel()])
+
+
+def _cross_section_dirs():
+    phi = np.deg2rad(np.arange(0.0, 360.0, 1.0))
+    return np.column_stack([np.full_like(phi, np.pi / 2), phi])
+
+
+def simulate(geom, d, w, k, look, analysis_order, radius, perturbation=None):
+    """Virtually measure the unit weights w of modal design d at wavenumber k.
+
+    Samples the pressure on a Gaussian grid of ``analysis_order`` at
+    ``radius``, perturbed by :func:`perturb_transfer` with the keyword
+    arguments in ``perturbation`` when one of its gain_db, phase_deg or
+    noise is nonzero.  Transforms the samples to the design order and
+    evaluates the designed and measured patterns on the grid (for
+    ``pattern_error``), at ``look`` and at the balloon and cross-section
+    directions.  Raises ArithmeticError when a pattern is not finite or a
+    look value is zero, so a caller that writes only after this returns
+    writes all its files or none.
+    """
+    grid = gaussian_grid(analysis_order, radius)
+    transfer = transfer_matrix(geom, grid, k)
+    if perturbation and any(perturbation[key] for key in ("gain_db", "phase_deg", "noise")):
+        transfer = perturb_transfer(transfer, **perturbation)
+    measured_nm = discrete_sft(virtual_measure(w, transfer), grid, d.size - 1)
+    err = pattern_error(measured_pattern(measured_nm, grid.directions),
+                        beam_pattern_modal(d, great_circle_angle(look, grid.directions)),
+                        grid.weights)
+    sim = Simulation(
+        sim_order=transfer.sim_order, sim_tail=transfer.sim_tail, pattern_error=err,
+        designed_look=beam_pattern_modal(d, 0.0),
+        measured_look=measured_pattern(measured_nm, [look])[0],
+        patterns={name: (dirs, beam_pattern_modal(d, great_circle_angle(look, dirs)),
+                         measured_pattern(measured_nm, dirs))
+                  for name, dirs in (("balloon", _balloon_dirs()),
+                                     ("cross_section", _cross_section_dirs()))})
+    for name, (_, designed, measured) in sim.patterns.items():
+        for kind, values, look_value in (("designed", designed, sim.designed_look),
+                                         ("measured", measured, sim.measured_look)):
+            if not (np.all(np.isfinite(values)) and np.isfinite(look_value)):
+                raise ArithmeticError(f"{name}_{kind}: non-finite pattern values")
+            if look_value == 0:
+                raise ArithmeticError(f"{kind}_look: zero response in the look direction")
+    return sim

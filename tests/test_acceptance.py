@@ -5,7 +5,13 @@ import time
 
 import numpy as np
 
-from oracles import sph_bessel_j
+from oracles import (
+    beam_pattern_field,
+    directivity_factor_integral,
+    forward_weights,
+    sph_bessel_j,
+    wng_coefficients,
+)
 
 from sphbeam import sphmath
 from sphbeam.design import (
@@ -15,19 +21,16 @@ from sphbeam.design import (
 )
 from sphbeam.metrics import (
     directivity_factor,
-    directivity_factor_integral,
     directivity_index,
     wng,
-    wng_coefficients,
 )
 from sphbeam.radiation import (
     Medium,
-    beam_pattern_field,
     beam_pattern_modal,
     dodecahedron,
     great_circle_angle,
 )
-from sphbeam.synthesis import build_transform, forward_weights, steer, unit_weights
+from sphbeam.synthesis import build_transform, steer, unit_weights
 from sphbeam.virtualmeas import (
     discrete_sft,
     gaussian_grid,

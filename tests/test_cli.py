@@ -252,6 +252,9 @@ class TestBoundary:
           "--geometry", "dodecahedron:r0=nan"], "r0"),
         (["--method", "max-wng", "--order", "2", "--freq", "400", "--near-field",
           "--radius", "inf"], "--radius"),
+        (["--method", "max-di", "--order", "2", "--freq", "400,abc"], "freq"),
+        (["--method", "max-di", "--order", "2", "--freq", "400",
+          "--geometry", "dodecahedron:r0=abc"], "geometry.r0"),
     ])
     def test_design_rejects_bad_numbers(self, runner, tmp_path, args, field):
         out = tmp_path / "out"
@@ -376,6 +379,7 @@ class TestBoundary:
         ("synthesize", "steered_weights", {"order": 1.5}, "order: "),
         ("synthesize", "steered_weights", {"coeffs": [[1.0, 0.0]] * 8}, "coeffs: "),
         ("simulate", "unit_weights", {"num_caps": 11}, "num_caps: "),
+        ("metrics", "modal_weights", {"d": [[10**400, 0]] * 3}, "d: "),
     ])
     def test_malformed_coefficient_file_exits_2(self, runner, tmp_path, command, kind, change,
                                                 message):
@@ -393,6 +397,53 @@ class TestBoundary:
         assert result.exit_code == 2, result.output
         assert message in result.output
         assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("target, text, field", [
+        ("geometry", json.dumps({"r0": 0.15, "alpha": 0.3, "caps_deg": [[90, 0, 1], [45, 0, 1]]}),
+         "geometry.caps_deg"),
+        ("geometry", json.dumps({"r0": 0.15, "alpha": 0.3, "caps_deg": [[90, 0], [45]]}),
+         "geometry.caps_deg"),
+        ("geometry", '{"r0": 0.15,', "bad.json"),
+        ("metrics", '{"kind": "modal_weights",', "bad.json"),
+        ("metrics", None, "bad.json"),
+    ], ids=["caps-three-columns", "caps-ragged", "geometry-truncated", "modal-truncated",
+            "directory"])
+    def test_malformed_json_file_exits_2(self, runner, tmp_path, target, text, field):
+        bad = tmp_path / "bad.json"
+        if text is None:
+            bad.mkdir()
+        else:
+            bad.write_text(text)
+        args = {"geometry": ["design", "--method", "max-di", "--order", "0", "--freq", "400",
+                             "--geometry", str(bad)],
+                "metrics": ["metrics", str(bad)]}[target]
+        out = tmp_path / "out"
+        result = runner.invoke(main, [*args, "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert field in result.output
+        assert "Traceback" not in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, change, code, message", [
+        ("unit_weights", {"w": [[0.0, 0.0]] * 12}, 3, "pattern_error"),
+        ("modal_weights", {"order": 1, "d": [[1.0, 0.0], [-1 / 3, 0.0]]}, 3,
+         "zero response in the look direction"),
+        ("unit_weights", {"frequency_hz": 500.0}, 2, "frequency_hz"),
+        ("unit_weights", {"num_caps": 11, "w": [[0.1, 0.0]] * 11}, 2, "w: "),
+    ], ids=["zero-weights", "zero-look", "other-frequency", "eleven-caps"])
+    def test_simulate_failure_writes_nothing(self, runner, tmp_path, kind, change, code, message):
+        _design(runner, tmp_path)
+        files = {stem: tmp_path / f"{stem}_400Hz.json" for stem in ("modal_weights", "unit_weights")}
+        files[kind].write_text(json.dumps({**json.loads(files[kind].read_text()), **change}))
+        out = tmp_path / "sim"
+        result = _python("-m", "sphbeam.cli", "simulate", str(files["modal_weights"]),
+                         str(files["unit_weights"]), "--look", "90,0", "--out", str(out))
+        assert result.returncode == code, result.stderr
+        assert len(result.stderr.strip().splitlines()) == 1, result.stderr
+        assert message in result.stderr
+        assert "RuntimeWarning" not in result.stderr
+        assert result.stdout == ""
+        assert not out.exists()
 
     def test_simulate_zero_look_response_exits_3(self, runner, tmp_path):
         # B(0) = (1 - 3 / 3) / (4 pi) = 0: every dB value would be infinite

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
+from oracles import hypercardioid_pattern
 
 from sphbeam.design import (
     dolph_chebyshev_weights,
-    hypercardioid_pattern,
     max_directivity_weights,
     max_wng_weights,
 )

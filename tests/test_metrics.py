@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
+from oracles import directivity_factor_integral, wng_coefficients
 
 from sphbeam.design import max_wng_weights
 from sphbeam.metrics import (
     directivity_factor,
-    directivity_factor_integral,
     directivity_index,
     report,
     wng,
-    wng_coefficients,
 )
 from sphbeam.radiation import Medium, beam_pattern_modal, great_circle_angle, radial_far
 from sphbeam.synthesis import steer

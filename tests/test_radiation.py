@@ -1,22 +1,19 @@
 import numpy as np
 import pytest
 
-from oracles import sph_bessel_j
+from oracles import beam_pattern_field, pressure_field, sph_bessel_j, velocity_coeffs
 
 from sphbeam import sphmath
 from sphbeam.radiation import (
     ArrayGeometry,
     Medium,
     SHVector,
-    beam_pattern_field,
     beam_pattern_modal,
     cap_gain,
     dodecahedron,
     great_circle_angle,
-    pressure_field,
     radial_far,
     radial_near,
-    velocity_coeffs,
 )
 from sphbeam.synthesis import steer
 

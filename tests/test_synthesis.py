@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
+from oracles import beam_pattern_field, forward_weights
 
 from sphbeam.radiation import (
     ArrayGeometry,
     Medium,
-    beam_pattern_field,
     beam_pattern_modal,
     dodecahedron,
     great_circle_angle,
 )
-from sphbeam.synthesis import build_transform, forward_weights, steer, unit_weights
+from sphbeam.synthesis import build_transform, steer, unit_weights
 
 MEDIUM = Medium()
 GEOM = dodecahedron(r0=0.15, alpha=0.3)

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from oracles import pressure_field, velocity_coeffs
 
 from sphbeam import sphmath
 from sphbeam.design import max_directivity_weights, max_wng_weights
@@ -9,9 +12,7 @@ from sphbeam.radiation import (
     cap_gain,
     dodecahedron,
     great_circle_angle,
-    pressure_field,
     radial_near,
-    velocity_coeffs,
 )
 from sphbeam.synthesis import build_transform, steer, unit_weights
 from sphbeam.virtualmeas import (
@@ -21,6 +22,7 @@ from sphbeam.virtualmeas import (
     near_field_steer,
     pattern_error,
     perturb_transfer,
+    simulate,
     transfer_matrix,
     virtual_measure,
 )
@@ -251,6 +253,34 @@ class TestVirtualMeasure:
         assert all(np.diff(errs[1:]) > 0)
         assert errs[-1] > errs[1]
 
+    @pytest.mark.parametrize("near_field, perturbation", [
+        (False, None),
+        (True, {"gain_db": 1.0, "phase_deg": 5.0, "noise": 1e-3, "seed": 3}),
+    ])
+    def test_simulate_equals_the_stage_chain(self, near_field, perturbation):
+        k = freq_to_k(400.0)
+        d = max_wng_weights(2, k, GEOM.r0, MEDIUM)
+        sw = (near_field_steer(d, LOOK, k, RADIUS, GEOM.r0, MEDIUM) if near_field
+              else steer(d, LOOK, k, GEOM.r0, MEDIUM))
+        w = unit_weights(sw, build_transform(GEOM, 2))
+        h = transfer_matrix(GEOM, self.grid, k)
+        if perturbation:
+            h = perturb_transfer(h, **perturbation)
+        pnm = discrete_sft(virtual_measure(w, h), self.grid, 2)
+        designed = beam_pattern_modal(d, great_circle_angle(LOOK, self.grid.directions))
+        err = pattern_error(measured_pattern(pnm, self.grid.directions), designed,
+                            self.grid.weights)
+
+        sim = simulate(GEOM, d, w, k, LOOK, 10, RADIUS, perturbation)
+        assert (sim.sim_order, sim.sim_tail, sim.pattern_error) == (h.sim_order, h.sim_tail, err)
+        assert sim.designed_look == beam_pattern_modal(d, 0.0)
+        assert sim.measured_look == measured_pattern(pnm, [LOOK])[0]
+        assert {name: dirs.shape for name, (dirs, _, _) in sim.patterns.items()} == {
+            "balloon": (91 * 180, 2), "cross_section": (360, 2)}
+        for dirs, designed, measured in sim.patterns.values():
+            assert np.array_equal(designed, beam_pattern_modal(d, great_circle_angle(LOOK, dirs)))
+            assert np.array_equal(measured, measured_pattern(pnm, dirs))
+
     def test_kr_sanity(self):
         assert freq_to_k(400.0) * 0.15 == pytest.approx(1.10, abs=0.01)
         assert freq_to_k(400.0) * 0.57 == pytest.approx(4.18, abs=0.05)
@@ -279,6 +309,20 @@ class TestPatternError:
         assert pattern_error(measured, ref, self.grid.weights) == pytest.approx(
             expected, rel=1e-10
         )
+
+    def test_measured_scale_absorbed(self):
+        rng = np.random.default_rng(4)
+        ref = np.cos(self.grid.directions[:, 0]) + 0.5j
+        measured = ref + 0.1 * rng.standard_normal(self.grid.num_points)
+        assert pattern_error(3 * measured, ref, self.grid.weights) == pytest.approx(
+            pattern_error(measured, ref, self.grid.weights), rel=1e-12)
+
+    @pytest.mark.parametrize("measured", [[0.0, 0.0], [1.0, -1.0]])
+    def test_no_component_along_reference_rejected(self, measured):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError, match="pattern_error"):
+                pattern_error(np.array(measured), np.ones(2), np.ones(2))
 
     def test_zero_reference_rejected(self):
         with pytest.raises(ValueError):
