@@ -18,7 +18,6 @@ from .metrics import (
 from .radiation import (
     ArrayGeometry,
     Medium,
-    SHVector,
     beam_pattern_modal,
     cap_gain,
     dodecahedron,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import reprlib
 import sys
 from pathlib import Path
 
@@ -25,7 +26,7 @@ import numpy as np
 from . import design as designs
 from . import metrics as metricsmod
 from . import synthesis, virtualmeas
-from .radiation import ArrayGeometry, Medium, SHVector, dodecahedron
+from .radiation import ArrayGeometry, Medium, dodecahedron
 
 DEFAULT_R0 = 0.15
 DEFAULT_ALPHA = 0.3
@@ -43,7 +44,7 @@ def _number(value, field: str) -> float:
     try:
         return float(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{field}: expected a number, got {value!r}") from exc
+        raise ValueError(f"{field}: expected a number, got {reprlib.repr(value)}") from exc
 
 
 def load_geometry(spec: str) -> tuple[ArrayGeometry, dict]:
@@ -113,9 +114,10 @@ def parse_perturb(text: str) -> dict:
         except ValueError:
             value = None
         if key == "seed" and (value is None or value < 0):
-            raise ValueError(f"perturb.seed: expected an integer >= 0, got {val!r}")
+            raise ValueError(f"perturb.seed: expected an integer >= 0, got {reprlib.repr(val)}")
         if value is None or not 0 <= value < np.inf:
-            raise ValueError(f"perturb.{key}: expected a finite number >= 0, got {val!r}")
+            raise ValueError(f"perturb.{key}: expected a finite number >= 0, "
+                             f"got {reprlib.repr(val)}")
         allowed[key] = value
     return allowed
 
@@ -234,7 +236,7 @@ def read_json(path: Path, kind: str) -> dict:
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object")
     if data.get("kind") != kind:
-        raise ValueError(f"{path}: expected a {kind!r} file, got {data.get('kind')!r}")
+        raise ValueError(f"{path}: expected a {kind!r} file, got {reprlib.repr(data.get('kind'))}")
     return data
 
 
@@ -257,7 +259,7 @@ def _field(data: dict, name: str):
     valid, expected = _FIELDS[name]
     value = data.get(name)
     if isinstance(value, bool) or not valid(value):
-        raise ValueError(f"{name}: expected {expected}, got {value!r}")
+        raise ValueError(f"{name}: expected {expected}, got {reprlib.repr(value)}")
     return value
 
 
@@ -271,14 +273,14 @@ def read_modal(path: Path):
 
 
 def read_steered(path: Path):
-    """Steered weights file -> (w_nm as an SHVector, frequency_hz, config_hash)."""
+    """Steered weights file -> (complex ((N+1)^2,) w_nm, order N, frequency_hz,
+    config_hash)."""
     data = read_json(path, "steered_weights")
     order = _field(data, "order")
-    coeffs = _l2c(data.get("coeffs"), "coeffs")
-    if coeffs.size != (order + 1) ** 2:
+    w_nm = _l2c(data.get("coeffs"), "coeffs")
+    if w_nm.size != (order + 1) ** 2:
         raise ValueError(f"coeffs: expected {(order + 1) ** 2} pairs for order {order}")
-    w_nm = SHVector(order=order, coeffs=coeffs)
-    return w_nm, _field(data, "frequency_hz"), _field(data, "config_hash")
+    return w_nm, order, _field(data, "frequency_hz"), _field(data, "config_hash")
 
 
 def read_unit(path: Path):
@@ -397,7 +399,7 @@ def cmd_design(geometry, method, order, freq, look, sidelobe, near_field, radius
             "method": method, "order": order, "frequency_hz": fs, "k_per_m": ks,
             "r0_m": geom.r0, "d": sw.d.astype(complex),
         }, rows),
-        steered_layout(cfg_hash, fs, ks, cfg["look_deg"], nf_radius, order, sw.w_nm.coeffs, rows),
+        steered_layout(cfg_hash, fs, ks, cfg["look_deg"], nf_radius, order, sw.w_nm, rows),
         unit_layout(cfg_hash, fs, sw.w, rows),
         JsonLayout("metrics", cfg_hash,
                    _report_doc(sw.report, fs, ks, geom.r0, sw.unit_weight_norm), rows),
@@ -440,8 +442,8 @@ def cmd_steer(weights_file, geometry, look, near_field, radius, out):
            "look_deg": look_degrees(look_rad), "near_field": near_field, "radius_m": radius}
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / f"steered_weights_{f:g}Hz.json", steered_layout(
-        _config_hash(cfg), f, k, cfg["look_deg"], nf_radius, w_nm.order, w_nm.coeffs))
-    click.echo(f"steered order-{w_nm.order} weights to look {look} deg")
+        _config_hash(cfg), f, k, cfg["look_deg"], nf_radius, d.size - 1, w_nm))
+    click.echo(f"steered order-{d.size - 1} weights to look {look} deg")
 
 
 @main.command("synthesize")
@@ -452,8 +454,8 @@ def cmd_steer(weights_file, geometry, look, near_field, radius, out):
 def cmd_synthesize(steered_file, geometry, out):
     """Compute per-loudspeaker weights from steered coefficients."""
     geom, geom_doc = load_geometry(geometry)
-    w_nm, f, source = read_steered(steered_file)
-    w = synthesis.unit_weights(w_nm, synthesis.build_transform(geom, w_nm.order))
+    w_nm, order, f, source = read_steered(steered_file)
+    w = synthesis.unit_weights(w_nm, synthesis.build_transform(geom, order))
     cfg = {"command": "synthesize", "geometry": geom_doc, "source": source}
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / f"unit_weights_{f:g}Hz.json", unit_layout(_config_hash(cfg), f, w))

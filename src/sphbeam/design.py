@@ -14,7 +14,7 @@ import numpy as np
 
 from . import metrics, sphmath, synthesis
 from .metrics import MetricReport
-from .radiation import Medium, SHVector, beam_pattern_modal, radial_far
+from .radiation import Medium, beam_pattern_modal, radial_far
 
 __all__ = [
     "METHODS",
@@ -99,13 +99,13 @@ class Sweep:
     """One design at every frequency of a sweep, with a leading frequency
     axis of shape k.shape on every field:
 
-    d (..., N+1) modal weights; w_nm steered coefficients with coeffs of
-    shape (..., (N+1)^2); w (..., L) unit weights; report a MetricReport
+    d (..., N+1) modal weights; w_nm (..., (N+1)^2) steered coefficients;
+    w (..., L) unit weights; report a MetricReport
     whose fields have shape k.shape; unit_weight_norm (...,) ||w||^2.
     """
 
     d: np.ndarray
-    w_nm: SHVector
+    w_nm: np.ndarray
     w: np.ndarray
     report: MetricReport
     unit_weight_norm: np.ndarray
@@ -140,7 +140,7 @@ def sweep(geom, method, order, k, look, sidelobe_db=None, near_field_radius=None
         w = synthesis.unit_weights(w_nm, transform)
         rep = metrics.report(d, k, geom.r0, medium)
         norm = np.sum(np.abs(w) ** 2, axis=-1)
-    for name, value in (("d", d), ("w_nm", w_nm.coeffs), ("w", w), *vars(rep).items(),
+    for name, value in (("d", d), ("w_nm", w_nm), ("w", w), *vars(rep).items(),
                         ("unit_weight_norm", norm)):
         ok = np.all(np.isfinite(value).reshape(k.shape + (-1,)), axis=-1)
         if not np.all(ok):

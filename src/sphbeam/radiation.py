@@ -16,7 +16,6 @@ from . import sphmath
 __all__ = [
     "Medium",
     "ArrayGeometry",
-    "SHVector",
     "dodecahedron",
     "cap_gain",
     "cap_gain_diag",
@@ -68,30 +67,6 @@ class ArrayGeometry:
     @property
     def num_caps(self):
         return self.cap_dirs.shape[0]
-
-
-@dataclass(frozen=True)
-class SHVector:
-    """Packed complex spherical-harmonic coefficient vector.
-
-    Entry q of the last axis holds the coefficient of Y_n^m with
-    q = n^2 + n + m; leading axes, if any, index frequencies.
-    """
-
-    order: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=complex))
-        if self.coeffs.shape[-1:] != (sphmath.num_coeffs(self.order),):
-            raise ValueError(
-                f"expected {sphmath.num_coeffs(self.order)} coefficients for "
-                f"order {self.order}, got {self.coeffs.shape}"
-            )
-
-    def __getitem__(self, nm):
-        n, m = nm
-        return self.coeffs[..., sphmath.sh_index(n, m)]
 
 
 _GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0

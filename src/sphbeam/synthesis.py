@@ -7,7 +7,7 @@ SVD pseudo-inverse.  Near-field compensated steering replaces b_n by the
 radial term at a finite analysis radius.
 
 Steering and synthesis broadcast over a leading frequency axis: with k of
-shape (F,), d is (F, N+1) or one (N+1,) for all, w_nm.coeffs is
+shape (F,), d is (F, N+1) or one (N+1,) for all, w_nm is
 (F, (N+1)^2) and the unit weights are (F, L).
 """
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sphmath
-from .radiation import Medium, SHVector, cap_gain_diag, radial_far, radial_near
+from .radiation import Medium, cap_gain_diag, radial_far, radial_near
 
 __all__ = [
     "TransformMatrices",
@@ -51,17 +51,16 @@ def _steer_coeffs(d, look, per_order_divisor):
     order = d.shape[-1] - 1
     reps = [2 * n + 1 for n in range(order + 1)]
     ylook = sphmath.sh_matrix(order, look[0], look[1])[0]
-    coeffs = np.repeat(d / per_order_divisor, reps, axis=-1) * ylook.conj()
-    return SHVector(order=order, coeffs=coeffs)
+    return np.repeat(d / per_order_divisor, reps, axis=-1) * ylook.conj()
 
 
 def steer(d, look, k, r0, medium=Medium()):
     """Steer modal weights d_n to a look direction.
 
-    Returns the SHVector w_nm = (d_n / b_n(k r0)) [Y_n^m(theta0, phi0)]*.
-    ``d`` has shape (..., N+1) and broadcasts against k: coeffs has shape
-    broadcast(d.shape[:-1], k.shape) + ((N+1)^2,).  Raises if any b_n
-    vanishes at this k r0.
+    Returns w_nm = (d_n / b_n(k r0)) [Y_n^m(theta0, phi0)]*, packed as
+    q = n^2 + n + m.  ``d`` has shape (..., N+1) and broadcasts against k:
+    w_nm has shape broadcast(d.shape[:-1], k.shape) + ((N+1)^2,).  Raises
+    if any b_n vanishes at this k r0.
     """
     dv = np.asarray(d, dtype=complex)
     return _steer_coeffs(dv, look, radial_far(np.arange(dv.shape[-1]), k, r0, medium))
@@ -115,9 +114,10 @@ def build_transform(geom, order):
 
 def unit_weights(w_nm, transform):
     """Per-unit weights w = Y^+ G^{-1} w_nm (minimum-norm solution of
-    G Y w = w_nm): the complex (..., L) array for the SHVector ``w_nm``
-    with coeffs of shape (..., (N+1)^2).  One stacked matrix-vector
-    product covers all rows; it rounds each row as Y^+ @ v does."""
-    if w_nm.coeffs.shape[-1] != transform.ymat.shape[0]:
-        raise ValueError("coefficient length does not match transform order")
-    return (transform.ypinv @ (w_nm.coeffs / transform.g_diag)[..., None])[..., 0]
+    G Y w = w_nm): the complex (..., L) array for ``w_nm`` of shape
+    (..., (N+1)^2).  One stacked matrix-vector product covers all rows;
+    it rounds each row as Y^+ @ v does."""
+    if np.shape(w_nm)[-1:] != transform.ymat.shape[:1]:
+        raise ValueError(f"w_nm: expected {transform.ymat.shape[0]} coefficients for the "
+                         f"transform's order, got shape {np.shape(w_nm)}")
+    return (transform.ypinv @ (w_nm / transform.g_diag)[..., None])[..., 0]

@@ -18,6 +18,7 @@ relative size of the largest of the last three series terms is reported
 as ``sim_tail``.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,7 +26,6 @@ import numpy as np
 from . import sphmath
 from .radiation import (
     Medium,
-    SHVector,
     beam_pattern_modal,
     cap_gain_diag,
     great_circle_angle,
@@ -118,7 +118,7 @@ def transfer_matrix(geom, grid, k, medium=Medium(), sim_order=None):
     with gamma_jl the angle between microphone j and cap l.
     """
     if grid.radius <= geom.r0:
-        raise ValueError("grid radius must exceed the source radius")
+        raise ValueError(f"radius: {grid.radius} m must exceed the source radius {geom.r0} m")
     if sim_order is None:
         sim_order = grid.order + SIM_ORDER_MARGIN
     orders = np.arange(sim_order + 1)
@@ -160,16 +160,16 @@ def perturb_transfer(transfer, gain_db=0.0, phase_deg=0.0, noise=0.0, seed=0):
 def discrete_sft(samples, grid, order):
     """Discrete spherical Fourier transform on a Gaussian grid.
 
-    f_nm = sum_j a_j f(Omega_j) [Y_n^m(Omega_j)]*, exact for functions
-    band-limited to the grid order.
+    f_nm = sum_j a_j f(Omega_j) [Y_n^m(Omega_j)]*, packed as q = n^2 + n + m;
+    exact for functions band-limited to the grid order.
     """
     if order > grid.order:
-        raise ValueError(f"analysis order {order} exceeds grid order {grid.order}")
+        raise ValueError(f"analysis_order: {grid.order} is below the design order {order}")
     samples = np.asarray(samples)
     if samples.shape != (grid.num_points,):
         raise ValueError("one sample per grid point required")
     ymat = sphmath.sh_matrix(order, grid.directions[:, 0], grid.directions[:, 1])
-    return SHVector(order=order, coeffs=ymat.conj().T @ (grid.weights * samples))
+    return ymat.conj().T @ (grid.weights * samples)
 
 
 def virtual_measure(w, transfer):
@@ -184,14 +184,14 @@ def virtual_measure(w, transfer):
 def measured_pattern(pnm, dirs):
     """Order-limited beam pattern of measured coefficients at ``dirs``.
 
-    Synthesizes the spherical Fourier coefficients ``pnm`` (from
+    Synthesizes the packed spherical Fourier coefficients ``pnm`` (from
     :func:`discrete_sft`) at directions of shape (M, 2): the measured
     counterpart of the designed pattern, free of the uncontrolled
-    harmonics above ``pnm.order`` (up to quadrature aliasing).  The
-    overall complex scale of the result is that of the pressure samples.
+    harmonics above order sqrt(pnm.size) - 1 (up to quadrature aliasing).
+    The overall complex scale of the result is that of the pressure samples.
     """
     dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-    return sphmath.sh_matrix(pnm.order, dirs[:, 0], dirs[:, 1]) @ pnm.coeffs
+    return sphmath.sh_matrix(math.isqrt(pnm.size) - 1, dirs[:, 0], dirs[:, 1]) @ pnm
 
 
 def pattern_error(measured, reference, weights):

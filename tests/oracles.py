@@ -10,7 +10,7 @@ import numpy as np
 import scipy.special as sp
 
 from sphbeam import sphmath
-from sphbeam.radiation import Medium, SHVector, cap_gain_diag, radial_far, radial_near
+from sphbeam.radiation import Medium, cap_gain_diag, radial_far, radial_near
 
 
 def sph_bessel_j(n, x):
@@ -46,27 +46,28 @@ def hypercardioid_pattern(order, theta_gc):
 def velocity_coeffs(geom, v, order):
     """Modal surface velocity u_nm = g_n sum_l v_l [Y_n^m(theta_l, phi_l)]*.
 
-    ``v`` holds one complex velocity per cap.
+    ``v`` holds one complex velocity per cap; the result is packed as
+    q = n^2 + n + m.
     """
     v = np.asarray(v, dtype=complex)
     if v.shape != (geom.num_caps,):
         raise ValueError(f"expected {geom.num_caps} cap velocities, got {v.shape}")
     ymat = sphmath.sh_matrix(order, geom.cap_dirs[:, 0], geom.cap_dirs[:, 1])
-    coeffs = cap_gain_diag(order, geom.alpha) * (ymat.conj().T @ v)
-    return SHVector(order=order, coeffs=coeffs)
+    return cap_gain_diag(order, geom.alpha) * (ymat.conj().T @ v)
 
 
 def pressure_field(u, k, r, dirs, geom, medium=Medium()):
     """Radiated pressure at radius r for modal surface velocity u.
 
     p(theta, phi) = sum_{n,m} radial_near(n) u_nm Y_n^m(theta, phi),
-    summed over all orders carried by ``u``.
+    summed over all orders carried by the packed ``u``.
     """
     dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-    orders = np.arange(u.order + 1)
+    order = int(np.sqrt(np.size(u))) - 1
+    orders = np.arange(order + 1)
     rad = np.repeat(radial_near(orders, k, r, geom.r0, medium), 2 * orders + 1)
-    ymat = sphmath.sh_matrix(u.order, dirs[:, 0], dirs[:, 1])
-    return ymat @ (rad * u.coeffs)
+    ymat = sphmath.sh_matrix(order, dirs[:, 0], dirs[:, 1])
+    return ymat @ (rad * u)
 
 
 def beam_pattern_field(w_nm, k, r0, dirs, medium=Medium()):
@@ -77,10 +78,11 @@ def beam_pattern_field(w_nm, k, r0, dirs, medium=Medium()):
     axis-symmetric steering.
     """
     dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-    orders = np.arange(w_nm.order + 1)
+    order = int(np.sqrt(np.size(w_nm))) - 1
+    orders = np.arange(order + 1)
     b = np.repeat(radial_far(orders, k, r0, medium), 2 * orders + 1)
-    ymat = sphmath.sh_matrix(w_nm.order, dirs[:, 0], dirs[:, 1])
-    return ymat @ (b * w_nm.coeffs)
+    ymat = sphmath.sh_matrix(order, dirs[:, 0], dirs[:, 1])
+    return ymat @ (b * w_nm)
 
 
 def directivity_factor_integral(look_value, values, weights):
@@ -105,11 +107,12 @@ def wng_coefficients(w_nm, look, k, r0, medium=Medium()):
     modal form of :func:`wng`, with which this agrees for weights built
     by axis-symmetric steering.
     """
-    orders = np.arange(w_nm.order + 1)
+    order = int(np.sqrt(np.size(w_nm))) - 1
+    orders = np.arange(order + 1)
     b = np.repeat(radial_far(orders, k, r0, medium), 2 * orders + 1)
-    ylook = sphmath.sh_matrix(w_nm.order, look[0], look[1])[0]
-    num = 4 * np.pi * np.abs(np.sum(b * w_nm.coeffs * ylook)) ** 2
-    denom = np.sum(np.abs(w_nm.coeffs) ** 2)
+    ylook = sphmath.sh_matrix(order, look[0], look[1])[0]
+    num = 4 * np.pi * np.abs(np.sum(b * w_nm * ylook)) ** 2
+    denom = np.sum(np.abs(w_nm) ** 2)
     if denom == 0.0:
         raise ValueError("zero steered weights")
     return float(num / denom)
@@ -117,9 +120,8 @@ def wng_coefficients(w_nm, look, k, r0, medium=Medium()):
 
 def forward_weights(w, transform):
     """Forward transform w_nm = G Y w from per-unit weights."""
-    order = int(np.sqrt(transform.ymat.shape[0])) - 1
     num_caps = transform.ymat.shape[1]
     wv = np.asarray(w, dtype=complex)
     if wv.shape != (num_caps,):
         raise ValueError(f"expected {num_caps} unit weights, got {wv.shape}")
-    return SHVector(order=order, coeffs=transform.g_diag * (transform.ymat @ wv))
+    return transform.g_diag * (transform.ymat @ wv)

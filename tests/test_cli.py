@@ -274,6 +274,8 @@ class TestBoundary:
         (["simulate", "--perturb", "gain_db=-1"], "perturb.gain_db"),
         (["simulate", "--perturb", "phase_deg=-2"], "perturb.phase_deg"),
         (["simulate", "--perturb", "noise=-1"], "perturb.noise"),
+        (["simulate", "--radius", "0.1"], "config error: radius: 0.1 "),
+        (["simulate", "--analysis-order", "1"], "config error: analysis_order: 1 "),
     ])
     def test_grid_and_simulate_reject_bad_options(self, runner, tmp_path, args, field):
         _design(runner, tmp_path)
@@ -397,6 +399,28 @@ class TestBoundary:
         assert result.exit_code == 2, result.output
         assert message in result.output
         assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("command, field", [
+        ("design", "geometry.r0"),
+        ("metrics", "k_per_m"),
+    ])
+    def test_huge_integer_echo_is_clipped(self, runner, tmp_path, command, field):
+        # a 400-digit JSON integer is named in a short message, not printed in full
+        if command == "design":
+            bad = tmp_path / "geometry.json"
+            bad.write_text(json.dumps({"r0": 10**400, "alpha": 0.3, "caps_deg": _CAPS_DEG}))
+            args = ["design", "--method", "max-di", "--order", "2", "--freq", "400",
+                    "--geometry", str(bad)]
+        else:
+            _design(runner, tmp_path)
+            bad = tmp_path / "modal_weights_400Hz.json"
+            bad.write_text(json.dumps({**json.loads(bad.read_text()), "k_per_m": 10**400}))
+            args = ["metrics", str(bad)]
+        result = _python("-m", "sphbeam.cli", *args, "--out", str(tmp_path / "out"))
+        assert result.returncode == 2, result.stderr
+        assert field in result.stderr
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and len(lines[0]) < 200, result.stderr
 
     @pytest.mark.parametrize("target, text, field", [
         ("geometry", json.dumps({"r0": 0.15, "alpha": 0.3, "caps_deg": [[90, 0, 1], [45, 0, 1]]}),

@@ -12,7 +12,7 @@ from sphbeam.design import (
     sweep,
 )
 from sphbeam.metrics import report
-from sphbeam.radiation import Medium, SHVector, dodecahedron, radial_far, radial_near
+from sphbeam.radiation import Medium, dodecahedron, radial_far, radial_near
 from sphbeam.synthesis import build_transform, near_field_steer, steer, unit_weights
 
 MEDIUM = Medium()
@@ -50,21 +50,21 @@ class TestBroadcastOverK:
     @pytest.mark.parametrize("per_k", [True, False], ids=["d_per_k", "one_d"])
     def test_steer(self, per_k):
         d = max_wng_weights(4, K, R0, MEDIUM) if per_k else dolph_chebyshev_weights(4, 25.0)
-        rows = [steer(d[i] if per_k else d, LOOK, k, R0, MEDIUM).coeffs
+        rows = [steer(d[i] if per_k else d, LOOK, k, R0, MEDIUM)
                 for i, k in enumerate(K)]
-        assert_rows(steer(d, LOOK, K, R0, MEDIUM).coeffs, rows)
+        assert_rows(steer(d, LOOK, K, R0, MEDIUM), rows)
 
     @pytest.mark.parametrize("per_k", [True, False], ids=["d_per_k", "one_d"])
     def test_near_field_steer(self, per_k):
         d = max_wng_weights(4, K, R0, MEDIUM) if per_k else max_directivity_weights(4)
-        rows = [near_field_steer(d[i] if per_k else d, LOOK, k, RADIUS, R0, MEDIUM).coeffs
+        rows = [near_field_steer(d[i] if per_k else d, LOOK, k, RADIUS, R0, MEDIUM)
                 for i, k in enumerate(K)]
-        assert_rows(near_field_steer(d, LOOK, K, RADIUS, R0, MEDIUM).coeffs, rows)
+        assert_rows(near_field_steer(d, LOOK, K, RADIUS, R0, MEDIUM), rows)
 
     def test_unit_weights(self):
         transform = build_transform(GEOM, 2)
         w_nm = steer(max_wng_weights(2, K, R0, MEDIUM), LOOK, K, R0, MEDIUM)
-        rows = [unit_weights(SHVector(2, coeffs), transform) for coeffs in w_nm.coeffs]
+        rows = [unit_weights(coeffs, transform) for coeffs in w_nm]
         assert_rows(unit_weights(w_nm, transform), rows)
 
     @pytest.mark.parametrize("per_k", [True, False], ids=["d_per_k", "one_d"])
@@ -79,7 +79,7 @@ class TestBroadcastOverK:
     def test_scalar_k_keeps_scalar_shapes(self):
         d = max_wng_weights(2, K[3], R0, MEDIUM)
         assert d.shape == (3,)
-        assert steer(d, LOOK, K[3], R0, MEDIUM).coeffs.shape == (9,)
+        assert steer(d, LOOK, K[3], R0, MEDIUM).shape == (9,)
         rep = report(d, K[3], R0, MEDIUM)
         assert all(type(getattr(rep, f)) is float for f in ("q", "di_db", "wng", "wng_db"))
 
@@ -102,13 +102,13 @@ class TestSweep:
                 w_nm = near_field_steer(d, LOOK, k, near_field_radius, R0, MEDIUM)
             w = unit_weights(w_nm, transform)
             rep = report(d, k, R0, MEDIUM)
-            for name, value in (("d", d), ("coeffs", w_nm.coeffs), ("w", w), ("q", [rep.q]),
+            for name, value in (("d", d), ("coeffs", w_nm), ("w", w), ("q", [rep.q]),
                                 ("di_db", [rep.di_db]), ("wng", [rep.wng]),
                                 ("wng_db", [rep.wng_db]),
                                 ("norm", [np.sum(np.abs(w) ** 2)])):
                 rows[name].append(value)
         assert_rows(result.d, rows["d"])
-        assert_rows(result.w_nm.coeffs, rows["coeffs"])
+        assert_rows(result.w_nm, rows["coeffs"])
         assert_rows(result.w, rows["w"])
         for field in ("q", "di_db", "wng", "wng_db"):
             assert_rows(getattr(result.report, field)[:, None], rows[field])

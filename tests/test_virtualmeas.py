@@ -64,13 +64,13 @@ class TestDiscreteSft:
         samples = sphmath.sh_matrix(2, self.grid.directions[:, 0], self.grid.directions[:, 1])[
             :, sphmath.sh_index(2, 1)
         ]
-        coeffs = discrete_sft(samples, self.grid, 2).coeffs
+        coeffs = discrete_sft(samples, self.grid, 2)
         expected = np.zeros(9)
         expected[sphmath.sh_index(2, 1)] = 1.0
         assert np.max(np.abs(coeffs - expected)) < 1e-10
 
     def test_constant_function(self):
-        coeffs = discrete_sft(np.ones(self.grid.num_points), self.grid, 1).coeffs
+        coeffs = discrete_sft(np.ones(self.grid.num_points), self.grid, 1)
         assert coeffs[0] == pytest.approx(np.sqrt(4 * np.pi), abs=1e-12)
         assert np.max(np.abs(coeffs[1:])) < 1e-12
 
@@ -78,15 +78,15 @@ class TestDiscreteSft:
         rng = np.random.default_rng(8)
         f1 = rng.standard_normal(self.grid.num_points) + 0j
         f2 = rng.standard_normal(self.grid.num_points) + 0j
-        lhs = discrete_sft(3 * f1 - 2j * f2, self.grid, 3).coeffs
-        rhs = 3 * discrete_sft(f1, self.grid, 3).coeffs - 2j * discrete_sft(f2, self.grid, 3).coeffs
+        lhs = discrete_sft(3 * f1 - 2j * f2, self.grid, 3)
+        rhs = 3 * discrete_sft(f1, self.grid, 3) - 2j * discrete_sft(f2, self.grid, 3)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     def test_analysis_synthesis_identity(self):
         rng = np.random.default_rng(9)
         coeffs = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         ymat = sphmath.sh_matrix(3, self.grid.directions[:, 0], self.grid.directions[:, 1])
-        back = discrete_sft(ymat @ coeffs, self.grid, 3).coeffs
+        back = discrete_sft(ymat @ coeffs, self.grid, 3)
         assert np.max(np.abs(back - coeffs)) < 1e-10
 
     def test_order_above_grid_rejected(self):
@@ -181,16 +181,16 @@ class TestNearFieldSteer:
     def test_far_radius_limit(self):
         d = np.array([1.0, 0.6, 0.3])
         k = freq_to_k(400.0)
-        far = steer(d, LOOK, k, GEOM.r0, MEDIUM).coeffs
+        far = steer(d, LOOK, k, GEOM.r0, MEDIUM)
         r = 1e4 * 3 / k
-        near = near_field_steer(d, LOOK, k, r, GEOM.r0, MEDIUM).coeffs
+        near = near_field_steer(d, LOOK, k, r, GEOM.r0, MEDIUM)
         assert np.max(np.abs(near - far) / np.abs(far).max()) < 0.01
 
     def test_compensation_is_nontrivial_at_measurement_radius(self):
         d = np.array([1.0, 0.6, 0.3])
         k = freq_to_k(400.0)
-        far = steer(d, LOOK, k, GEOM.r0, MEDIUM).coeffs
-        near = near_field_steer(d, LOOK, k, RADIUS, GEOM.r0, MEDIUM).coeffs
+        far = steer(d, LOOK, k, GEOM.r0, MEDIUM)
+        near = near_field_steer(d, LOOK, k, RADIUS, GEOM.r0, MEDIUM)
         rel = np.abs(near - far) / np.abs(far)
         assert np.max(rel[np.abs(far) > 0]) > 0.01
 
