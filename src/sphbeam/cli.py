@@ -47,6 +47,17 @@ def _number(value, field: str) -> float:
         raise ValueError(f"{field}: expected a number, got {reprlib.repr(value)}") from exc
 
 
+def _is_json_number(value) -> bool:
+    """An int or float from a JSON file: neither a boolean nor a numeric string."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _json_number(value, field: str) -> float:
+    if not _is_json_number(value):
+        raise ValueError(f"{field}: expected a number, got {reprlib.repr(value)}")
+    return _number(value, field)
+
+
 def load_geometry(spec: str) -> tuple[ArrayGeometry, dict]:
     """Resolve a geometry spec: a JSON file path, or a builtin name like
     'dodecahedron' / 'dodecahedron:r0=0.15,alpha=0.3'."""
@@ -66,8 +77,8 @@ def load_geometry(spec: str) -> tuple[ArrayGeometry, dict]:
     data = _load_json(path)
     try:
         caps = np.deg2rad(_pairs(data["caps_deg"], "geometry.caps_deg", "[theta, phi]"))
-        geom = ArrayGeometry(r0=_number(data["r0"], "geometry.r0"),
-                             alpha=_number(data["alpha"], "geometry.alpha"), cap_dirs=caps)
+        geom = ArrayGeometry(r0=_json_number(data["r0"], "geometry.r0"),
+                             alpha=_json_number(data["alpha"], "geometry.alpha"), cap_dirs=caps)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"geometry.{exc}: expected fields r0, alpha, caps_deg") from exc
     return geom, data
@@ -191,11 +202,14 @@ def _json_const(value) -> str:
 
 
 def _pairs(value, field: str, pair: str) -> np.ndarray:
-    """A non-empty (n, 2) float array of finite numbers, or ValueError naming field."""
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        arr = np.empty(0)
+    """A non-empty (n, 2) float array of finite JSON numbers, or ValueError naming field."""
+    arr = np.empty(0)
+    if isinstance(value, list) and all(
+            isinstance(row, list) and all(map(_is_json_number, row)) for row in value):
+        try:
+            arr = np.asarray(value, dtype=float)
+        except (ValueError, OverflowError):  # ragged, or an integer beyond float range
+            pass
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] != 2 or not np.all(np.isfinite(arr)):
         raise ValueError(f"{field}: expected a non-empty list of finite {pair} pairs")
     return arr
@@ -242,7 +256,7 @@ def read_json(path: Path, kind: str) -> dict:
 
 def _is_positive(v) -> bool:
     # a Python float bound compares exactly with JSON integers beyond float range
-    return isinstance(v, (int, float)) and 0 < v <= sys.float_info.max
+    return _is_json_number(v) and 0 < v <= sys.float_info.max
 
 
 # scalar fields of coefficient files: (validity test, what is expected)
@@ -251,6 +265,7 @@ _FIELDS = {
     "num_caps": (lambda v: isinstance(v, int), "an integer"),
     "k_per_m": (_is_positive, "a finite positive number"),
     "frequency_hz": (_is_positive, "a finite positive number"),
+    "r0_m": (_is_positive, "a finite positive number"),
     "config_hash": (lambda v: isinstance(v, str), "a string"),
 }
 
@@ -263,12 +278,17 @@ def _field(data: dict, name: str):
     return value
 
 
-def read_modal(path: Path):
-    """Modal weights file -> (complex (N+1,) d, k_per_m, frequency_hz, config_hash)."""
+def read_modal(path: Path, r0: float):
+    """Modal weights file designed for a sphere of radius r0 -> (complex
+    (N+1,) d, k_per_m, frequency_hz, config_hash)."""
     data = read_json(path, "modal_weights")
     d = _l2c(data.get("d"), "d")
     if _field(data, "order") != d.size - 1:
         raise ValueError(f"order: expected len(d) - 1 = {d.size - 1}, got {data['order']}")
+    r0_m = _field(data, "r0_m")
+    if r0_m != r0:
+        raise ValueError(f"r0_m: the modal file is for a sphere of radius {reprlib.repr(r0_m)} m, "
+                         f"the geometry has r0 = {r0!r} m")
     return d, _field(data, "k_per_m"), _field(data, "frequency_hz"), _field(data, "config_hash")
 
 
@@ -435,7 +455,7 @@ def cmd_steer(weights_file, geometry, look, near_field, radius, out):
     """Steer modal weights from a design file to a new look direction."""
     geom, geom_doc = load_geometry(geometry)
     look_rad = parse_look(look)
-    d, k, f, source = read_modal(weights_file)
+    d, k, f, source = read_modal(weights_file, geom.r0)
     nf_radius = radius if near_field else None
     w_nm = synthesis.steer_at(d, look_rad, k, geom.r0, nf_radius, Medium())
     cfg = {"command": "steer", "geometry": geom_doc, "source": source,
@@ -471,7 +491,7 @@ def cmd_synthesize(steered_file, geometry, out):
 def cmd_metrics(weights_file, geometry, out, fmt):
     """Directivity factor/index and WNG of a modal weights file."""
     geom, geom_doc = load_geometry(geometry)
-    d, k, f, source = read_modal(weights_file)
+    d, k, f, source = read_modal(weights_file, geom.r0)
     rep = metricsmod.report(d, k, geom.r0)
     cfg = {"command": "metrics", "geometry": geom_doc, "source": source}
     cfg_hash = _config_hash(cfg)
@@ -525,7 +545,7 @@ def cmd_simulate(modal_file, unit_file, geometry, analysis_order, radius, look, 
     """Virtually measure a synthesized design and export designed and
     measured balloon grids and cross-sections."""
     geom, geom_doc = load_geometry(geometry)
-    d, k, f, source = read_modal(modal_file)
+    d, k, f, source = read_modal(modal_file, geom.r0)
     w, unit_f = read_unit(unit_file)
     if f != unit_f:
         raise ValueError(f"frequency_hz: the modal file is for {f!r} Hz, "

@@ -52,17 +52,6 @@ def max_wng_weights(order, k, r0, medium=Medium()):
     return 4 * np.pi * b2 / denom
 
 
-def _chebyshev(m, x):
-    """Chebyshev polynomial T_m(x), valid inside and outside [-1, 1]."""
-    x = np.asarray(x, dtype=float)
-    inside = np.abs(x) <= 1.0
-    out = np.empty_like(x)
-    out[inside] = np.cos(m * np.arccos(x[inside]))
-    xo = x[~inside]
-    out[~inside] = np.sign(xo) ** m * np.cosh(m * np.arccosh(np.abs(xo)))
-    return out
-
-
 def dolph_chebyshev_weights(order, sidelobe_db):
     """Dolph-Chebyshev weights for a given main-to-sidelobe ratio (dB).
 
@@ -79,10 +68,9 @@ def dolph_chebyshev_weights(order, sidelobe_db):
     x0 = np.cosh(np.arccosh(ratio) / (2 * order))
 
     nodes, qw = np.polynomial.legendre.leggauss(4 * order + 8)
-    target = _chebyshev(2 * order, x0 * np.sqrt((1.0 + nodes) / 2.0))
-    d = np.empty(order + 1)
-    for n in range(order + 1):
-        d[n] = 2.0 * np.pi * np.sum(qw * target * sphmath.legendre(n, nodes))
+    target = np.polynomial.Chebyshev.basis(2 * order)(x0 * np.sqrt((1.0 + nodes) / 2.0))
+    p, _ = sphmath.legendre(np.arange(order + 1), nodes)
+    d = 2.0 * np.pi * p.T @ (qw * target)
 
     # Projection is exact for the degree-N integrand; verify reconstruction.
     recon = beam_pattern_modal(d, np.arccos(nodes))

@@ -90,21 +90,25 @@ def dodecahedron(r0, alpha):
 
 
 def cap_gain(n, alpha):
-    """Cap gain g_n = 4 pi^2 / (2n+1) [P_{n-1}(cos a) - P_{n+1}(cos a)]."""
-    if n < 0:
-        raise ValueError(f"order must be >= 0, got {n}")
+    """Cap gain g_n = 4 pi^2 int_{cos a}^1 P_n(x) dx, broadcast over integer n >= 0.
+
+    In closed form g_0 = 8 pi^2 sin^2(a/2) and, for n >= 1,
+    g_n = 4 pi^2 sin^2(a) P'_n(cos a) / (n(n+1)): the same value as
+    4 pi^2 / (2n+1) [P_{n-1} - P_{n+1}](cos a), without that difference's
+    cancellation as a -> 0.
+    """
     if not 0 < alpha < np.pi:
         raise ValueError("alpha must lie in (0, pi)")
-    ca = np.cos(alpha)
-    return (
-        4 * np.pi**2 / (2 * n + 1) * (sphmath.legendre(n - 1, ca) - sphmath.legendre(n + 1, ca))
-    )
+    n = np.asarray(n)
+    _, dp = sphmath.legendre(n, np.cos(alpha))
+    g = 4 * np.pi**2 * np.sin(alpha) ** 2 * dp / np.where(n == 0, 1, n * (n + 1))
+    return np.where(n == 0, 8 * np.pi**2 * np.sin(alpha / 2) ** 2, g)[()]
 
 
 def cap_gain_diag(order, alpha):
     """g_n repeated 2n+1 times, aligned with packed SH indexing."""
-    g = np.array([cap_gain(n, alpha) for n in range(order + 1)])
-    return np.repeat(g, [2 * n + 1 for n in range(order + 1)])
+    n = np.arange(order + 1)
+    return np.repeat(cap_gain(n, alpha), 2 * n + 1)
 
 
 def _per_k(k, n):

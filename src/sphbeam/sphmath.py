@@ -1,11 +1,12 @@
 """Spherical-harmonic math kernels, in numpy alone.
 
-Legendre polynomials, orthonormal complex spherical harmonics
-(Condon-Shortley phase), the spherical Hankel function of the first
-kind with its derivative, and the packed coefficient index
-q = n^2 + n + m.
+Legendre polynomials with their derivatives, orthonormal complex
+spherical harmonics (Condon-Shortley phase), the spherical Hankel
+function of the first kind with its derivative, and the packed
+coefficient index q = n^2 + n + m.
 
-Two recurrences carry the special functions:
+P_n and P'_n are one table from numpy.polynomial.legendre.  Two
+recurrences carry the other special functions:
 
 - Y_n^m: the fully normalised associated-Legendre recurrence of
   S. A. Holmes and W. E. Featherstone, J. Geodesy 76 (2002) 279-299,
@@ -18,7 +19,6 @@ import numpy as np
 
 __all__ = [
     "sh_index",
-    "sh_unpack",
     "num_coeffs",
     "legendre",
     "sh_matrix",
@@ -33,48 +33,38 @@ def sh_index(n, m):
     return n * n + n + m
 
 
-def sh_unpack(q):
-    """Inverse of :func:`sh_index`, returning (n, m)."""
-    if q < 0:
-        raise ValueError(f"packed index must be >= 0, got {q}")
-    n = int(np.sqrt(q))
-    m = q - n * n - n
-    return n, m
-
-
 def num_coeffs(order):
     """Number of coefficients (N+1)^2 for a band limit of ``order``."""
     return (order + 1) ** 2
 
 
 def legendre(n, x):
-    """Legendre polynomial P_n(x) by the three-term recurrence.
+    """Legendre polynomial P_n(x) and its derivative P'_n(x).
 
-    The convention P_{-1}(x) = 1 is adopted so that the cap-gain
-    expression is evaluable at n = 0.  Vectorized over x.
+    Returns (value, derivative), broadcast over integer n >= 0 and x in
+    [-1, 1] with shape x.shape + n.shape.  One legvander table holds
+    P_0..P_max(n); legder maps it to the derivatives.
     """
-    if n < -1:
-        raise ValueError(f"order must be >= -1, got {n}")
+    n = np.asarray(n)
+    if not np.issubdtype(n.dtype, np.integer) or np.any(n < 0):
+        raise ValueError("order must be an integer >= 0")
     x = np.asarray(x, dtype=float)
     if np.any(np.abs(x) > 1.0):
         raise ValueError("argument of legendre must lie in [-1, 1]")
-    if n == -1 or n == 0:
-        return np.ones_like(x) if x.ndim else 1.0
-    p_prev = np.ones_like(x)
-    p = x.copy()
-    for j in range(1, n):
-        p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
-    return p if x.ndim else float(p)
+    leg = np.polynomial.legendre
+    p = leg.legvander(x, int(np.max(n, initial=0))).reshape(x.shape + (-1,))
+    to_der = leg.legder(np.eye(p.shape[-1]))  # column j: P'_j in P_0, P_1, ...
+    dp = p[..., : to_der.shape[0]] @ to_der
+    return p[..., n], dp[..., n]
 
 
 def sh_matrix(order, theta, phi):
     """All spherical harmonics up to ``order`` at the given directions.
 
     Returns a complex array of shape (len(theta), (order+1)^2) whose
-    column q holds the orthonormal Y_n^m(theta, phi) with
-    (n, m) = sh_unpack(q); theta is the polar angle from the z-axis, phi
-    the azimuth.  Includes the Condon-Shortley phase, so
-    Y_n^{-m} = (-1)^m (Y_n^m)*.
+    column q = n^2 + n + m holds the orthonormal Y_n^m(theta, phi);
+    theta is the polar angle from the z-axis, phi the azimuth.  Includes
+    the Condon-Shortley phase, so Y_n^{-m} = (-1)^m (Y_n^m)*.
 
     The normalised Legendre functions come from the fully normalised
     recurrence of Holmes & Featherstone (2002), one degree at a time

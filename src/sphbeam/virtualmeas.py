@@ -27,7 +27,7 @@ from . import sphmath
 from .radiation import (
     Medium,
     beam_pattern_modal,
-    cap_gain_diag,
+    cap_gain,
     great_circle_angle,
     radial_near,
 )
@@ -122,9 +122,7 @@ def transfer_matrix(geom, grid, k, medium=Medium(), sim_order=None):
     if sim_order is None:
         sim_order = grid.order + SIM_ORDER_MARGIN
     orders = np.arange(sim_order + 1)
-    # radial_near(n) g_n, with g_n the m = 0 entries of the packed cap gains
-    rg = (radial_near(orders, k, grid.radius, geom.r0, medium)
-          * cap_gain_diag(sim_order, geom.alpha)[orders * (orders + 1)])
+    rg = radial_near(orders, k, grid.radius, geom.r0, medium) * cap_gain(orders, geom.alpha)
     # mic directions as (M, 1) columns against the L caps: gamma is (M, L)
     h = beam_pattern_modal(rg, great_circle_angle(grid.directions.T[..., None], geom.cap_dirs))
     c = np.abs(rg) * (2 * orders + 1)

@@ -3,14 +3,23 @@
 Each computes a quantity of the paper by a route the pipeline does not
 take: a closed form, the full spherical-harmonic field, a quadrature
 integral or the forward transform.  scipy is a test dependency only; the
-library computes its special functions by its own recurrences.
+library computes its special functions in numpy alone.
 """
 
 import numpy as np
 import scipy.special as sp
 
 from sphbeam import sphmath
-from sphbeam.radiation import Medium, cap_gain_diag, radial_far, radial_near
+from sphbeam.radiation import Medium, radial_far, radial_near
+
+
+def sh_unpack(q):
+    """Inverse of sphmath.sh_index, returning (n, m)."""
+    if q < 0:
+        raise ValueError(f"packed index must be >= 0, got {q}")
+    n = int(np.sqrt(q))
+    m = q - n * n - n
+    return n, m
 
 
 def sph_bessel_j(n, x):
@@ -38,9 +47,22 @@ def hypercardioid_pattern(order, theta_gc):
     out[reg] = (
         (order + 1)
         / (4 * np.pi * (xr - 1.0))
-        * (sphmath.legendre(order + 1, xr) - sphmath.legendre(order, xr))
+        * (sp.eval_legendre(order + 1, xr) - sp.eval_legendre(order, xr))
     )
     return float(out[0]) if scalar else out
+
+
+def cap_gain_quadrature(order, alpha):
+    """Cap gains g_0..g_order as 4 pi^2 int_{cos a}^1 P_n(x) dx.
+
+    Gauss-Legendre quadrature, exact for these polynomials, over an
+    interval whose width 1 - cos a = 2 sin^2(a/2) is formed without
+    cancellation; P_n from scipy.
+    """
+    t, qw = np.polynomial.legendre.leggauss(order // 2 + 8)
+    width = 2 * np.sin(alpha / 2) ** 2
+    x = 1.0 - width * (1.0 - t) / 2
+    return 2 * np.pi**2 * width * (qw @ sp.eval_legendre(np.arange(order + 1), x[:, None]))
 
 
 def velocity_coeffs(geom, v, order):
@@ -53,7 +75,8 @@ def velocity_coeffs(geom, v, order):
     if v.shape != (geom.num_caps,):
         raise ValueError(f"expected {geom.num_caps} cap velocities, got {v.shape}")
     ymat = sphmath.sh_matrix(order, geom.cap_dirs[:, 0], geom.cap_dirs[:, 1])
-    return cap_gain_diag(order, geom.alpha) * (ymat.conj().T @ v)
+    n = np.arange(order + 1)
+    return np.repeat(cap_gain_quadrature(order, geom.alpha), 2 * n + 1) * (ymat.conj().T @ v)
 
 
 def pressure_field(u, k, r, dirs, geom, medium=Medium()):

@@ -23,6 +23,7 @@ def runner():
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+_CAPS_DEG = np.rad2deg(dodecahedron(0.15, 0.3).cap_dirs).tolist()
 
 
 def _python(*args):
@@ -100,6 +101,22 @@ class TestDesign:
         ], catch_exceptions=False)
         assert result.exit_code == 0
 
+    def test_tiny_cap_gives_finite_files(self, runner, tmp_path):
+        # 1 - cos(1e-9) rounds to 0; the cap gains must not
+        path = tmp_path / "geom.json"
+        path.write_text(json.dumps({"r0": 0.15, "alpha": 1e-9, "caps_deg": _CAPS_DEG}))
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "design", "--method", "max-wng", "--order", "2", "--freq", "400",
+            "--geometry", str(path), "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        files = sorted(out.glob("*.json"))
+        assert len(files) == 4
+        for written in files:
+            json.loads(written.read_text(), parse_constant=_reject_constant)
+        assert json.loads((out / "metrics_400Hz.json").read_text())["unit_weight_norm"] > 0
+
 
 class TestSteerSynthesize:
     def test_steer_then_synthesize(self, runner, tmp_path):
@@ -116,6 +133,19 @@ class TestSteerSynthesize:
         assert result.exit_code == 0
         data = json.loads((restee / "unit_weights_400Hz.json").read_text())
         assert len(data["w"]) == 12
+
+    @pytest.mark.parametrize("command", ["steer", "metrics", "simulate"])
+    def test_design_for_another_sphere_exits_2(self, runner, tmp_path, command):
+        # designed at r0 = 0.2 m, read back with the default r0 = 0.15 m
+        _design(runner, tmp_path, "--geometry", "dodecahedron:r0=0.2")
+        args = {"steer": ["--look", "45,120"], "metrics": [],
+                "simulate": [str(tmp_path / "unit_weights_400Hz.json")]}[command]
+        out = tmp_path / "out"
+        result = runner.invoke(main, [command, str(tmp_path / "modal_weights_400Hz.json"),
+                                      *args, "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "r0_m" in result.output and "0.2" in result.output
+        assert not out.exists()
 
     def test_wrong_kind_rejected(self, runner, tmp_path):
         _design(runner, tmp_path)
@@ -382,6 +412,13 @@ class TestBoundary:
         ("synthesize", "steered_weights", {"coeffs": [[1.0, 0.0]] * 8}, "coeffs: "),
         ("simulate", "unit_weights", {"num_caps": 11}, "num_caps: "),
         ("metrics", "modal_weights", {"d": [[10**400, 0]] * 3}, "d: "),
+        ("metrics", "modal_weights", {"d": [[True, "0"], [0.5, 0], [0.25, 0]]}, "d: "),
+        ("steer", "modal_weights", {"d": [[1, 0], ["0.5", 0], [0.25, 0]]}, "d: "),
+        ("synthesize", "steered_weights", {"coeffs": [[False, 0.0]] * 9}, "coeffs: "),
+        ("simulate", "unit_weights", {"w": [["0.1", 0.0]] * 12}, "w: "),
+        ("steer", "modal_weights", {"r0_m": True}, "r0_m: "),
+        ("metrics", "modal_weights", {"r0_m": "0.15"}, "r0_m: "),
+        ("simulate", "modal_weights", {"r0_m": None}, "r0_m: "),
     ])
     def test_malformed_coefficient_file_exits_2(self, runner, tmp_path, command, kind, change,
                                                 message):
@@ -427,10 +464,19 @@ class TestBoundary:
          "geometry.caps_deg"),
         ("geometry", json.dumps({"r0": 0.15, "alpha": 0.3, "caps_deg": [[90, 0], [45]]}),
          "geometry.caps_deg"),
+        ("geometry", json.dumps({"r0": True, "alpha": 0.3, "caps_deg": _CAPS_DEG}),
+         "geometry.r0"),
+        ("geometry", json.dumps({"r0": 0.15, "alpha": "0.3", "caps_deg": _CAPS_DEG}),
+         "geometry.alpha"),
+        ("geometry", json.dumps({"r0": 0.15, "alpha": 0.3, "caps_deg": [[True, 0]] + _CAPS_DEG}),
+         "geometry.caps_deg"),
+        ("geometry", json.dumps({"r0": 0.15, "alpha": 0.3, "caps_deg": [["90", 0]] + _CAPS_DEG}),
+         "geometry.caps_deg"),
         ("geometry", '{"r0": 0.15,', "bad.json"),
         ("metrics", '{"kind": "modal_weights",', "bad.json"),
         ("metrics", None, "bad.json"),
-    ], ids=["caps-three-columns", "caps-ragged", "geometry-truncated", "modal-truncated",
+    ], ids=["caps-three-columns", "caps-ragged", "r0-boolean", "alpha-string",
+            "caps-boolean", "caps-string", "geometry-truncated", "modal-truncated",
             "directory"])
     def test_malformed_json_file_exits_2(self, runner, tmp_path, target, text, field):
         bad = tmp_path / "bad.json"
@@ -488,7 +534,6 @@ def _reject_constant(name):
     raise ValueError(f"non-finite token {name}")
 
 
-_CAPS_DEG = np.rad2deg(dodecahedron(0.15, 0.3).cap_dirs).tolist()
 _FIELDS = ("freq", "theta", "phi", "radius", "r0", "alpha", "cap", "sim_radius")
 
 

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+import scipy.special as sp
 
-from oracles import beam_pattern_field, pressure_field, sph_bessel_j, velocity_coeffs
+from oracles import (
+    beam_pattern_field,
+    cap_gain_quadrature,
+    pressure_field,
+    sph_bessel_j,
+    velocity_coeffs,
+)
 
 from sphbeam import sphmath
 from sphbeam.radiation import (
@@ -47,6 +54,22 @@ class TestCapGain:
     def test_vanishing_cap(self):
         for n in range(5):
             assert abs(cap_gain(n, 1e-6)) < 1e-9
+
+    @pytest.mark.parametrize("alpha", [1e-9, 1e-7, 1e-3, 0.3, 1.2, 1.5])
+    def test_matches_quadrature_to_order_45(self, alpha):
+        # covers the sign changes of g_n near n = 23 and n = 44 at alpha = 0.3,
+        # and caps so small that 1 - cos(alpha) cancels
+        ref = cap_gain_quadrature(45, alpha)
+        g = cap_gain(np.arange(46), alpha)
+        assert np.max(np.abs(g - ref)) <= 1e-13 * np.max(np.abs(ref))
+        if alpha == 0.3:
+            assert np.sign(ref[22]) != np.sign(ref[24]) and np.sign(ref[43]) != np.sign(ref[45])
+
+    def test_broadcasts_over_orders(self):
+        n = np.arange(6).reshape(2, 3)
+        g = cap_gain(n, 0.4)
+        assert g.shape == (2, 3)
+        assert g.ravel().tolist() == [cap_gain(j, 0.4) for j in range(6)]
 
 
 class TestVelocityCoeffs:
@@ -200,7 +223,7 @@ class TestBeamPattern:
         d = rng.standard_normal(46) + 1j * rng.standard_normal(46)
         theta = np.linspace(0.0, np.pi, 181)
         x = np.cos(theta)
-        ref = sum(dn * (2 * n + 1) / (4 * np.pi) * sphmath.legendre(n, x)
+        ref = sum(dn * (2 * n + 1) / (4 * np.pi) * sp.eval_legendre(n, x)
                   for n, dn in enumerate(d))
         vals = beam_pattern_modal(d, theta)
         assert np.max(np.abs(vals - ref)) < 1e-12 * np.max(np.abs(ref))

@@ -4,7 +4,7 @@ import scipy.special as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import sph_bessel_j
+from oracles import sh_unpack, sph_bessel_j
 
 from sphbeam import sphmath
 
@@ -28,7 +28,7 @@ class TestShIndex:
     def test_pack_unpack_roundtrip(self, n, m):
         if abs(m) > n:
             return
-        assert sphmath.sh_unpack(sphmath.sh_index(n, m)) == (n, m)
+        assert sh_unpack(sphmath.sh_index(n, m)) == (n, m)
 
     def test_index_range(self):
         order = 5
@@ -38,10 +38,9 @@ class TestShIndex:
 
 class TestLegendre:
     def test_low_orders(self):
-        assert sphmath.legendre(0, 0.3) == 1.0
-        assert sphmath.legendre(1, 0.5) == 0.5
-        assert sphmath.legendre(2, 0.5) == pytest.approx(-0.125, abs=1e-15)
-        assert sphmath.legendre(-1, 0.7) == 1.0
+        assert sphmath.legendre(0, 0.3)[0] == 1.0
+        assert sphmath.legendre(1, 0.5)[0] == 0.5
+        assert sphmath.legendre(2, 0.5)[0] == pytest.approx(-0.125, abs=1e-15)
 
     def test_against_explicit_polynomials(self):
         rng = np.random.default_rng(42)
@@ -52,11 +51,33 @@ class TestLegendre:
             4: (35 * x**4 - 30 * x**2 + 3) / 8,
         }
         for n, ref in explicit.items():
-            assert np.max(np.abs(sphmath.legendre(n, x) - ref)) < 1e-12
+            assert np.max(np.abs(sphmath.legendre(n, x)[0] - ref)) < 1e-12
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
             sphmath.legendre(2, 1.5)
+
+    def test_matches_scipy_to_order_45(self):
+        # values within 1e-13, derivatives within 1e-13 of P'_n(1) = n(n+1)/2
+        n = np.arange(46)
+        x = np.concatenate([np.linspace(-1.0, 1.0, 201), [np.cos(1e-9), -np.cos(1e-9)]])
+        p, dp = sphmath.legendre(n, x)
+        ref_p, ref_dp = sp.legendre_p(n, x[:, None], diff_n=1)
+        assert p.shape == dp.shape == (x.size, n.size)
+        assert np.max(np.abs(p - ref_p)) < 1e-13
+        assert np.all(np.abs(dp - ref_dp) <= 1e-13 * n * (n + 1) / 2)
+
+    def test_shape_is_x_then_n(self):
+        p, dp = sphmath.legendre(np.array([[0, 3, 1]]), np.array([0.2, -0.4]))
+        assert p.shape == dp.shape == (2, 1, 3)
+        assert p[1, 0, 2] == -0.4 and dp[0, 0, 2] == 1.0
+        assert dp[0, 0, 1] == pytest.approx((15 * 0.2**2 - 3) / 2, abs=1e-15)
+        assert dp[:, 0, 0].tolist() == [0.0, 0.0]
+
+    def test_rejects_negative_or_fractional_order(self):
+        for n in (-1, 1.5, np.array([0, -2])):
+            with pytest.raises(ValueError, match="order"):
+                sphmath.legendre(n, 0.3)
 
 
 def _ynm(n, m, theta, phi):
@@ -94,7 +115,7 @@ class TestSphHarmonic:
             for n in range(11):
                 degree_n = slice(n * n, (n + 1) ** 2)  # packed indices of m = -n..n
                 total = np.sum(y1[degree_n] * np.conj(y2[degree_n]))
-                ref = (2 * n + 1) / (4 * np.pi) * sphmath.legendre(n, np.clip(cos_gc, -1, 1))
+                ref = (2 * n + 1) / (4 * np.pi) * sphmath.legendre(n, np.clip(cos_gc, -1, 1))[0]
                 assert abs(total - ref) < 1e-10
 
     def test_orthonormality_on_gaussian_grid(self):
@@ -111,7 +132,7 @@ class TestSphHarmonic:
         theta = np.concatenate([rng.uniform(0, np.pi, 60), [0.0, np.pi, 1e-9, np.pi - 1e-9]])
         phi = rng.uniform(0, 2 * np.pi, theta.size)
         ymat = sphmath.sh_matrix(40, theta, phi)
-        n, m = np.array([sphmath.sh_unpack(q) for q in range(ymat.shape[1])]).T
+        n, m = np.array([sh_unpack(q) for q in range(ymat.shape[1])]).T
         ref = sp.sph_harm_y(n, m, theta[:, None], phi[:, None])
         assert np.max(np.abs(ymat - ref)) < 1e-12
 
