@@ -17,7 +17,8 @@ from .metrics import (
 )
 from .radiation import (
     ArrayGeometry,
-    Medium,
+    C,
+    RHO0,
     beam_pattern_modal,
     cap_gain,
     dodecahedron,
@@ -30,7 +31,6 @@ from .synthesis import (
     build_transform,
     near_field_steer,
     steer,
-    steer_at,
     unit_weights,
 )
 from .virtualmeas import (

@@ -26,7 +26,7 @@ import numpy as np
 from . import design as designs
 from . import metrics as metricsmod
 from . import synthesis, virtualmeas
-from .radiation import ArrayGeometry, Medium, dodecahedron
+from .radiation import ArrayGeometry, C, RHO0, dodecahedron
 
 DEFAULT_R0 = 0.15
 DEFAULT_ALPHA = 0.3
@@ -79,8 +79,9 @@ def load_geometry(spec: str) -> tuple[ArrayGeometry, dict]:
         caps = np.deg2rad(_pairs(data["caps_deg"], "geometry.caps_deg", "[theta, phi]"))
         geom = ArrayGeometry(r0=_json_number(data["r0"], "geometry.r0"),
                              alpha=_json_number(data["alpha"], "geometry.alpha"), cap_dirs=caps)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"geometry.{exc}: expected fields r0, alpha, caps_deg") from exc
+    except KeyError as exc:
+        raise ValueError(f"geometry.{exc.args[0]}: missing; expected fields r0, alpha, "
+                         f"caps_deg") from exc
     return geom, data
 
 
@@ -238,17 +239,19 @@ def unit_layout(cfg_hash, f, w, rows=None):
     }, rows)
 
 
-def _load_json(path: Path):
+def _load_json(path: Path) -> dict:
+    """A JSON file holding an object, or ValueError naming the path."""
     try:
-        return json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:  # a directory, JSONDecodeError, UnicodeDecodeError
         raise ValueError(f"{path}: not a readable JSON file ({exc})") from exc
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    return data
 
 
 def read_json(path: Path, kind: str) -> dict:
     data = _load_json(path)
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: expected a JSON object")
     if data.get("kind") != kind:
         raise ValueError(f"{path}: expected a {kind!r} file, got {reprlib.repr(data.get('kind'))}")
     return data
@@ -401,18 +404,17 @@ def cmd_design(geometry, method, order, freq, look, sidelobe, near_field, radius
     geom, geom_doc = load_geometry(geometry)
     look_rad = parse_look(look)
     freqs = parse_freqs(freq)
-    medium = Medium()
     cfg = {
         "command": "design", "geometry": geom_doc, "method": method, "order": order,
         "frequencies_hz": freqs, "look_deg": look_degrees(look_rad), "sidelobe_db": sidelobe,
         "near_field": near_field, "radius_m": radius,
-        "medium": {"rho0": medium.rho0, "c": medium.c},
+        "medium": {"rho0": RHO0, "c": C},
     }
     cfg_hash = _config_hash(cfg)
     nf_radius = radius if near_field else None
     fs = np.asarray(freqs)
-    ks = 2 * np.pi * fs / medium.c
-    sw = designs.sweep(geom, method, order, ks, look_rad, sidelobe, nf_radius, medium)
+    ks = 2 * np.pi * fs / C
+    sw = designs.sweep(geom, method, order, ks, look_rad, sidelobe, nf_radius)
     rows = len(freqs)
     layouts = (
         JsonLayout("modal_weights", cfg_hash, {
@@ -457,7 +459,7 @@ def cmd_steer(weights_file, geometry, look, near_field, radius, out):
     look_rad = parse_look(look)
     d, k, f, source = read_modal(weights_file, geom.r0)
     nf_radius = radius if near_field else None
-    w_nm = synthesis.steer_at(d, look_rad, k, geom.r0, nf_radius, Medium())
+    w_nm = synthesis.steer(d, look_rad, k, geom.r0, nf_radius)
     cfg = {"command": "steer", "geometry": geom_doc, "source": source,
            "look_deg": look_degrees(look_rad), "near_field": near_field, "radius_m": radius}
     out.mkdir(parents=True, exist_ok=True)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import metrics, sphmath, synthesis
 from .metrics import MetricReport
-from .radiation import Medium, beam_pattern_modal, radial_far
+from .radiation import beam_pattern_modal, radial_far
 
 __all__ = [
     "METHODS",
@@ -35,7 +35,7 @@ def max_directivity_weights(order):
     return np.ones(order + 1)
 
 
-def max_wng_weights(order, k, r0, medium=Medium()):
+def max_wng_weights(order, k, r0):
     """Maximum white-noise-gain weights.
 
     d_n = 4 pi |b_n(k r0)|^2 / sum_n' |b_n'(k r0)|^2 (2n'+1); the
@@ -45,7 +45,7 @@ def max_wng_weights(order, k, r0, medium=Medium()):
     if order < 0:
         raise ValueError("order must be >= 0")
     n = np.arange(order + 1)
-    b2 = np.abs(radial_far(n, k, r0, medium)) ** 2
+    b2 = np.abs(radial_far(n, k, r0)) ** 2
     denom = np.sum(b2 * (2 * n + 1), axis=-1, keepdims=True)
     if np.any(denom == 0.0):
         raise ArithmeticError("all radial functions vanish; cannot normalize")
@@ -64,21 +64,22 @@ def dolph_chebyshev_weights(order, sidelobe_db):
         raise ValueError("Dolph-Chebyshev design requires order >= 1")
     if not 0 < sidelobe_db < np.inf:
         raise ValueError("sidelobe level must be a finite positive number of dB")
-    ratio = 10.0 ** (sidelobe_db / 20.0)
-    x0 = np.cosh(np.arccosh(ratio) / (2 * order))
-
     nodes, qw = np.polynomial.legendre.leggauss(4 * order + 8)
-    target = np.polynomial.Chebyshev.basis(2 * order)(x0 * np.sqrt((1.0 + nodes) / 2.0))
-    p, _ = sphmath.legendre(np.arange(order + 1), nodes)
-    d = 2.0 * np.pi * p.T @ (qw * target)
+    # a level near float range overflows R, T_2N or B(0) to inf, and the residual to NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = np.float64(10.0) ** (sidelobe_db / 20.0)
+        x0 = np.cosh(np.arccosh(ratio) / (2 * order))
+        target = np.polynomial.Chebyshev.basis(2 * order)(x0 * np.sqrt((1.0 + nodes) / 2.0))
+        p, _ = sphmath.legendre(np.arange(order + 1), nodes)
+        d = 2.0 * np.pi * p.T @ (qw * target)
 
-    # Projection is exact for the degree-N integrand; verify reconstruction.
-    recon = beam_pattern_modal(d, np.arccos(nodes))
-    resid = np.max(np.abs(recon - target)) / np.max(np.abs(target))
-    if resid > 1e-8:
-        raise ArithmeticError(f"Legendre projection did not converge (residual {resid:.2e})")
-
-    b0 = np.sum(d * (2 * np.arange(order + 1) + 1)) / (4 * np.pi)
+        # Projection is exact for the degree-N integrand; verify reconstruction.
+        recon = beam_pattern_modal(d, np.arccos(nodes))
+        resid = np.max(np.abs(recon - target)) / np.max(np.abs(target))
+        b0 = np.sum(d * (2 * np.arange(order + 1) + 1)) / (4 * np.pi)
+    if not (resid <= 1e-8 and np.isfinite(b0)):
+        raise ArithmeticError(f"sidelobe: no finite Dolph-Chebyshev design at {sidelobe_db:g} dB "
+                              f"(projection residual {resid:.2e})")
     return d / b0
 
 
@@ -99,8 +100,7 @@ class Sweep:
     unit_weight_norm: np.ndarray
 
 
-def sweep(geom, method, order, k, look, sidelobe_db=None, near_field_radius=None,
-          medium=Medium()):
+def sweep(geom, method, order, k, look, sidelobe_db=None, near_field_radius=None):
     """Design, steer to ``look``, synthesize and report at every wavenumber k.
 
     ``method`` is one of METHODS; ``sidelobe_db`` is required for
@@ -115,7 +115,7 @@ def sweep(geom, method, order, k, look, sidelobe_db=None, near_field_radius=None
     if method == "max-di":
         d = max_directivity_weights(order)
     elif method == "max-wng":
-        d = max_wng_weights(order, k, geom.r0, medium)
+        d = max_wng_weights(order, k, geom.r0)
     elif method == "dolph-chebyshev":
         if sidelobe_db is None:
             raise ValueError("sidelobe: required for method dolph-chebyshev")
@@ -124,9 +124,9 @@ def sweep(geom, method, order, k, look, sidelobe_db=None, near_field_radius=None
         raise ValueError(f"method: expected one of {', '.join(METHODS)}, got {method!r}")
     d = np.broadcast_to(d, k.shape + (order + 1,))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        w_nm = synthesis.steer_at(d, look, k, geom.r0, near_field_radius, medium)
+        w_nm = synthesis.steer(d, look, k, geom.r0, near_field_radius)
         w = synthesis.unit_weights(w_nm, transform)
-        rep = metrics.report(d, k, geom.r0, medium)
+        rep = metrics.report(d, k, geom.r0)
         norm = np.sum(np.abs(w) ** 2, axis=-1)
     for name, value in (("d", d), ("w_nm", w_nm), ("w", w), *vars(rep).items(),
                         ("unit_weight_norm", norm)):

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .radiation import Medium, radial_far
+from .radiation import radial_far
 
 __all__ = [
     "MetricReport",
@@ -55,7 +55,7 @@ def directivity_index(q):
     return _float(10.0 * np.log10(q))
 
 
-def wng(d, k, r0, medium=Medium()):
+def wng(d, k, r0):
     """White-noise gain of modal weights at wavenumber k.
 
     WNG = |sum_n d_n (2n+1)|^2 / sum_n (|d_n|^2 / |b_n(k r0)|^2)(2n+1).
@@ -64,20 +64,20 @@ def wng(d, k, r0, medium=Medium()):
     d = _dvec(d)
     n = np.arange(d.shape[-1])
     a = 2 * n + 1
-    b2 = np.abs(radial_far(n, k, r0, medium)) ** 2
+    b2 = np.abs(radial_far(n, k, r0)) ** 2
     denom = np.sum(np.abs(d) ** 2 / b2 * a, axis=-1)
     if np.any(denom == 0.0):
         raise ValueError("degenerate weights: zero WNG denominator")
     return _float(np.abs(np.sum(d * a, axis=-1)) ** 2 / denom)
 
 
-def report(d, k, r0, medium=Medium()):
+def report(d, k, r0):
     """Assemble a :class:`MetricReport` for modal weights at wavenumber k.
 
     d of shape (..., N+1) broadcasts against k: one d for every k, or one
     row per k.  The fields have the broadcast shape, k.shape for a k array
     and floats for a scalar k and a 1-d d.
     """
-    w = wng(d, k, r0, medium)
+    w = wng(d, k, r0)
     q = _float(np.broadcast_to(directivity_factor(d), np.shape(w)))
     return MetricReport(q=q, di_db=directivity_index(q), wng=w, wng_db=directivity_index(w))

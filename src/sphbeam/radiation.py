@@ -14,7 +14,8 @@ import numpy as np
 from . import sphmath
 
 __all__ = [
-    "Medium",
+    "RHO0",
+    "C",
     "ArrayGeometry",
     "dodecahedron",
     "cap_gain",
@@ -26,16 +27,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Medium:
-    """Acoustic medium: air density rho0 (kg/m^3) and speed of sound c (m/s)."""
-
-    rho0: float = 1.21
-    c: float = 343.0
-
-    def __post_init__(self):
-        if not (0 < self.rho0 < np.inf and 0 < self.c < np.inf):
-            raise ValueError("medium parameters rho0 and c must be finite and positive")
+RHO0 = 1.21  # density of air, kg/m^3
+C = 343.0  # speed of sound in air, m/s
 
 
 @dataclass(frozen=True)
@@ -118,7 +111,7 @@ def _per_k(k, n):
     return k.reshape(k.shape + (1,) * np.ndim(n))
 
 
-def radial_near(n, k, r, r0, medium=Medium()):
+def radial_near(n, k, r, r0):
     """Radial propagator i rho0 c h_n(kr) / h'_n(k r0) for r > r0.
 
     Multiplying the modal surface velocity u_nm by this term gives the
@@ -129,13 +122,13 @@ def radial_near(n, k, r, r0, medium=Medium()):
     if not np.all((0 < k) & (k < np.inf)):
         raise ValueError("wavenumber k must be finite and positive")
     if not 0 < r0 < r < np.inf:
-        raise ValueError("evaluation radius must satisfy r > r0 > 0 and be finite")
+        raise ValueError(f"radius: {r} m must exceed the source radius {r0} m")
     hn, _ = sphmath.sph_hankel1(n, k * r)
     _, dhn0 = sphmath.sph_hankel1(n, k * r0)
-    return 1j * medium.rho0 * medium.c * hn / dhn0
+    return 1j * RHO0 * C * hn / dhn0
 
 
-def radial_far(n, k, r0, medium=Medium()):
+def radial_far(n, k, r0):
     """Far-field radial function b_n(k r0).
 
     Defined as the limit of r e^{-ikr} radial_near(n, k, r, r0) for
@@ -152,7 +145,7 @@ def radial_far(n, k, r0, medium=Medium()):
     if not (np.all((0 < k) & (k < np.inf)) and 0 < r0 < np.inf):
         raise ValueError("k and r0 must be finite and positive")
     _, dhn0 = sphmath.sph_hankel1(n, k * r0)
-    return 1j * medium.rho0 * medium.c * (-1j) ** (n + 1) / (k * dhn0)
+    return 1j * RHO0 * C * (-1j) ** (n + 1) / (k * dhn0)
 
 
 def great_circle_angle(look, dirs):

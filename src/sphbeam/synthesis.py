@@ -16,13 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sphmath
-from .radiation import Medium, cap_gain_diag, radial_far, radial_near
+from .radiation import cap_gain_diag, radial_far, radial_near
 
 __all__ = [
     "TransformMatrices",
     "steer",
     "near_field_steer",
-    "steer_at",
     "build_transform",
     "unit_weights",
 ]
@@ -54,19 +53,23 @@ def _steer_coeffs(d, look, per_order_divisor):
     return np.repeat(d / per_order_divisor, reps, axis=-1) * ylook.conj()
 
 
-def steer(d, look, k, r0, medium=Medium()):
+def steer(d, look, k, r0, near_field_radius=None):
     """Steer modal weights d_n to a look direction.
 
     Returns w_nm = (d_n / b_n(k r0)) [Y_n^m(theta0, phi0)]*, packed as
-    q = n^2 + n + m.  ``d`` has shape (..., N+1) and broadcasts against k:
-    w_nm has shape broadcast(d.shape[:-1], k.shape) + ((N+1)^2,).  Raises
-    if any b_n vanishes at this k r0.
+    q = n^2 + n + m, or, when ``near_field_radius`` is given, the
+    near-field compensated coefficients of :func:`near_field_steer` for
+    the sphere of that radius.  ``d`` has shape (..., N+1) and broadcasts
+    against k: w_nm has shape broadcast(d.shape[:-1], k.shape) + ((N+1)^2,).
+    Raises if any b_n vanishes at this k r0.
     """
+    if near_field_radius is not None:
+        return near_field_steer(d, look, k, near_field_radius, r0)
     dv = np.asarray(d, dtype=complex)
-    return _steer_coeffs(dv, look, radial_far(np.arange(dv.shape[-1]), k, r0, medium))
+    return _steer_coeffs(dv, look, radial_far(np.arange(dv.shape[-1]), k, r0))
 
 
-def near_field_steer(d, look, k, r, r0, medium=Medium()):
+def near_field_steer(d, look, k, r, r0):
     """Steering with exact near-field compensation at analysis radius r.
 
     Replaces b_n in the steering by the exact radius-r radial term
@@ -76,17 +79,8 @@ def near_field_steer(d, look, k, r, r0, medium=Medium()):
     """
     dv = np.asarray(d, dtype=complex)
     phase = np.exp(-1j * np.asarray(k, dtype=float) * r)[..., None]
-    rad = r * phase * radial_near(np.arange(dv.shape[-1]), k, r, r0, medium)
+    rad = r * phase * radial_near(np.arange(dv.shape[-1]), k, r, r0)
     return _steer_coeffs(dv, look, rad)
-
-
-def steer_at(d, look, k, r0, near_field_radius=None, medium=Medium()):
-    """Far-field steering (:func:`steer`), or near-field steering for the
-    sphere of radius ``near_field_radius`` when one is given
-    (:func:`near_field_steer`)."""
-    if near_field_radius is None:
-        return steer(d, look, k, r0, medium)
-    return near_field_steer(d, look, k, near_field_radius, r0, medium)
 
 
 def build_transform(geom, order):

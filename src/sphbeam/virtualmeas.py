@@ -24,13 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import sphmath
-from .radiation import (
-    Medium,
-    beam_pattern_modal,
-    cap_gain,
-    great_circle_angle,
-    radial_near,
-)
+from .radiation import beam_pattern_modal, cap_gain, great_circle_angle, radial_near
 from .synthesis import near_field_steer
 
 __all__ = [
@@ -104,7 +98,7 @@ def gaussian_grid(order, radius):
     return SamplingGrid(order=order, radius=radius, directions=dirs, weights=weights)
 
 
-def transfer_matrix(geom, grid, k, medium=Medium(), sim_order=None):
+def transfer_matrix(geom, grid, k, sim_order=None):
     """Transfer matrix H[j, l]: pressure at mic j per unit velocity of cap l.
 
     Column l equals the pressure field of the single-cap velocity
@@ -117,12 +111,10 @@ def transfer_matrix(geom, grid, k, medium=Medium(), sim_order=None):
 
     with gamma_jl the angle between microphone j and cap l.
     """
-    if grid.radius <= geom.r0:
-        raise ValueError(f"radius: {grid.radius} m must exceed the source radius {geom.r0} m")
     if sim_order is None:
         sim_order = grid.order + SIM_ORDER_MARGIN
     orders = np.arange(sim_order + 1)
-    rg = radial_near(orders, k, grid.radius, geom.r0, medium) * cap_gain(orders, geom.alpha)
+    rg = radial_near(orders, k, grid.radius, geom.r0) * cap_gain(orders, geom.alpha)
     # mic directions as (M, 1) columns against the L caps: gamma is (M, L)
     h = beam_pattern_modal(rg, great_circle_angle(grid.directions.T[..., None], geom.cap_dirs))
     c = np.abs(rg) * (2 * orders + 1)

@@ -10,7 +10,7 @@ import numpy as np
 import scipy.special as sp
 
 from sphbeam import sphmath
-from sphbeam.radiation import Medium, radial_far, radial_near
+from sphbeam.radiation import radial_far, radial_near
 
 
 def sh_unpack(q):
@@ -79,7 +79,7 @@ def velocity_coeffs(geom, v, order):
     return np.repeat(cap_gain_quadrature(order, geom.alpha), 2 * n + 1) * (ymat.conj().T @ v)
 
 
-def pressure_field(u, k, r, dirs, geom, medium=Medium()):
+def pressure_field(u, k, r, dirs, geom):
     """Radiated pressure at radius r for modal surface velocity u.
 
     p(theta, phi) = sum_{n,m} radial_near(n) u_nm Y_n^m(theta, phi),
@@ -88,12 +88,12 @@ def pressure_field(u, k, r, dirs, geom, medium=Medium()):
     dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
     order = int(np.sqrt(np.size(u))) - 1
     orders = np.arange(order + 1)
-    rad = np.repeat(radial_near(orders, k, r, geom.r0, medium), 2 * orders + 1)
+    rad = np.repeat(radial_near(orders, k, r, geom.r0), 2 * orders + 1)
     ymat = sphmath.sh_matrix(order, dirs[:, 0], dirs[:, 1])
     return ymat @ (rad * u)
 
 
-def beam_pattern_field(w_nm, k, r0, dirs, medium=Medium()):
+def beam_pattern_field(w_nm, k, r0, dirs):
     """Far-field beam pattern B(theta, phi) = sum_{n,m} b_n w_nm Y_n^m.
 
     Full spherical-harmonic route; equals :func:`beam_pattern_modal`
@@ -103,7 +103,7 @@ def beam_pattern_field(w_nm, k, r0, dirs, medium=Medium()):
     dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
     order = int(np.sqrt(np.size(w_nm))) - 1
     orders = np.arange(order + 1)
-    b = np.repeat(radial_far(orders, k, r0, medium), 2 * orders + 1)
+    b = np.repeat(radial_far(orders, k, r0), 2 * orders + 1)
     ymat = sphmath.sh_matrix(order, dirs[:, 0], dirs[:, 1])
     return ymat @ (b * w_nm)
 
@@ -122,7 +122,7 @@ def directivity_factor_integral(look_value, values, weights):
     return float(np.abs(look_value) ** 2 / mean_sq)
 
 
-def wng_coefficients(w_nm, look, k, r0, medium=Medium()):
+def wng_coefficients(w_nm, look, k, r0):
     """WNG from steered coefficients w_nm (coefficient-domain form).
 
     WNG = 4 pi |sum_{n,m} b_n w_nm Y_n^m(look)|^2 / sum_{n,m} |w_nm|^2.
@@ -132,7 +132,7 @@ def wng_coefficients(w_nm, look, k, r0, medium=Medium()):
     """
     order = int(np.sqrt(np.size(w_nm))) - 1
     orders = np.arange(order + 1)
-    b = np.repeat(radial_far(orders, k, r0, medium), 2 * orders + 1)
+    b = np.repeat(radial_far(orders, k, r0), 2 * orders + 1)
     ylook = sphmath.sh_matrix(order, look[0], look[1])[0]
     num = 4 * np.pi * np.abs(np.sum(b * w_nm * ylook)) ** 2
     denom = np.sum(np.abs(w_nm) ** 2)

@@ -25,7 +25,7 @@ from sphbeam.metrics import (
     wng,
 )
 from sphbeam.radiation import (
-    Medium,
+    C,
     beam_pattern_modal,
     dodecahedron,
     great_circle_angle,
@@ -41,7 +41,6 @@ from sphbeam.virtualmeas import (
     virtual_measure,
 )
 
-MEDIUM = Medium()
 R0 = 0.15
 RADIUS = 0.57
 GEOM = dodecahedron(r0=R0, alpha=0.3)
@@ -91,9 +90,9 @@ def test_criterion_3_modal_integral_equivalence():
         vals = beam_pattern_modal(d, great_circle_angle(look, grid.directions))
         q_int = directivity_factor_integral(beam_pattern_modal(d, 0.0), vals, grid.weights)
         worst_q = max(worst_q, abs(q_int - directivity_factor(d)) / directivity_factor(d))
-        sw = steer(d, look, k, R0, MEDIUM)
-        w_coef = wng_coefficients(sw, look, k, R0, MEDIUM)
-        worst_w = max(worst_w, abs(w_coef - wng(d, k, R0, MEDIUM)) / wng(d, k, R0, MEDIUM))
+        sw = steer(d, look, k, R0)
+        w_coef = wng_coefficients(sw, look, k, R0)
+        worst_w = max(worst_w, abs(w_coef - wng(d, k, R0)) / wng(d, k, R0))
     elapsed = time.perf_counter() - start
     _check(3, f"Q and WNG modal/integral routes agree (worst {worst_q:.1e}, {worst_w:.1e}) "
               f"({elapsed:.2f}s)",
@@ -108,11 +107,11 @@ def test_criterion_4_optimality():
     q_opt = directivity_factor(max_directivity_weights(order))
     for kr0 in (0.5, 1.1, 2.75):
         k = kr0 / R0
-        wng_opt = wng(max_wng_weights(order, k, R0, MEDIUM), k, R0, MEDIUM)
+        wng_opt = wng(max_wng_weights(order, k, R0), k, R0)
         for _ in range(1000):
             d = rng.standard_normal(order + 1) + 1j * rng.standard_normal(order + 1)
             ok &= directivity_factor(d) <= q_opt + 1e-9
-            ok &= wng(d, k, R0, MEDIUM) <= wng_opt * (1 + 1e-9)
+            ok &= wng(d, k, R0) <= wng_opt * (1 + 1e-9)
     elapsed = time.perf_counter() - start
     _check(4, f"max-DI and max-WNG beat 1000 random designs at kr0 in {{0.5, 1.1, 2.75}} "
               f"({elapsed:.2f}s)", ok and elapsed < 30.0)
@@ -121,7 +120,7 @@ def test_criterion_4_optimality():
 def test_criterion_5_kr_reproduction():
     quoted = {(400.0, R0): 1.1, (400.0, RADIUS): 4.2, (1000.0, R0): 2.75, (1000.0, RADIUS): 10.45}
     worst = max(
-        abs(2 * np.pi * f / MEDIUM.c * r - ref) / ref for (f, r), ref in quoted.items()
+        abs(2 * np.pi * f / C * r - ref) / ref for (f, r), ref in quoted.items()
     )
     _check(5, f"kr values at 400/1000 Hz within 1% of quoted (worst {worst:.2%})", worst < 0.01)
 
@@ -133,11 +132,11 @@ def test_criterion_6_end_to_end_replication():
     assert grid.num_points == 242
     transform = build_transform(GEOM, 2)
     errs = {}
-    for f, factory in ((400.0, lambda k: max_wng_weights(2, k, R0, MEDIUM)),
+    for f, factory in ((400.0, lambda k: max_wng_weights(2, k, R0)),
                        (1000.0, lambda k: max_directivity_weights(2))):
-        k = 2 * np.pi * f / MEDIUM.c
+        k = 2 * np.pi * f / C
         d = factory(k)
-        sw = near_field_steer(d, look, k, RADIUS, R0, MEDIUM)
+        sw = near_field_steer(d, look, k, RADIUS, R0)
         w = unit_weights(sw, transform)
         samples = virtual_measure(w, transfer_matrix(GEOM, grid, k))
         measured = measured_pattern(discrete_sft(samples, grid, 2), grid.directions)
@@ -158,9 +157,9 @@ def test_criterion_7_steering_independence():
     worst = 0.0
     for _ in range(20):
         look = (rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi))
-        sw = steer(d, look, k, R0, MEDIUM)
+        sw = steer(d, look, k, R0)
         dirs = _dirs_at_angles(look, theta_gc, rng)
-        vals = beam_pattern_field(sw, k, R0, dirs, MEDIUM)
+        vals = beam_pattern_field(sw, k, R0, dirs)
         worst = max(worst, np.max(np.abs(vals - ref)))
     _check(7, f"20 random look directions give identical B(Theta) profiles "
               f"(max deviation {worst:.1e})", worst < 1e-8)
@@ -203,7 +202,7 @@ def test_criterion_9_synthesis_round_trip():
     transform = build_transform(GEOM, 2)
     rng = np.random.default_rng(99)
     d = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    sw = steer(d, (0.8, 2.5), 1.1 / R0, R0, MEDIUM)
+    sw = steer(d, (0.8, 2.5), 1.1 / R0, R0)
     w = unit_weights(sw, transform)
     back = forward_weights(w, transform)
     resid = np.max(np.abs(back - sw))

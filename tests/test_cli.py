@@ -81,6 +81,14 @@ class TestDesign:
         for path1 in out1.iterdir():
             assert path1.read_bytes() == (out2 / path1.name).read_bytes()
 
+    def test_config_hash_is_stable(self, runner, tmp_path):
+        # the README's first command; the hash covers the geometry, the options and
+        # the air constants, so a change to any of them shows here
+        _design(runner, tmp_path)
+        for stem in ("modal_weights", "steered_weights", "unit_weights", "metrics"):
+            data = json.loads((tmp_path / f"{stem}_400Hz.json").read_text())
+            assert data["config_hash"] == "b4918ac2f697accf", stem
+
     def test_dolph_chebyshev_requires_sidelobe(self, runner, tmp_path):
         result = runner.invoke(main, [
             "design", "--method", "dolph-chebyshev", "--order", "2", "--freq", "400",
@@ -145,6 +153,17 @@ class TestSteerSynthesize:
                                       *args, "--out", str(out)])
         assert result.exit_code == 2, result.output
         assert "r0_m" in result.output and "0.2" in result.output
+        assert not out.exists()
+
+    def test_near_field_radius_inside_sphere_exits_2(self, runner, tmp_path):
+        _design(runner, tmp_path)
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "steer", str(tmp_path / "modal_weights_400Hz.json"), "--look", "45,120",
+            "--near-field", "--radius", "0.1", "--out", str(out),
+        ])
+        assert result.exit_code == 2, result.output
+        assert "config error: radius: 0.1 " in result.output
         assert not out.exists()
 
     def test_wrong_kind_rejected(self, runner, tmp_path):
@@ -285,6 +304,8 @@ class TestBoundary:
         (["--method", "max-di", "--order", "2", "--freq", "400,abc"], "freq"),
         (["--method", "max-di", "--order", "2", "--freq", "400",
           "--geometry", "dodecahedron:r0=abc"], "geometry.r0"),
+        (["--method", "max-wng", "--order", "2", "--freq", "400", "--near-field",
+          "--radius", "0.1"], "config error: radius: 0.1 "),
     ])
     def test_design_rejects_bad_numbers(self, runner, tmp_path, args, field):
         out = tmp_path / "out"
@@ -327,6 +348,20 @@ class TestBoundary:
         assert len(result.stderr.strip().splitlines()) == 1, result.stderr
         assert "numerical failure" in result.stderr
         assert "RuntimeWarning" not in result.stderr
+
+    @pytest.mark.parametrize("order, sidelobe", [("2", "6200"), ("1", "6160"), ("2", "6145")])
+    def test_sidelobe_beyond_float_range_exits_3_on_one_line(self, tmp_path, order, sidelobe):
+        # 10^(6200/20) overflows a float; at 6160 dB the Chebyshev target overflows,
+        # and at 6145 dB the normalisation B(0)
+        out = tmp_path / "out"
+        result = _python("-m", "sphbeam.cli", "design", "--method", "dolph-chebyshev",
+                         "--order", order, "--sidelobe", sidelobe, "--freq", "400",
+                         "--out", str(out))
+        assert result.returncode == 3, result.stderr
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and "sidelobe" in lines[0], result.stderr
+        assert "RuntimeWarning" not in result.stderr
+        assert not out.exists()
 
     @pytest.mark.parametrize("freq", ["400,1e-200", "400,1e-60"])
     def test_design_failure_at_one_frequency_writes_nothing(self, tmp_path, freq):
@@ -473,11 +508,13 @@ class TestBoundary:
         ("geometry", json.dumps({"r0": 0.15, "alpha": 0.3, "caps_deg": [["90", 0]] + _CAPS_DEG}),
          "geometry.caps_deg"),
         ("geometry", '{"r0": 0.15,', "bad.json"),
+        ("geometry", "[1, 2]", "bad.json: expected a JSON object"),
+        ("geometry", json.dumps({"r0": 0.15, "caps_deg": _CAPS_DEG}), "geometry.alpha: missing"),
         ("metrics", '{"kind": "modal_weights",', "bad.json"),
         ("metrics", None, "bad.json"),
     ], ids=["caps-three-columns", "caps-ragged", "r0-boolean", "alpha-string",
-            "caps-boolean", "caps-string", "geometry-truncated", "modal-truncated",
-            "directory"])
+            "caps-boolean", "caps-string", "geometry-truncated", "geometry-list",
+            "geometry-missing-alpha", "modal-truncated", "directory"])
     def test_malformed_json_file_exits_2(self, runner, tmp_path, target, text, field):
         bad = tmp_path / "bad.json"
         if text is None:

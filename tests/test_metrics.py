@@ -9,11 +9,10 @@ from sphbeam.metrics import (
     report,
     wng,
 )
-from sphbeam.radiation import Medium, beam_pattern_modal, great_circle_angle, radial_far
+from sphbeam.radiation import beam_pattern_modal, great_circle_angle, radial_far
 from sphbeam.synthesis import steer
 from sphbeam.virtualmeas import gaussian_grid
 
-MEDIUM = Medium()
 R0 = 0.15
 
 
@@ -69,20 +68,20 @@ class TestDirectivityIntegral:
 class TestWng:
     def test_max_wng_achieves_closed_form(self):
         k = 1.1 / R0
-        d = max_wng_weights(2, k, R0, MEDIUM)
+        d = max_wng_weights(2, k, R0)
         n = np.arange(3)
-        expected = np.sum((2 * n + 1) * np.abs(radial_far(n, k, R0, MEDIUM)) ** 2)
-        assert wng(d, k, R0, MEDIUM) == pytest.approx(expected, rel=1e-10)
+        expected = np.sum((2 * n + 1) * np.abs(radial_far(n, k, R0)) ** 2)
+        assert wng(d, k, R0) == pytest.approx(expected, rel=1e-10)
 
     def test_beats_uniform_weights(self):
         k = 1.1 / R0
-        opt = wng(max_wng_weights(2, k, R0, MEDIUM), k, R0, MEDIUM)
-        assert opt >= wng(np.ones(3), k, R0, MEDIUM)
+        opt = wng(max_wng_weights(2, k, R0), k, R0)
+        assert opt >= wng(np.ones(3), k, R0)
 
     def test_scale_invariance(self):
         k = 1.1 / R0
         d = np.array([1.0, 0.4 - 0.2j, 0.1j])
-        assert wng(3.7j * d, k, R0, MEDIUM) == pytest.approx(wng(d, k, R0, MEDIUM), rel=1e-12)
+        assert wng(3.7j * d, k, R0) == pytest.approx(wng(d, k, R0), rel=1e-12)
 
     def test_matches_coefficient_domain_form(self):
         rng = np.random.default_rng(77)
@@ -91,9 +90,9 @@ class TestWng:
             order = rng.integers(0, 5)
             d = rng.standard_normal(order + 1) + 1j * rng.standard_normal(order + 1)
             look = (rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi))
-            sw = steer(d, look, k, R0, MEDIUM)
-            lhs = wng_coefficients(sw, look, k, R0, MEDIUM)
-            assert lhs == pytest.approx(wng(d, k, R0, MEDIUM), rel=1e-9)
+            sw = steer(d, look, k, R0)
+            lhs = wng_coefficients(sw, look, k, R0)
+            assert lhs == pytest.approx(wng(d, k, R0), rel=1e-9)
 
 
 class TestRayleighQuotientForms:
@@ -106,17 +105,17 @@ class TestRayleighQuotientForms:
             a = 2.0 * np.arange(order + 1) + 1.0
             q_mat = (d.conj() @ np.outer(a, a) @ d).real / (d.conj() @ np.diag(a) @ d).real
             assert q_mat == pytest.approx(directivity_factor(d), rel=1e-10)
-            b2 = np.abs(radial_far(np.arange(order + 1), k, R0, MEDIUM)) ** 2
+            b2 = np.abs(radial_far(np.arange(order + 1), k, R0)) ** 2
             wng_mat = (d.conj() @ np.outer(a, a) @ d).real / (
                 d.conj() @ np.diag(a / b2) @ d
             ).real
-            assert wng_mat == pytest.approx(wng(d, k, R0, MEDIUM), rel=1e-10)
+            assert wng_mat == pytest.approx(wng(d, k, R0), rel=1e-10)
 
 
 class TestReport:
     def test_fields(self):
         k = 1.1 / R0
-        rep = report(np.ones(3), k, R0, MEDIUM)
+        rep = report(np.ones(3), k, R0)
         assert rep.q == pytest.approx(9.0)
         assert rep.di_db == pytest.approx(10 * np.log10(9.0))
         assert rep.wng_db == pytest.approx(10 * np.log10(rep.wng))

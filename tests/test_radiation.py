@@ -13,7 +13,8 @@ from oracles import (
 from sphbeam import sphmath
 from sphbeam.radiation import (
     ArrayGeometry,
-    Medium,
+    C,
+    RHO0,
     beam_pattern_modal,
     cap_gain,
     dodecahedron,
@@ -23,9 +24,8 @@ from sphbeam.radiation import (
 )
 from sphbeam.synthesis import steer
 
-MEDIUM = Medium()
 GEOM = dodecahedron(r0=0.15, alpha=0.3)
-K400 = 2 * np.pi * 400.0 / MEDIUM.c
+K400 = 2 * np.pi * 400.0 / C
 
 
 class TestGeometry:
@@ -104,8 +104,8 @@ class TestRadial:
         # b_n is defined as the r -> inf limit of r e^{-ikr} radial_near
         for n in range(4):
             r = 1e4 * (n + 1) / K400
-            lim = r * np.exp(-1j * K400 * r) * radial_near(n, K400, r, GEOM.r0, MEDIUM)
-            b = radial_far(n, K400, GEOM.r0, MEDIUM)
+            lim = r * np.exp(-1j * K400 * r) * radial_near(n, K400, r, GEOM.r0)
+            b = radial_far(n, K400, GEOM.r0)
             assert abs(lim - b) / abs(b) < 1e-3
 
     def test_bracket_formula(self):
@@ -117,38 +117,38 @@ class TestRadial:
             hn, dhn = sphmath.sph_hankel1(n, kr0)
             bracket = (
                 -1j
-                * MEDIUM.rho0
-                * MEDIUM.c
+                * RHO0
+                * C
                 * k
                 * GEOM.r0**2
                 * (-1j) ** n
                 * (jn - djn / dhn * hn)
             )
-            assert radial_far(n, k, GEOM.r0, MEDIUM) == pytest.approx(bracket, rel=1e-12)
+            assert radial_far(n, k, GEOM.r0) == pytest.approx(bracket, rel=1e-12)
 
     def test_evanescent_decay(self):
         k = 1.1 / GEOM.r0
-        mags = np.abs(radial_far(np.arange(2, 11), k, GEOM.r0, MEDIUM))
+        mags = np.abs(radial_far(np.arange(2, 11), k, GEOM.r0))
         assert np.all(np.diff(mags) < 0)
 
     def test_near_field_decay_above_kr(self):
         k, r = K400, 0.57
         kr = k * r
-        vals = np.abs(radial_near(np.arange(0, 15), k, r, GEOM.r0, MEDIUM))
+        vals = np.abs(radial_near(np.arange(0, 15), k, r, GEOM.r0))
         for n in range(int(np.ceil(kr)) + 1, 14):
             assert vals[n + 1] / vals[n] < 1.0
 
     def test_near_converges_to_far_in_modulus(self):
         for n in range(4):
             r = 1e5 / K400
-            val = abs(r * np.exp(-1j * K400 * r) * radial_near(n, K400, r, GEOM.r0, MEDIUM))
-            assert val == pytest.approx(abs(radial_far(n, K400, GEOM.r0, MEDIUM)), rel=1e-3)
+            val = abs(r * np.exp(-1j * K400 * r) * radial_near(n, K400, r, GEOM.r0))
+            assert val == pytest.approx(abs(radial_far(n, K400, GEOM.r0)), rel=1e-3)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            radial_near(0, K400, 0.1, GEOM.r0, MEDIUM)
+            radial_near(0, K400, 0.1, GEOM.r0)
         with pytest.raises(ValueError):
-            radial_far(0, -1.0, GEOM.r0, MEDIUM)
+            radial_far(0, -1.0, GEOM.r0)
 
 
 class TestPressureField:
@@ -158,21 +158,21 @@ class TestPressureField:
 
     def test_zero_coefficients(self):
         u = np.zeros(9)
-        p = pressure_field(u, K400, 0.5, self.dirs, GEOM, MEDIUM)
+        p = pressure_field(u, K400, 0.5, self.dirs, GEOM)
         assert np.all(p == 0)
 
     def test_monopole_is_omnidirectional(self):
         u = np.eye(9)[0] * (1 + 2j)
-        p = pressure_field(u, K400, 0.5, self.dirs, GEOM, MEDIUM)
+        p = pressure_field(u, K400, 0.5, self.dirs, GEOM)
         assert np.max(np.abs(p - p[0])) < 1e-14 * abs(p[0])
 
     def test_linearity(self):
         rng = np.random.default_rng(5)
         c1 = rng.standard_normal(9) + 1j * rng.standard_normal(9)
         c2 = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-        p1 = pressure_field(c1, K400, 0.5, self.dirs, GEOM, MEDIUM)
-        p2 = pressure_field(c2, K400, 0.5, self.dirs, GEOM, MEDIUM)
-        p12 = pressure_field(2 * c1 - 1j * c2, K400, 0.5, self.dirs, GEOM, MEDIUM)
+        p1 = pressure_field(c1, K400, 0.5, self.dirs, GEOM)
+        p2 = pressure_field(c2, K400, 0.5, self.dirs, GEOM)
+        p12 = pressure_field(2 * c1 - 1j * c2, K400, 0.5, self.dirs, GEOM)
         assert np.max(np.abs(p12 - (2 * p1 - 1j * p2))) < 1e-10
 
     def test_matches_far_field_form_with_exact_near_field_steering(self):
@@ -183,8 +183,8 @@ class TestPressureField:
         r = 0.57
         d = np.array([1.0, 0.7, 0.3])
         look = (0.4, 1.1)
-        sw = near_field_steer(d, look, K400, r, GEOM.r0, MEDIUM)
-        p = pressure_field(sw, K400, r, self.dirs, GEOM, MEDIUM)
+        sw = near_field_steer(d, look, K400, r, GEOM.r0)
+        p = pressure_field(sw, K400, r, self.dirs, GEOM)
         ref = (
             np.exp(1j * K400 * r)
             / r
@@ -235,8 +235,8 @@ class TestBeamPattern:
             order = rng.integers(0, 5)
             d = rng.standard_normal(order + 1) + 1j * rng.standard_normal(order + 1)
             look = (rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi))
-            sw = steer(d, look, K400, GEOM.r0, MEDIUM)
-            full = beam_pattern_field(sw, K400, GEOM.r0, dirs, MEDIUM)
+            sw = steer(d, look, K400, GEOM.r0)
+            full = beam_pattern_field(sw, K400, GEOM.r0, dirs)
             modal = beam_pattern_modal(d, great_circle_angle(look, dirs))
             assert np.max(np.abs(full - modal)) < 1e-9
 
@@ -244,14 +244,14 @@ class TestBeamPattern:
         # directions sharing the same great-circle angle get the same value
         look = (0.9, 0.3)
         d = np.array([0.2, 1.0 - 0.5j, 0.4j])
-        sw = steer(d, look, K400, GEOM.r0, MEDIUM)
+        sw = steer(d, look, K400, GEOM.r0)
         rng = np.random.default_rng(23)
         for _ in range(10):
             gc = rng.uniform(0.1, np.pi - 0.1)
             azimuths = rng.uniform(0, 2 * np.pi, 6)
             # rotate the look axis by gc towards varying azimuths
             dirs = _ring_around(look, gc, azimuths)
-            vals = beam_pattern_field(sw, K400, GEOM.r0, dirs, MEDIUM)
+            vals = beam_pattern_field(sw, K400, GEOM.r0, dirs)
             assert np.max(np.abs(vals - vals[0])) < 1e-9
 
 

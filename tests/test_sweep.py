@@ -12,10 +12,9 @@ from sphbeam.design import (
     sweep,
 )
 from sphbeam.metrics import report
-from sphbeam.radiation import Medium, dodecahedron, radial_far, radial_near
+from sphbeam.radiation import dodecahedron, radial_far, radial_near
 from sphbeam.synthesis import build_transform, near_field_steer, steer, unit_weights
 
-MEDIUM = Medium()
 GEOM = dodecahedron(0.15, 0.3)
 R0 = GEOM.r0
 RADIUS = 0.57
@@ -36,51 +35,51 @@ def assert_rows(batch, rows):
 class TestBroadcastOverK:
     def test_radial_far(self):
         n = np.arange(6)
-        assert_rows(radial_far(n, K, R0, MEDIUM), [radial_far(n, k, R0, MEDIUM) for k in K])
+        assert_rows(radial_far(n, K, R0), [radial_far(n, k, R0) for k in K])
 
     def test_radial_near(self):
         n = np.arange(6)
-        assert_rows(radial_near(n, K, RADIUS, R0, MEDIUM),
-                    [radial_near(n, k, RADIUS, R0, MEDIUM) for k in K])
+        assert_rows(radial_near(n, K, RADIUS, R0),
+                    [radial_near(n, k, RADIUS, R0) for k in K])
 
     def test_max_wng_weights(self):
-        assert_rows(max_wng_weights(4, K, R0, MEDIUM),
-                    [max_wng_weights(4, k, R0, MEDIUM) for k in K])
+        assert_rows(max_wng_weights(4, K, R0),
+                    [max_wng_weights(4, k, R0) for k in K])
 
     @pytest.mark.parametrize("per_k", [True, False], ids=["d_per_k", "one_d"])
     def test_steer(self, per_k):
-        d = max_wng_weights(4, K, R0, MEDIUM) if per_k else dolph_chebyshev_weights(4, 25.0)
-        rows = [steer(d[i] if per_k else d, LOOK, k, R0, MEDIUM)
+        d = max_wng_weights(4, K, R0) if per_k else dolph_chebyshev_weights(4, 25.0)
+        rows = [steer(d[i] if per_k else d, LOOK, k, R0)
                 for i, k in enumerate(K)]
-        assert_rows(steer(d, LOOK, K, R0, MEDIUM), rows)
+        assert_rows(steer(d, LOOK, K, R0), rows)
 
     @pytest.mark.parametrize("per_k", [True, False], ids=["d_per_k", "one_d"])
     def test_near_field_steer(self, per_k):
-        d = max_wng_weights(4, K, R0, MEDIUM) if per_k else max_directivity_weights(4)
-        rows = [near_field_steer(d[i] if per_k else d, LOOK, k, RADIUS, R0, MEDIUM)
+        d = max_wng_weights(4, K, R0) if per_k else max_directivity_weights(4)
+        rows = [near_field_steer(d[i] if per_k else d, LOOK, k, RADIUS, R0)
                 for i, k in enumerate(K)]
-        assert_rows(near_field_steer(d, LOOK, K, RADIUS, R0, MEDIUM), rows)
+        assert_rows(near_field_steer(d, LOOK, K, RADIUS, R0), rows)
 
     def test_unit_weights(self):
         transform = build_transform(GEOM, 2)
-        w_nm = steer(max_wng_weights(2, K, R0, MEDIUM), LOOK, K, R0, MEDIUM)
+        w_nm = steer(max_wng_weights(2, K, R0), LOOK, K, R0)
         rows = [unit_weights(coeffs, transform) for coeffs in w_nm]
         assert_rows(unit_weights(w_nm, transform), rows)
 
     @pytest.mark.parametrize("per_k", [True, False], ids=["d_per_k", "one_d"])
     def test_report(self, per_k):
-        d = max_wng_weights(4, K, R0, MEDIUM) if per_k else dolph_chebyshev_weights(4, 30.0)
-        batch = report(d, K, R0, MEDIUM)
-        rows = [report(d[i] if per_k else d, k, R0, MEDIUM) for i, k in enumerate(K)]
+        d = max_wng_weights(4, K, R0) if per_k else dolph_chebyshev_weights(4, 30.0)
+        batch = report(d, K, R0)
+        rows = [report(d[i] if per_k else d, k, R0) for i, k in enumerate(K)]
         for field in ("q", "di_db", "wng", "wng_db"):
             assert_rows(getattr(batch, field)[:, None],
                         [[getattr(row, field)] for row in rows])
 
     def test_scalar_k_keeps_scalar_shapes(self):
-        d = max_wng_weights(2, K[3], R0, MEDIUM)
+        d = max_wng_weights(2, K[3], R0)
         assert d.shape == (3,)
-        assert steer(d, LOOK, K[3], R0, MEDIUM).shape == (9,)
-        rep = report(d, K[3], R0, MEDIUM)
+        assert steer(d, LOOK, K[3], R0).shape == (9,)
+        rep = report(d, K[3], R0)
         assert all(type(getattr(rep, f)) is float for f in ("q", "di_db", "wng", "wng_db"))
 
 
@@ -89,19 +88,19 @@ class TestSweep:
     @pytest.mark.parametrize("method", ["max-di", "max-wng", "dolph-chebyshev"])
     def test_matches_per_frequency_chain(self, method, near_field_radius):
         transform = build_transform(GEOM, 2)
-        result = sweep(GEOM, method, 2, K, LOOK, 25.0, near_field_radius, MEDIUM)
+        result = sweep(GEOM, method, 2, K, LOOK, 25.0, near_field_radius)
         rows = {name: [] for name in ("d", "coeffs", "w", "q", "di_db", "wng", "wng_db",
                                       "norm")}
         for k in K:
             d = {"max-di": lambda: max_directivity_weights(2),
-                 "max-wng": lambda: max_wng_weights(2, k, R0, MEDIUM),
+                 "max-wng": lambda: max_wng_weights(2, k, R0),
                  "dolph-chebyshev": lambda: dolph_chebyshev_weights(2, 25.0)}[method]()
             if near_field_radius is None:
-                w_nm = steer(d, LOOK, k, R0, MEDIUM)
+                w_nm = steer(d, LOOK, k, R0)
             else:
-                w_nm = near_field_steer(d, LOOK, k, near_field_radius, R0, MEDIUM)
+                w_nm = near_field_steer(d, LOOK, k, near_field_radius, R0)
             w = unit_weights(w_nm, transform)
-            rep = report(d, k, R0, MEDIUM)
+            rep = report(d, k, R0)
             for name, value in (("d", d), ("coeffs", w_nm), ("w", w), ("q", [rep.q]),
                                 ("di_db", [rep.di_db]), ("wng", [rep.wng]),
                                 ("wng_db", [rep.wng_db]),

@@ -5,21 +5,20 @@ from oracles import beam_pattern_field, forward_weights
 from sphbeam import sphmath
 from sphbeam.radiation import (
     ArrayGeometry,
-    Medium,
+    C,
     beam_pattern_modal,
     dodecahedron,
     great_circle_angle,
 )
 from sphbeam.synthesis import build_transform, steer, unit_weights
 
-MEDIUM = Medium()
 GEOM = dodecahedron(r0=0.15, alpha=0.3)
-K400 = 2 * np.pi * 400.0 / MEDIUM.c
+K400 = 2 * np.pi * 400.0 / C
 
 
 class TestSteer:
     def test_polar_look_kills_nonzonal_modes(self):
-        sw = steer(np.array([1.0, 0.5, 0.2]), (0.0, 0.0), K400, GEOM.r0, MEDIUM)
+        sw = steer(np.array([1.0, 0.5, 0.2]), (0.0, 0.0), K400, GEOM.r0)
         for n in range(3):
             for m in range(-n, n + 1):
                 if m != 0:
@@ -30,8 +29,8 @@ class TestSteer:
         dirs = np.column_stack([rng.uniform(0, np.pi, 40), rng.uniform(0, 2 * np.pi, 40)])
         d = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         look = (1.2, 5.0)
-        sw = steer(d, look, K400, GEOM.r0, MEDIUM)
-        full = beam_pattern_field(sw, K400, GEOM.r0, dirs, MEDIUM)
+        sw = steer(d, look, K400, GEOM.r0)
+        full = beam_pattern_field(sw, K400, GEOM.r0, dirs)
         modal = beam_pattern_modal(d, great_circle_angle(look, dirs))
         assert np.max(np.abs(full - modal)) < 1e-9
 
@@ -43,9 +42,9 @@ class TestSteer:
         ref = beam_pattern_modal(d, theta_gc)
         for _ in range(5):
             look = (rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi))
-            sw = steer(d, look, K400, GEOM.r0, MEDIUM)
+            sw = steer(d, look, K400, GEOM.r0)
             dirs = _offset_dirs(look, theta_gc)
-            vals = beam_pattern_field(sw, K400, GEOM.r0, dirs, MEDIUM)
+            vals = beam_pattern_field(sw, K400, GEOM.r0, dirs)
             assert np.max(np.abs(vals - ref)) < 1e-9
 
 
@@ -93,7 +92,7 @@ class TestUnitWeights:
     def _steered(self, seed=0):
         rng = np.random.default_rng(seed)
         d = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        return steer(d, (0.7, 0.2), K400, GEOM.r0, MEDIUM)
+        return steer(d, (0.7, 0.2), K400, GEOM.r0)
 
     def test_round_trip(self):
         sw = self._steered()
@@ -143,7 +142,7 @@ class TestForwardWeights:
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     def test_composition_is_identity_on_image(self):
-        sw = steer(np.array([0.3, 1.0, 0.5]), (1.0, 2.0), K400, GEOM.r0, MEDIUM)
+        sw = steer(np.array([0.3, 1.0, 0.5]), (1.0, 2.0), K400, GEOM.r0)
         w = unit_weights(sw, self.transform)
         again = unit_weights(forward_weights(w, self.transform), self.transform)
         assert np.max(np.abs(again - w)) < 1e-10
@@ -157,10 +156,10 @@ class TestEndToEnd:
         rng = np.random.default_rng(6)
         d = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         look = (0.9, 4.0)
-        sw = steer(d, look, k, GEOM.r0, MEDIUM)
+        sw = steer(d, look, k, GEOM.r0)
         w = unit_weights(sw, transform)
         w_nm = forward_weights(w, transform)
         dirs = np.column_stack([rng.uniform(0, np.pi, 30), rng.uniform(0, 2 * np.pi, 30)])
-        full = beam_pattern_field(w_nm, k, GEOM.r0, dirs, MEDIUM)
+        full = beam_pattern_field(w_nm, k, GEOM.r0, dirs)
         modal = beam_pattern_modal(d, great_circle_angle(look, dirs))
         assert np.max(np.abs(full - modal)) < 1e-8

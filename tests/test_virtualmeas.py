@@ -7,7 +7,7 @@ from oracles import pressure_field, velocity_coeffs
 from sphbeam import sphmath
 from sphbeam.design import max_directivity_weights, max_wng_weights
 from sphbeam.radiation import (
-    Medium,
+    C,
     beam_pattern_modal,
     cap_gain,
     dodecahedron,
@@ -27,14 +27,13 @@ from sphbeam.virtualmeas import (
     virtual_measure,
 )
 
-MEDIUM = Medium()
 GEOM = dodecahedron(r0=0.15, alpha=0.3)
 RADIUS = 0.57
 LOOK = (np.pi / 2, 0.0)
 
 
 def freq_to_k(f):
-    return 2 * np.pi * f / MEDIUM.c
+    return 2 * np.pi * f / C
 
 
 class TestGaussianGrid:
@@ -107,7 +106,7 @@ class TestTransferMatrix:
         v = np.zeros(12, dtype=complex)
         v[5] = 1.0
         u = velocity_coeffs(GEOM, v, order=12)
-        direct = pressure_field(u, k, RADIUS, grid.directions, GEOM, MEDIUM)
+        direct = pressure_field(u, k, RADIUS, grid.directions, GEOM)
         assert np.max(np.abs(h.values[:, 5] - direct)) < 1e-12
 
     def test_columns_match_sh_route_at_simulate_deep_size(self, monkeypatch):
@@ -130,7 +129,7 @@ class TestTransferMatrix:
             assert h.sim_order == 45
             for col in range(GEOM.num_caps):
                 u = velocity_coeffs(GEOM, np.eye(GEOM.num_caps)[col], order=45)
-                direct = pressure_field(u, k, RADIUS, grid.directions, GEOM, MEDIUM)
+                direct = pressure_field(u, k, RADIUS, grid.directions, GEOM)
                 assert np.max(np.abs(h.values[:, col] - direct)) < 1e-12 * np.max(
                     np.abs(h.values[:, col]))
 
@@ -148,7 +147,7 @@ class TestTransferMatrix:
         k = freq_to_k(1000.0)
         n = np.arange(45)
         gains = np.array([cap_gain(j, GEOM.alpha) for j in n])
-        c = np.abs(radial_near(n, k, RADIUS, GEOM.r0, MEDIUM) * gains) * (2 * n + 1)
+        c = np.abs(radial_near(n, k, RADIUS, GEOM.r0) * gains) * (2 * n + 1)
         h = transfer_matrix(GEOM, grid, k)
         assert h.sim_order == 44
         assert h.sim_tail >= (1 - 1e-12) * c[43] / c.max()
@@ -160,7 +159,7 @@ class TestTransferMatrix:
         rng = np.random.default_rng(10)
         w = rng.standard_normal(12) + 1j * rng.standard_normal(12)
         u = velocity_coeffs(GEOM, w, order=8)
-        direct = pressure_field(u, k, RADIUS, grid.directions, GEOM, MEDIUM)
+        direct = pressure_field(u, k, RADIUS, grid.directions, GEOM)
         assert np.max(np.abs(h.values @ w - direct)) < 1e-12
 
     def test_grid_inside_source_rejected(self):
@@ -181,25 +180,25 @@ class TestNearFieldSteer:
     def test_far_radius_limit(self):
         d = np.array([1.0, 0.6, 0.3])
         k = freq_to_k(400.0)
-        far = steer(d, LOOK, k, GEOM.r0, MEDIUM)
+        far = steer(d, LOOK, k, GEOM.r0)
         r = 1e4 * 3 / k
-        near = near_field_steer(d, LOOK, k, r, GEOM.r0, MEDIUM)
+        near = near_field_steer(d, LOOK, k, r, GEOM.r0)
         assert np.max(np.abs(near - far) / np.abs(far).max()) < 0.01
 
     def test_compensation_is_nontrivial_at_measurement_radius(self):
         d = np.array([1.0, 0.6, 0.3])
         k = freq_to_k(400.0)
-        far = steer(d, LOOK, k, GEOM.r0, MEDIUM)
-        near = near_field_steer(d, LOOK, k, RADIUS, GEOM.r0, MEDIUM)
+        far = steer(d, LOOK, k, GEOM.r0)
+        near = near_field_steer(d, LOOK, k, RADIUS, GEOM.r0)
         rel = np.abs(near - far) / np.abs(far)
         assert np.max(rel[np.abs(far) > 0]) > 0.01
 
     def test_exact_compensation_on_analysis_sphere(self):
         d = np.array([1.0, 0.6, 0.3])
         k = freq_to_k(400.0)
-        sw = near_field_steer(d, LOOK, k, RADIUS, GEOM.r0, MEDIUM)
+        sw = near_field_steer(d, LOOK, k, RADIUS, GEOM.r0)
         grid = gaussian_grid(5, RADIUS)
-        p = pressure_field(sw, k, RADIUS, grid.directions, GEOM, MEDIUM)
+        p = pressure_field(sw, k, RADIUS, grid.directions, GEOM)
         ref = beam_pattern_modal(d, great_circle_angle(LOOK, grid.directions))
         scaled = RADIUS * np.exp(-1j * k * RADIUS) * p
         assert np.max(np.abs(scaled - ref)) < 1e-8
@@ -211,7 +210,7 @@ class TestVirtualMeasure:
     def _pipeline(self, f, d_factory, order=2):
         k = freq_to_k(f)
         d = d_factory(order, k)
-        sw = near_field_steer(d, LOOK, k, RADIUS, GEOM.r0, MEDIUM)
+        sw = near_field_steer(d, LOOK, k, RADIUS, GEOM.r0)
         w = unit_weights(sw, build_transform(GEOM, order))
         h = transfer_matrix(GEOM, self.grid, k)
         samples = virtual_measure(w, h)
@@ -236,7 +235,7 @@ class TestVirtualMeasure:
 
     def test_max_wng_400hz_matches_design(self):
         samples, designed, order = self._pipeline(
-            400.0, lambda n, k: max_wng_weights(n, k, GEOM.r0, MEDIUM)
+            400.0, lambda n, k: max_wng_weights(n, k, GEOM.r0)
         )
         measured = measured_pattern(discrete_sft(samples, self.grid, order), self.grid.directions)
         err = pattern_error(measured, designed, self.grid.weights)
@@ -259,9 +258,9 @@ class TestVirtualMeasure:
     ])
     def test_simulate_equals_the_stage_chain(self, near_field, perturbation):
         k = freq_to_k(400.0)
-        d = max_wng_weights(2, k, GEOM.r0, MEDIUM)
-        sw = (near_field_steer(d, LOOK, k, RADIUS, GEOM.r0, MEDIUM) if near_field
-              else steer(d, LOOK, k, GEOM.r0, MEDIUM))
+        d = max_wng_weights(2, k, GEOM.r0)
+        sw = (near_field_steer(d, LOOK, k, RADIUS, GEOM.r0) if near_field
+              else steer(d, LOOK, k, GEOM.r0))
         w = unit_weights(sw, build_transform(GEOM, 2))
         h = transfer_matrix(GEOM, self.grid, k)
         if perturbation:
