@@ -18,6 +18,7 @@ import hashlib
 import json
 import reprlib
 import sys
+from functools import partial
 from pathlib import Path
 
 import click
@@ -60,7 +61,8 @@ def _json_number(value, field: str) -> float:
 
 def load_geometry(spec: str) -> tuple[ArrayGeometry, dict]:
     """Resolve a geometry spec: a JSON file path, or a builtin name like
-    'dodecahedron' / 'dodecahedron:r0=0.15,alpha=0.3'."""
+    'dodecahedron' / 'dodecahedron:r0=0.15,alpha=0.3'.  Every error names
+    its field as geometry.<field>."""
     if spec.split(":")[0] == "dodecahedron":
         params = {"r0": DEFAULT_R0, "alpha": DEFAULT_ALPHA}
         if ":" in spec:
@@ -69,20 +71,26 @@ def load_geometry(spec: str) -> tuple[ArrayGeometry, dict]:
                 if key not in params:
                     raise ValueError(f"geometry: unknown dodecahedron parameter {key!r}")
                 params[key] = _number(val, f"geometry.{key}")
-        geom = dodecahedron(**params)
-        return geom, {"builtin": "dodecahedron", **params}
-    path = Path(spec)
-    if not path.exists():
-        raise ValueError(f"geometry: file not found: {spec}")
-    data = _load_json(path)
+        doc, build = {"builtin": "dodecahedron", **params}, dodecahedron
+    else:
+        path = Path(spec)
+        if not path.exists():
+            raise ValueError(f"geometry: file not found: {spec}")
+        doc = _load_json(path)
+        try:
+            caps = _pairs(doc["caps_deg"], "geometry.caps_deg", "[theta, phi]")
+            params = {"r0": _json_number(doc["r0"], "geometry.r0"),
+                      "alpha": _json_number(doc["alpha"], "geometry.alpha")}
+        except KeyError as exc:
+            raise ValueError(f"geometry.{exc.args[0]}: missing; expected fields r0, alpha, "
+                             f"caps_deg") from exc
+        if not np.all((0 <= caps[:, 0]) & (caps[:, 0] <= 180)):
+            raise ValueError("geometry.caps_deg: polar angles must lie in [0, 180] degrees")
+        build = partial(ArrayGeometry, cap_dirs=np.deg2rad(caps))
     try:
-        caps = np.deg2rad(_pairs(data["caps_deg"], "geometry.caps_deg", "[theta, phi]"))
-        geom = ArrayGeometry(r0=_json_number(data["r0"], "geometry.r0"),
-                             alpha=_json_number(data["alpha"], "geometry.alpha"), cap_dirs=caps)
-    except KeyError as exc:
-        raise ValueError(f"geometry.{exc.args[0]}: missing; expected fields r0, alpha, "
-                         f"caps_deg") from exc
-    return geom, data
+        return build(**params), doc
+    except ValueError as exc:  # an r0 or alpha out of range, named by ArrayGeometry
+        raise ValueError(f"geometry.{exc}") from exc
 
 
 def parse_look(text: str) -> tuple[float, float]:
@@ -350,7 +358,9 @@ def _run(fn):
 
     def wrapper(*args, **kwargs):
         try:
-            fn(*args, **kwargs)
+            # an overflow is reported once, by the check that rejects its result
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                fn(*args, **kwargs)
         # LinAlgError subclasses ValueError, so it must be caught first
         except (ArithmeticError, np.linalg.LinAlgError) as exc:
             raise _Failure(f"numerical failure: {exc}", 3) from exc
@@ -462,9 +472,10 @@ def cmd_steer(weights_file, geometry, look, near_field, radius, out):
     w_nm = synthesis.steer(d, look_rad, k, geom.r0, nf_radius)
     cfg = {"command": "steer", "geometry": geom_doc, "source": source,
            "look_deg": look_degrees(look_rad), "near_field": near_field, "radius_m": radius}
+    layout = steered_layout(_config_hash(cfg), f, k, cfg["look_deg"], nf_radius, d.size - 1,
+                            w_nm)
     out.mkdir(parents=True, exist_ok=True)
-    write_json(out / f"steered_weights_{f:g}Hz.json", steered_layout(
-        _config_hash(cfg), f, k, cfg["look_deg"], nf_radius, d.size - 1, w_nm))
+    write_json(out / f"steered_weights_{f:g}Hz.json", layout)
     click.echo(f"steered order-{d.size - 1} weights to look {look} deg")
 
 
@@ -479,8 +490,9 @@ def cmd_synthesize(steered_file, geometry, out):
     w_nm, order, f, source = read_steered(steered_file)
     w = synthesis.unit_weights(w_nm, synthesis.build_transform(geom, order))
     cfg = {"command": "synthesize", "geometry": geom_doc, "source": source}
+    layout = unit_layout(_config_hash(cfg), f, w)
     out.mkdir(parents=True, exist_ok=True)
-    write_json(out / f"unit_weights_{f:g}Hz.json", unit_layout(_config_hash(cfg), f, w))
+    write_json(out / f"unit_weights_{f:g}Hz.json", layout)
     click.echo(f"synthesized {geom.num_caps} unit weights")
 
 
@@ -495,18 +507,23 @@ def cmd_metrics(weights_file, geometry, out, fmt):
     geom, geom_doc = load_geometry(geometry)
     d, k, f, source = read_modal(weights_file, geom.r0)
     rep = metricsmod.report(d, k, geom.r0)
+    bad = [name for name, value in vars(rep).items() if not np.isfinite(value)]
+    if bad:
+        raise ArithmeticError(f"d: these modal weights give a non-finite {bad[0]} "
+                              f"at k_per_m = {k:g}")
     cfg = {"command": "metrics", "geometry": geom_doc, "source": source}
     cfg_hash = _config_hash(cfg)
-    out.mkdir(parents=True, exist_ok=True)
-    tag = f"{f:g}Hz"
+    path = out / f"metrics_{f:g}Hz.{fmt}"
     doc = _report_doc(rep, f, k, geom.r0, None)
     if fmt == "json":
-        write_json(out / f"metrics_{tag}.json", JsonLayout("metrics", cfg_hash, doc))
+        write = partial(write_json, path, JsonLayout("metrics", cfg_hash, doc))
     else:
         keys = sorted(doc)
         lines = [f"# config_hash: {cfg_hash}", ",".join(keys),
                  ",".join("" if doc[k] is None else f"{doc[k]:.12g}" for k in keys)]
-        (out / f"metrics_{tag}.csv").write_text("\n".join(lines) + "\n")
+        write = partial(path.write_text, "\n".join(lines) + "\n")
+    out.mkdir(parents=True, exist_ok=True)
+    write()
     click.echo(f"Q={rep.q:.6g} DI={rep.di_db:.4f} dB WNG={rep.wng:.6g}")
 
 
@@ -520,12 +537,12 @@ def cmd_grid(analysis_order, radius, out):
     """Export a Gaussian sampling grid (directions and quadrature weights)."""
     grid = virtualmeas.gaussian_grid(analysis_order, radius)
     cfg = {"command": "grid", "analysis_order": analysis_order, "radius_m": radius}
-    out.mkdir(parents=True, exist_ok=True)
     layout = JsonLayout("sampling_grid", _config_hash(cfg), {
         "analysis_order": analysis_order, "radius_m": radius, "num_points": grid.num_points,
         "theta_deg": np.rad2deg(grid.directions[:, 0]),
         "phi_deg": np.rad2deg(grid.directions[:, 1]), "weights_sr": grid.weights,
     })
+    out.mkdir(parents=True, exist_ok=True)
     write_json(out / f"grid_N{analysis_order}.json", layout)
     click.echo(f"wrote {grid.num_points}-point Gaussian grid of order {analysis_order}")
 

@@ -47,15 +47,16 @@ class ArrayGeometry:
     def __post_init__(self):
         object.__setattr__(self, "cap_dirs", np.atleast_2d(np.asarray(self.cap_dirs, dtype=float)))
         if not 0 < self.r0 < np.inf:
-            raise ValueError("sphere radius r0 must be finite and positive")
+            raise ValueError(f"r0: the sphere radius must be finite and positive, got {self.r0:g}")
         if not 0 < self.alpha < np.pi / 2:
-            raise ValueError("cap aperture alpha must lie in (0, pi/2)")
+            raise ValueError(f"alpha: the cap aperture must lie in (0, pi/2) rad, "
+                             f"got {self.alpha:g}")
         if self.cap_dirs.ndim != 2 or self.cap_dirs.shape[1] != 2 or self.cap_dirs.shape[0] < 1:
-            raise ValueError("cap_dirs must have shape (L, 2) with L >= 1")
+            raise ValueError("cap_dirs: must have shape (L, 2) with L >= 1")
         if not np.all(np.isfinite(self.cap_dirs)):
-            raise ValueError("cap_dirs must be finite")
+            raise ValueError("cap_dirs: must be finite")
         if np.any(self.cap_dirs[:, 0] < 0) or np.any(self.cap_dirs[:, 0] > np.pi):
-            raise ValueError("cap polar angles must lie in [0, pi]")
+            raise ValueError("cap_dirs: polar angles must lie in [0, pi]")
 
     @property
     def num_caps(self):
@@ -111,6 +112,16 @@ def _per_k(k, n):
     return k.reshape(k.shape + (1,) * np.ndim(n))
 
 
+def _kr(k, r, field):
+    """The argument k*r of the Hankel functions, or ArithmeticError naming
+    the radius ``field`` when the product overflows."""
+    with np.errstate(over="ignore"):
+        kr = k * r
+    if not np.all(np.isfinite(kr)):
+        raise ArithmeticError(f"{field}: k * {field} overflows at {field} = {r:g} m")
+    return kr
+
+
 def radial_near(n, k, r, r0):
     """Radial propagator i rho0 c h_n(kr) / h'_n(k r0) for r > r0.
 
@@ -123,8 +134,8 @@ def radial_near(n, k, r, r0):
         raise ValueError("wavenumber k must be finite and positive")
     if not 0 < r0 < r < np.inf:
         raise ValueError(f"radius: {r} m must exceed the source radius {r0} m")
-    hn, _ = sphmath.sph_hankel1(n, k * r)
-    _, dhn0 = sphmath.sph_hankel1(n, k * r0)
+    hn, _ = sphmath.sph_hankel1(n, _kr(k, r, "radius"))
+    _, dhn0 = sphmath.sph_hankel1(n, k * r0)  # finite, as r0 < r
     return 1j * RHO0 * C * hn / dhn0
 
 
@@ -144,7 +155,7 @@ def radial_far(n, k, r0):
     k = _per_k(k, n)
     if not (np.all((0 < k) & (k < np.inf)) and 0 < r0 < np.inf):
         raise ValueError("k and r0 must be finite and positive")
-    _, dhn0 = sphmath.sph_hankel1(n, k * r0)
+    _, dhn0 = sphmath.sph_hankel1(n, _kr(k, r0, "r0"))
     return 1j * RHO0 * C * (-1j) ** (n + 1) / (k * dhn0)
 
 

@@ -78,9 +78,9 @@ def near_field_steer(d, look, k, r, r0):
     :func:`steer` for k r >> N.  Broadcasts over k as :func:`steer` does.
     """
     dv = np.asarray(d, dtype=complex)
+    near = radial_near(np.arange(dv.shape[-1]), k, r, r0)  # first: it rejects k r overflow
     phase = np.exp(-1j * np.asarray(k, dtype=float) * r)[..., None]
-    rad = r * phase * radial_near(np.arange(dv.shape[-1]), k, r, r0)
-    return _steer_coeffs(dv, look, rad)
+    return _steer_coeffs(dv, look, r * phase * near)
 
 
 def build_transform(geom, order):

@@ -251,22 +251,24 @@ def simulate(geom, d, w, k, look, analysis_order, radius, perturbation=None):
     look value is zero, so a caller that writes only after this returns
     writes all its files or none.
     """
-    grid = gaussian_grid(analysis_order, radius)
-    transfer = transfer_matrix(geom, grid, k)
-    if perturbation and any(perturbation[key] for key in ("gain_db", "phase_deg", "noise")):
-        transfer = perturb_transfer(transfer, **perturbation)
-    measured_nm = discrete_sft(virtual_measure(w, transfer), grid, d.size - 1)
-    err = pattern_error(measured_pattern(measured_nm, grid.directions),
-                        beam_pattern_modal(d, great_circle_angle(look, grid.directions)),
-                        grid.weights)
-    sim = Simulation(
-        sim_order=transfer.sim_order, sim_tail=transfer.sim_tail, pattern_error=err,
-        designed_look=beam_pattern_modal(d, 0.0),
-        measured_look=measured_pattern(measured_nm, [look])[0],
-        patterns={name: (dirs, beam_pattern_modal(d, great_circle_angle(look, dirs)),
-                         measured_pattern(measured_nm, dirs))
-                  for name, dirs in (("balloon", _balloon_dirs()),
-                                     ("cross_section", _cross_section_dirs()))})
+    # huge weights overflow the products; the checks below turn that into ArithmeticError
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        grid = gaussian_grid(analysis_order, radius)
+        transfer = transfer_matrix(geom, grid, k)
+        if perturbation and any(perturbation[key] for key in ("gain_db", "phase_deg", "noise")):
+            transfer = perturb_transfer(transfer, **perturbation)
+        measured_nm = discrete_sft(virtual_measure(w, transfer), grid, d.size - 1)
+        err = pattern_error(measured_pattern(measured_nm, grid.directions),
+                            beam_pattern_modal(d, great_circle_angle(look, grid.directions)),
+                            grid.weights)
+        sim = Simulation(
+            sim_order=transfer.sim_order, sim_tail=transfer.sim_tail, pattern_error=err,
+            designed_look=beam_pattern_modal(d, 0.0),
+            measured_look=measured_pattern(measured_nm, [look])[0],
+            patterns={name: (dirs, beam_pattern_modal(d, great_circle_angle(look, dirs)),
+                             measured_pattern(measured_nm, dirs))
+                      for name, dirs in (("balloon", _balloon_dirs()),
+                                         ("cross_section", _cross_section_dirs()))})
     for name, (_, designed, measured) in sim.patterns.items():
         for kind, values, look_value in (("designed", designed, sim.designed_look),
                                          ("measured", measured, sim.measured_look)):

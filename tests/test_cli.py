@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -22,15 +24,17 @@ def runner():
     return CliRunner()
 
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 _CAPS_DEG = np.rad2deg(dodecahedron(0.15, 0.3).cap_dirs).tolist()
 
 
-def _python(*args):
+def _python(*args, cwd=None):
     """Run a fresh interpreter with the package source importable."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          cwd=cwd)
 
 
 def _design(runner, tmp_path, *extra):
@@ -306,6 +310,16 @@ class TestBoundary:
           "--geometry", "dodecahedron:r0=abc"], "geometry.r0"),
         (["--method", "max-wng", "--order", "2", "--freq", "400", "--near-field",
           "--radius", "0.1"], "config error: radius: 0.1 "),
+        (["--method", "max-di", "--order", "2", "--freq", "400",
+          "--geometry", "dodecahedron:alpha=2"], "geometry.alpha"),
+        (["--method", "max-di", "--order", "2", "--freq", "400",
+          "--geometry", "dodecahedron:alpha=nan"], "geometry.alpha"),
+        (["--method", "max-di", "--order", "2", "--freq", "400",
+          "--geometry", "dodecahedron:beta=1"], "geometry: unknown dodecahedron parameter"),
+        (["--method", "max-di", "--order", "2", "--freq", "400",
+          "--geometry", "no/such/geometry.json"], "geometry: file not found"),
+        (["--method", "max-di", "--order", "2", "--freq", "400", "--look", "90"],
+         "look: expected THETA,PHI"),
     ])
     def test_design_rejects_bad_numbers(self, runner, tmp_path, args, field):
         out = tmp_path / "out"
@@ -327,6 +341,7 @@ class TestBoundary:
         (["simulate", "--perturb", "noise=-1"], "perturb.noise"),
         (["simulate", "--radius", "0.1"], "config error: radius: 0.1 "),
         (["simulate", "--analysis-order", "1"], "config error: analysis_order: 1 "),
+        (["simulate", "--perturb", "foo=1"], "perturb.foo: unknown field"),
     ])
     def test_grid_and_simulate_reject_bad_options(self, runner, tmp_path, args, field):
         _design(runner, tmp_path)
@@ -348,6 +363,49 @@ class TestBoundary:
         assert len(result.stderr.strip().splitlines()) == 1, result.stderr
         assert "numerical failure" in result.stderr
         assert "RuntimeWarning" not in result.stderr
+
+    @pytest.mark.parametrize("args, field", [
+        (["simulate", "--radius", "1e308"], "radius"),
+        (["design", "--near-field", "--radius", "1e308"], "radius"),
+        (["design", "--geometry", "dodecahedron:r0=1e308"], "r0"),
+    ], ids=["simulate-radius", "near-field-radius", "geometry-r0"])
+    def test_radius_overflow_exits_3_naming_it(self, runner, tmp_path, args, field):
+        # a finite radius is valid input, but k r overflows before h_n(k r) is evaluated
+        if args[0] == "simulate":
+            _design(runner, tmp_path)
+            args = ["simulate", str(tmp_path / "modal_weights_400Hz.json"),
+                    str(tmp_path / "unit_weights_400Hz.json"), *args[1:]]
+        else:
+            args = ["design", "--method", "max-wng", "--order", "2", "--freq", "400", *args[1:]]
+        out = tmp_path / "out"
+        result = _python("-m", "sphbeam.cli", *args, "--out", str(out))
+        assert result.returncode == 3, result.stderr
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and f"numerical failure: {field}: " in lines[0], result.stderr
+        assert "RuntimeWarning" not in result.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, change, message", [
+        (["metrics", "modal_weights", "--format", "json"], {"d": [[1e308, 0]] * 3}, "d: "),
+        (["metrics", "modal_weights", "--format", "csv"], {"d": [[1e308, 0]] * 3}, "d: "),
+        (["steer", "modal_weights", "--look", "0,0"], {"d": [[1e308, 0]] * 3, "k_per_m": 0.01},
+         "coeffs: "),
+        (["synthesize", "steered_weights"], {"coeffs": [[1.7e308, 1.7e308]] * 9}, "w: "),
+    ], ids=["metrics-json", "metrics-csv", "steer", "synthesize"])
+    def test_huge_coefficients_exit_3_on_one_line_without_output(self, runner, tmp_path,
+                                                                 command, change, message):
+        # finite file values whose products overflow: no warning, no NaN, no empty directory
+        _design(runner, tmp_path)
+        name, kind, *options = command
+        bad = tmp_path / f"{kind}_400Hz.json"
+        bad.write_text(json.dumps({**json.loads(bad.read_text()), **change}))
+        out = tmp_path / "out"
+        result = _python("-m", "sphbeam.cli", name, str(bad), *options, "--out", str(out))
+        assert result.returncode == 3, result.stderr
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and message in lines[0], result.stderr
+        assert "RuntimeWarning" not in result.stderr
+        assert not out.exists()
 
     @pytest.mark.parametrize("order, sidelobe", [("2", "6200"), ("1", "6160"), ("2", "6145")])
     def test_sidelobe_beyond_float_range_exits_3_on_one_line(self, tmp_path, order, sidelobe):
@@ -454,6 +512,7 @@ class TestBoundary:
         ("steer", "modal_weights", {"r0_m": True}, "r0_m: "),
         ("metrics", "modal_weights", {"r0_m": "0.15"}, "r0_m: "),
         ("simulate", "modal_weights", {"r0_m": None}, "r0_m: "),
+        ("metrics", "modal_weights", {"order": 5}, "order: expected len(d) - 1 = 2"),
     ])
     def test_malformed_coefficient_file_exits_2(self, runner, tmp_path, command, kind, change,
                                                 message):
@@ -512,9 +571,16 @@ class TestBoundary:
         ("geometry", json.dumps({"r0": 0.15, "caps_deg": _CAPS_DEG}), "geometry.alpha: missing"),
         ("metrics", '{"kind": "modal_weights",', "bad.json"),
         ("metrics", None, "bad.json"),
+        ("geometry", json.dumps({"r0": 0.15, "alpha": 2, "caps_deg": _CAPS_DEG}),
+         "geometry.alpha"),
+        ("geometry", json.dumps({"r0": -1, "alpha": 0.3, "caps_deg": _CAPS_DEG}),
+         "geometry.r0"),
+        ("geometry", json.dumps({"r0": 0.15, "alpha": 0.3, "caps_deg": [[190, 0]] + _CAPS_DEG}),
+         "geometry.caps_deg"),
     ], ids=["caps-three-columns", "caps-ragged", "r0-boolean", "alpha-string",
             "caps-boolean", "caps-string", "geometry-truncated", "geometry-list",
-            "geometry-missing-alpha", "modal-truncated", "directory"])
+            "geometry-missing-alpha", "modal-truncated", "directory", "alpha-too-wide",
+            "r0-negative", "cap-polar-190"])
     def test_malformed_json_file_exits_2(self, runner, tmp_path, target, text, field):
         bad = tmp_path / "bad.json"
         if text is None:
@@ -537,7 +603,9 @@ class TestBoundary:
          "zero response in the look direction"),
         ("unit_weights", {"frequency_hz": 500.0}, 2, "frequency_hz"),
         ("unit_weights", {"num_caps": 11, "w": [[0.1, 0.0]] * 11}, 2, "w: "),
-    ], ids=["zero-weights", "zero-look", "other-frequency", "eleven-caps"])
+        ("modal_weights", {"d": [[1e308, 0.0]] * 3}, 3, "pattern_error"),
+        ("unit_weights", {"w": [[1e308, 1e308]] * 12}, 3, "pattern_error"),
+    ], ids=["zero-weights", "zero-look", "other-frequency", "eleven-caps", "huge-d", "huge-w"])
     def test_simulate_failure_writes_nothing(self, runner, tmp_path, kind, change, code, message):
         _design(runner, tmp_path)
         files = {stem: tmp_path / f"{stem}_400Hz.json" for stem in ("modal_weights", "unit_weights")}
@@ -565,6 +633,27 @@ class TestBoundary:
         assert result.exit_code == 3, result.output
         assert "zero response in the look direction" in result.output
         assert not list((tmp_path / "sim").glob("*.csv"))
+
+
+def _readme_cli_block():
+    """The README's sh block that runs ``sphbeam design``, its continuation
+    lines joined."""
+    blocks = re.findall(r"```sh\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    return next(b for b in blocks if "sphbeam design" in b).replace("\\\n", " ")
+
+
+def test_readme_cli_block_runs(tmp_path):
+    block = _readme_cli_block()
+    commands = [shlex.split(line) for line in block.splitlines()
+                if line.startswith("sphbeam ")]
+    assert len(commands) >= 7
+    for args in commands:
+        result = _python("-m", "sphbeam.cli", *args[1:], cwd=tmp_path)
+        assert result.returncode == 0, (args, result.stderr)
+    named = set(re.findall(r"out/[\w.]+\.(?:json|csv)", block))
+    assert named
+    for name in named:
+        assert (tmp_path / name).is_file(), name
 
 
 def _reject_constant(name):
