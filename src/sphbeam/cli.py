@@ -7,7 +7,8 @@ writes it, plus a newline; each file kind is one ``%`` template
 (JsonLayout), filled per frequency from the sweep arrays.  Pattern grids
 and cross-sections are CSV with columns theta_deg, phi_deg, re, im, abs,
 db.  Identical inputs produce bit-identical outputs; every file carries
-the config hash.
+the config hash.  An existing output file is overwritten in place and cut
+to length.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import reprlib
 import sys
 from functools import partial
@@ -229,9 +231,47 @@ def _l2c(pairs, field: str) -> np.ndarray:
     return arr[:, 0] + 1j * arr[:, 1]
 
 
-def write_json(path: Path, layout: JsonLayout, row: int = 0):
-    """Write one row of a JSON layout: the only place a JSON file is opened."""
-    path.write_text(layout.template % tuple(layout.values[row].tolist()))
+def _write(path, text: str):
+    """Overwrite the file at path with text, in place, cut to length: the
+    only place an output file is opened.
+
+    The open does not truncate: on ext4, truncating an existing file makes
+    close() start writing it back synchronously, which cost most of a
+    many-file design.  The write is not atomic; a failure part way can leave
+    the new head over the old tail.  An OSError becomes a ValueError naming
+    ``out`` and the path.
+    """
+    data = text.encode()
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            written = os.write(fd, data)
+            while written < len(data):  # a short write
+                written += os.write(fd, data[written:])
+            if os.fstat(fd).st_size > len(data):
+                os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
+    except OSError as exc:
+        raise _unwritable(path, exc) from exc
+
+
+def _unwritable(path, exc: OSError) -> ValueError:
+    return ValueError(f"out: cannot write {path}: {exc.strerror}")
+
+
+def _make_out(out: Path):
+    """Create the output directory, or ValueError naming ``out``."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _unwritable(out, exc) from exc
+
+
+def write_json(path, layout: JsonLayout, row: int = 0):
+    """Write one row of a JSON layout to path (a str or Path) through the
+    one output writer."""
+    _write(path, layout.template % tuple(layout.values[row].tolist()))
 
 
 def steered_layout(cfg_hash, f, k, look_deg, near_field_radius, order, coeffs, rows=None):
@@ -340,7 +380,7 @@ def write_pattern_csv(path: Path, cfg_hash: str, dirs_rad, values, look_value):
     columns = (degs[:, 0], degs[:, 1], values.real, values.imag, mags, dbs)
     row = "%.6f,%.6f,%.12e,%.12e,%.12e,%.6f"
     lines += [row % r for r in zip(*(c.tolist() for c in columns))]
-    path.write_text("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -436,12 +476,12 @@ def cmd_design(geometry, method, order, freq, look, sidelobe, near_field, radius
         JsonLayout("metrics", cfg_hash,
                    _report_doc(sw.report, fs, ks, geom.r0, sw.unit_weight_norm), rows),
     )
-    out.mkdir(parents=True, exist_ok=True)
+    _make_out(out)
 
     tags = [f"{f:g}Hz" for f in freqs]
     for i, tag in enumerate(tags):
         for layout in layouts:
-            write_json(out / f"{layout.kind}_{tag}.json", layout, i)
+            write_json(f"{out}/{layout.kind}_{tag}.json", layout, i)
     rep = sw.report
     lines = zip(tags, rep.q.tolist(), rep.di_db.tolist(), rep.wng.tolist(), rep.wng_db.tolist())
     click.echo("\n".join(f"{tag}: Q={q:.6g} DI={di_db:.4f} dB WNG={wng:.6g} ({wng_db:.4f} dB)"
@@ -474,7 +514,7 @@ def cmd_steer(weights_file, geometry, look, near_field, radius, out):
            "look_deg": look_degrees(look_rad), "near_field": near_field, "radius_m": radius}
     layout = steered_layout(_config_hash(cfg), f, k, cfg["look_deg"], nf_radius, d.size - 1,
                             w_nm)
-    out.mkdir(parents=True, exist_ok=True)
+    _make_out(out)
     write_json(out / f"steered_weights_{f:g}Hz.json", layout)
     click.echo(f"steered order-{d.size - 1} weights to look {look} deg")
 
@@ -491,7 +531,7 @@ def cmd_synthesize(steered_file, geometry, out):
     w = synthesis.unit_weights(w_nm, synthesis.build_transform(geom, order))
     cfg = {"command": "synthesize", "geometry": geom_doc, "source": source}
     layout = unit_layout(_config_hash(cfg), f, w)
-    out.mkdir(parents=True, exist_ok=True)
+    _make_out(out)
     write_json(out / f"unit_weights_{f:g}Hz.json", layout)
     click.echo(f"synthesized {geom.num_caps} unit weights")
 
@@ -521,8 +561,8 @@ def cmd_metrics(weights_file, geometry, out, fmt):
         keys = sorted(doc)
         lines = [f"# config_hash: {cfg_hash}", ",".join(keys),
                  ",".join("" if doc[k] is None else f"{doc[k]:.12g}" for k in keys)]
-        write = partial(path.write_text, "\n".join(lines) + "\n")
-    out.mkdir(parents=True, exist_ok=True)
+        write = partial(_write, path, "\n".join(lines) + "\n")
+    _make_out(out)
     write()
     click.echo(f"Q={rep.q:.6g} DI={rep.di_db:.4f} dB WNG={rep.wng:.6g}")
 
@@ -542,7 +582,7 @@ def cmd_grid(analysis_order, radius, out):
         "theta_deg": np.rad2deg(grid.directions[:, 0]),
         "phi_deg": np.rad2deg(grid.directions[:, 1]), "weights_sr": grid.weights,
     })
-    out.mkdir(parents=True, exist_ok=True)
+    _make_out(out)
     write_json(out / f"grid_N{analysis_order}.json", layout)
     click.echo(f"wrote {grid.num_points}-point Gaussian grid of order {analysis_order}")
 
@@ -584,7 +624,7 @@ def cmd_simulate(modal_file, unit_file, geometry, analysis_order, radius, look, 
         "sim_tail": sim.sim_tail, "pattern_error": sim.pattern_error,
     })
 
-    out.mkdir(parents=True, exist_ok=True)
+    _make_out(out)
     for name, (dirs, designed, measured) in sim.patterns.items():
         write_pattern_csv(out / f"{name}_designed_{tag}.csv", cfg_hash, dirs, designed,
                           sim.designed_look)

@@ -191,7 +191,9 @@ def pattern_error(measured, reference, weights):
     rho the least-squares complex scale aligning m to r, so the error
     does not change when m is scaled.  Raises ArithmeticError when the
     error is not finite: when rho = 0 (m has no component along r), or
-    when a huge measured pattern overflows its squared norm.
+    when a huge measured pattern overflows its squared norm.  Raises it
+    too when a tiny measured pattern underflows its squared norm (below
+    the smallest normal float), where the error would read 0.
     """
     m = np.asarray(measured)
     r = np.asarray(reference)
@@ -202,9 +204,13 @@ def pattern_error(measured, reference, weights):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         rho = np.sum(a * np.conj(r) * m) / ref_sq
         err = float(np.sqrt(np.sum(a * np.abs(m - rho * r) ** 2) / ref_sq) / np.abs(rho))
+        m_sq = np.sum(a * np.abs(m) ** 2)
     if not np.isfinite(err):
         raise ArithmeticError("pattern_error: not finite; the measured pattern overflows "
                               "or has no component along the design")
+    if m_sq < np.finfo(float).tiny:
+        raise ArithmeticError("pattern_error: the measured pattern underflows; its squared "
+                              "norm is below the smallest normal float")
     return err
 
 
@@ -247,7 +253,8 @@ def simulate(geom, d, w, k, look, analysis_order, radius, perturbation=None):
     noise is nonzero.  Transforms the samples to the design order and
     evaluates the designed and measured patterns on the grid (for
     ``pattern_error``), at ``look`` and at the balloon and cross-section
-    directions.  Raises ArithmeticError when a pattern is not finite or a
+    directions.  Raises ArithmeticError when a pattern is not finite (naming
+    ``d`` when the designed one is not), the measured one underflows or a
     look value is zero, so a caller that writes only after this returns
     writes all its files or none.
     """
@@ -258,8 +265,10 @@ def simulate(geom, d, w, k, look, analysis_order, radius, perturbation=None):
         if perturbation and any(perturbation[key] for key in ("gain_db", "phase_deg", "noise")):
             transfer = perturb_transfer(transfer, **perturbation)
         measured_nm = discrete_sft(virtual_measure(w, transfer), grid, d.size - 1)
-        err = pattern_error(measured_pattern(measured_nm, grid.directions),
-                            beam_pattern_modal(d, great_circle_angle(look, grid.directions)),
+        designed = beam_pattern_modal(d, great_circle_angle(look, grid.directions))
+        if not np.all(np.isfinite(designed)):
+            raise ArithmeticError("d: the designed pattern is not finite")
+        err = pattern_error(measured_pattern(measured_nm, grid.directions), designed,
                             grid.weights)
         sim = Simulation(
             sim_order=transfer.sim_order, sim_tail=transfer.sim_tail, pattern_error=err,

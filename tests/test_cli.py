@@ -286,6 +286,15 @@ class TestBoundary:
             _run(failing)()
         assert info.value.exit_code == 3
 
+    @pytest.mark.parametrize("extra", [100, 0], ids=["longer", "equal-length"])
+    def test_write_json_overwrites_in_place(self, tmp_path, extra):
+        layout = JsonLayout("metrics", "0", {"q": 1.5})
+        text = layout.template % tuple(layout.values[0].tolist())
+        path = tmp_path / "x.json"
+        path.write_text("x" * (len(text) + extra))
+        write_json(path, layout)
+        assert path.read_text() == text
+
     def test_write_json_rejects_non_finite(self, tmp_path):
         path = tmp_path / "x.json"
         with pytest.raises(ArithmeticError, match="non-finite"):
@@ -368,7 +377,9 @@ class TestBoundary:
         (["simulate", "--radius", "1e308"], "radius"),
         (["design", "--near-field", "--radius", "1e308"], "radius"),
         (["design", "--geometry", "dodecahedron:r0=1e308"], "r0"),
-    ], ids=["simulate-radius", "near-field-radius", "geometry-r0"])
+        # k r is finite, but the pressures underflow and the squared error would read 0
+        (["simulate", "--radius", "1e300"], "pattern_error"),
+    ], ids=["simulate-radius", "near-field-radius", "geometry-r0", "simulate-radius-underflow"])
     def test_radius_overflow_exits_3_naming_it(self, runner, tmp_path, args, field):
         # a finite radius is valid input, but k r overflows before h_n(k r) is evaluated
         if args[0] == "simulate":
@@ -473,6 +484,32 @@ class TestBoundary:
         assert len(result.stderr.strip().splitlines()) == 1, result.stderr
         assert field in result.stderr
         assert "RuntimeWarning" not in result.stderr
+
+    def test_simulate_at_a_huge_radius_still_measures(self, runner, tmp_path):
+        # the pressures are tiny but their squares are normal floats
+        _design(runner, tmp_path)
+        result = runner.invoke(main, [
+            "simulate", str(tmp_path / "modal_weights_400Hz.json"),
+            str(tmp_path / "unit_weights_400Hz.json"), "--look", "90,0", "--radius", "1e100",
+            "--out", str(tmp_path / "sim"),
+        ])
+        assert result.exit_code == 0, result.output
+        rep = json.loads((tmp_path / "sim" / "simulation_400Hz.json").read_text())
+        assert rep["pattern_error"] == pytest.approx(0.1221596, abs=1e-6)
+
+    @pytest.mark.parametrize("blocker, make, out", [
+        ("dir/modal_weights_400Hz.json", "mkdir", "dir"),
+        ("afile", "touch", "afile/sub"),
+    ], ids=["file-is-a-directory", "out-under-a-file"])
+    def test_unwritable_output_exits_2_on_one_line(self, tmp_path, blocker, make, out):
+        target = tmp_path / blocker
+        target.mkdir(parents=True) if make == "mkdir" else target.touch()
+        result = _python("-m", "sphbeam.cli", "design", "--method", "max-wng", "--order", "2",
+                         "--freq", "400", "--out", str(tmp_path / out))
+        assert result.returncode == 2, result.stderr
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and "out: cannot write " in lines[0], result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_simulate_rejects_non_finite_radius(self, runner, tmp_path):
         _design(runner, tmp_path)
@@ -603,7 +640,7 @@ class TestBoundary:
          "zero response in the look direction"),
         ("unit_weights", {"frequency_hz": 500.0}, 2, "frequency_hz"),
         ("unit_weights", {"num_caps": 11, "w": [[0.1, 0.0]] * 11}, 2, "w: "),
-        ("modal_weights", {"d": [[1e308, 0.0]] * 3}, 3, "pattern_error"),
+        ("modal_weights", {"d": [[1e308, 0.0]] * 3}, 3, "d: the designed pattern"),
         ("unit_weights", {"w": [[1e308, 1e308]] * 12}, 3, "pattern_error"),
     ], ids=["zero-weights", "zero-look", "other-frequency", "eleven-caps", "huge-d", "huge-w"])
     def test_simulate_failure_writes_nothing(self, runner, tmp_path, kind, change, code, message):
@@ -643,13 +680,19 @@ def _readme_cli_block():
 
 
 def test_readme_cli_block_runs(tmp_path):
+    """The block runs, and a second run over its own outputs rewrites them
+    byte for byte."""
     block = _readme_cli_block()
     commands = [shlex.split(line) for line in block.splitlines()
                 if line.startswith("sphbeam ")]
     assert len(commands) >= 7
-    for args in commands:
-        result = _python("-m", "sphbeam.cli", *args[1:], cwd=tmp_path)
-        assert result.returncode == 0, (args, result.stderr)
+    runs = []
+    for _ in range(2):
+        for args in commands:
+            result = _python("-m", "sphbeam.cli", *args[1:], cwd=tmp_path)
+            assert result.returncode == 0, (args, result.stderr)
+        runs.append({path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()})
+    assert runs[1] == runs[0]
     named = set(re.findall(r"out/[\w.]+\.(?:json|csv)", block))
     assert named
     for name in named:

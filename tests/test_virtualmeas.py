@@ -316,7 +316,8 @@ class TestPatternError:
         assert pattern_error(3 * measured, ref, self.grid.weights) == pytest.approx(
             pattern_error(measured, ref, self.grid.weights), rel=1e-12)
 
-    @pytest.mark.parametrize("measured", [[0.0, 0.0], [1.0, -1.0]])
+    # no component along the reference; a pattern whose squared norm underflows
+    @pytest.mark.parametrize("measured", [[0.0, 0.0], [1.0, -1.0], [1e-170, 1e-170]])
     def test_no_component_along_reference_rejected(self, measured):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
