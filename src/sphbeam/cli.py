@@ -114,8 +114,10 @@ def look_degrees(look_rad) -> list[float]:
 def parse_freqs(text: str) -> list[float]:
     """Frequencies in Hz; each names its files by a distinct f"{f:g}Hz" tag."""
     freqs = [_number(v, "freq") for v in text.split(",")]
-    if not all(0 < f < np.inf for f in freqs):
-        raise ValueError("freq: frequencies must be finite and positive")
+    for f in freqs:
+        if not 0 < 2 * np.pi * f / C < np.inf:
+            raise ValueError(f"freq: expected a finite positive frequency whose wavenumber "
+                             f"2 pi f / c is finite and positive, got {f!r}")
     tags = {}
     for f in freqs:
         tag = f"{f:g}Hz"
@@ -331,16 +333,24 @@ def _field(data: dict, name: str):
 
 def read_modal(path: Path, r0: float):
     """Modal weights file designed for a sphere of radius r0 -> (complex
-    (N+1,) d, k_per_m, frequency_hz, config_hash)."""
+    (N+1,) d, k_per_m, frequency_hz, config_hash).  d must not be all zero,
+    and k_per_m must be 2 pi frequency_hz / c to 1e-12 relative."""
     data = read_json(path, "modal_weights")
     d = _l2c(data.get("d"), "d")
+    if not np.any(d):
+        raise ValueError("d: the modal weights are all zero")
     if _field(data, "order") != d.size - 1:
         raise ValueError(f"order: expected len(d) - 1 = {d.size - 1}, got {data['order']}")
     r0_m = _field(data, "r0_m")
     if r0_m != r0:
         raise ValueError(f"r0_m: the modal file is for a sphere of radius {reprlib.repr(r0_m)} m, "
                          f"the geometry has r0 = {r0!r} m")
-    return d, _field(data, "k_per_m"), _field(data, "frequency_hz"), _field(data, "config_hash")
+    k, f = _field(data, "k_per_m"), _field(data, "frequency_hz")
+    k_f = 2 * np.pi * f / C
+    if not abs(k - k_f) <= 1e-12 * k_f < np.inf:
+        raise ValueError(f"k_per_m: expected 2 pi frequency_hz / c = {k_f!r} 1/m, "
+                         f"got {reprlib.repr(k)}")
+    return d, k, f, _field(data, "config_hash")
 
 
 def read_steered(path: Path):

@@ -19,7 +19,6 @@ __all__ = [
     "ArrayGeometry",
     "dodecahedron",
     "cap_gain",
-    "cap_gain_diag",
     "radial_near",
     "radial_far",
     "great_circle_angle",
@@ -97,12 +96,6 @@ def cap_gain(n, alpha):
     _, dp = sphmath.legendre(n, np.cos(alpha))
     g = 4 * np.pi**2 * np.sin(alpha) ** 2 * dp / np.where(n == 0, 1, n * (n + 1))
     return np.where(n == 0, 8 * np.pi**2 * np.sin(alpha / 2) ** 2, g)[()]
-
-
-def cap_gain_diag(order, alpha):
-    """g_n repeated 2n+1 times, aligned with packed SH indexing."""
-    n = np.arange(order + 1)
-    return np.repeat(cap_gain(n, alpha), 2 * n + 1)
 
 
 def _per_k(k, n):

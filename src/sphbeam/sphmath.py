@@ -11,8 +11,8 @@ recurrences carry the other special functions:
 - Y_n^m: the fully normalised associated-Legendre recurrence of
   S. A. Holmes and W. E. Featherstone, J. Geodesy 76 (2002) 279-299,
   times e^{im phi}; negative m from Y_n^{-m} = (-1)^m (Y_n^m)*.
-- h_n, h'_n: the upward three-term recurrence from the closed forms of
-  h_0 and h_1, stable for h^(1) (Abramowitz & Stegun 10.1.19).
+- h_n, h'_n: one table from the upward recurrence (Abramowitz & Stegun
+  10.1.19), stable for h^(1), seeded with h_{-1} = e^{ix}/x, h_0 = -i h_{-1}.
 """
 
 import numpy as np
@@ -104,11 +104,11 @@ def sph_hankel1(n, x):
 
     Returns (value, derivative), broadcast over integer n >= 0 and x > 0.
     One upward pass h_{j+1} = (2j+1)/x h_j - h_{j-1} from the closed
-    forms h_0 = -i e^{ix}/x and h_1 = -e^{ix}(x+i)/x^2 = h_0 (1/x - i)
-    gives every order up to max(n); the recurrence is stable for h^(1)
-    (Abramowitz & Stegun 10.1.19).  The derivative is
-    h'_n = h_{n-1} - (n+1)/x h_n, with h'_0 = -h_1.  Raises
-    ArithmeticError, naming n and x, where a result overflows.
+    forms h_{-1} = e^{ix}/x and h_0 = -i h_{-1} gives every order up to
+    max(n); the recurrence is stable for h^(1) (Abramowitz & Stegun
+    10.1.19).  The derivative is h'_n = h_{n-1} - (n+1)/x h_n, from the
+    same table for every n >= 0.  Raises ArithmeticError, naming n and x,
+    where a result overflows.
     """
     n = np.asarray(n)
     if not np.issubdtype(n.dtype, np.integer) or np.any(n < 0):
@@ -116,19 +116,15 @@ def sph_hankel1(n, x):
     n, x = np.broadcast_arrays(n, np.asarray(x, dtype=float))
     if not np.all(x > 0.0):
         raise ValueError("argument must be > 0")
-    top = max(int(np.max(n, initial=0)), 1)
-    h = np.empty((top + 1,) + x.shape, dtype=complex)
-    dh = np.empty_like(h)
+    # h[j + 1] holds h_j, for j = -1..max(n)
+    h = np.empty((int(np.max(n, initial=0)) + 2,) + x.shape, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        h[0] = -1j * np.exp(1j * x) / x
-        h[1] = h[0] * (1.0 / x - 1j)
-        for j in range(1, top):
-            h[j + 1] = (2 * j + 1) / x * h[j] - h[j - 1]
-        dh[0] = -h[1]
-        for j in range(1, top + 1):
-            dh[j] = h[j - 1] - (j + 1) / x * h[j]
-    val = np.take_along_axis(h, n[None], 0)[0]
-    der = np.take_along_axis(dh, n[None], 0)[0]
+        h[0] = np.exp(1j * x) / x
+        h[1] = -1j * h[0]
+        for j in range(h.shape[0] - 2):
+            h[j + 2] = (2 * j + 1) / x * h[j + 1] - h[j]
+        val = np.take_along_axis(h, n[None] + 1, 0)[0]
+        der = np.take_along_axis(h, n[None], 0)[0] - (n + 1) / x * val
     bad = ~(np.isfinite(val) & np.isfinite(der))
     if np.any(bad):
         i = np.argmax(bad.ravel())

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sphmath
-from .radiation import cap_gain_diag, radial_far, radial_near
+from .radiation import cap_gain, radial_far, radial_near
 
 __all__ = [
     "TransformMatrices",
@@ -26,16 +26,15 @@ __all__ = [
     "unit_weights",
 ]
 
-_SV_CUTOFF = 1e-10  # relative singular-value truncation for the pseudo-inverse
+_SV_CUTOFF = 1e-10  # Y is rank deficient when sigma_min / sigma_max falls below this
 
 
 @dataclass(frozen=True)
 class TransformMatrices:
-    """Y (conjugated SH at the cap directions, (N+1)^2 x L), its
-    pseudo-inverse Y^+ (L x (N+1)^2), and the diagonal of G (g_n with
+    """The pseudo-inverse Y^+ (L x (N+1)^2) of Y, the conjugated SH at
+    the cap directions ((N+1)^2 x L), and the diagonal of G (g_n with
     multiplicity 2n+1)."""
 
-    ymat: np.ndarray
     ypinv: np.ndarray
     g_diag: np.ndarray
 
@@ -87,23 +86,25 @@ def build_transform(geom, order):
     """Build the G and Y matrices of the cap-to-coefficient transform.
 
     Requires (N+1)^2 <= L; reports rank deficiency of Y, which occurs
-    for poorly spread cap layouts.
+    for poorly spread cap layouts.  Y^+ comes from the SVD of that check,
+    conj(Y) = u s vh, as numpy.linalg.pinv forms it: vh^T diag(1/s) u^T.
     """
     ncoef = sphmath.num_coeffs(order)
     if ncoef > geom.num_caps:
         raise ValueError(
-            f"(N+1)^2 = {ncoef} coefficients exceed L = {geom.num_caps} caps; "
+            f"order: (N+1)^2 = {ncoef} coefficients exceed L = {geom.num_caps} caps; "
             f"only L spherical harmonics can be controlled"
         )
-    ymat = sphmath.sh_matrix(order, geom.cap_dirs[:, 0], geom.cap_dirs[:, 1]).conj().T
-    sv = np.linalg.svd(ymat, compute_uv=False)
-    if sv[-1] < _SV_CUTOFF * sv[0]:
+    ymat_conj = sphmath.sh_matrix(order, geom.cap_dirs[:, 0], geom.cap_dirs[:, 1]).T
+    u, s, vh = np.linalg.svd(ymat_conj, full_matrices=False)
+    if s[-1] < _SV_CUTOFF * s[0]:
         raise ArithmeticError(
-            f"spherical-harmonic matrix is rank deficient for this cap layout "
-            f"(sigma_min/sigma_max = {sv[-1] / sv[0]:.2e})"
+            f"cap_dirs: spherical-harmonic matrix is rank deficient for this cap layout "
+            f"(sigma_min/sigma_max = {s[-1] / s[0]:.2e})"
         )
-    return TransformMatrices(ymat=ymat, ypinv=np.linalg.pinv(ymat, rcond=_SV_CUTOFF),
-                             g_diag=cap_gain_diag(order, geom.alpha))
+    n = np.arange(order + 1)
+    return TransformMatrices(ypinv=vh.T @ ((1 / s)[:, None] * u.T),
+                             g_diag=np.repeat(cap_gain(n, geom.alpha), 2 * n + 1))
 
 
 def unit_weights(w_nm, transform):
@@ -111,7 +112,7 @@ def unit_weights(w_nm, transform):
     G Y w = w_nm): the complex (..., L) array for ``w_nm`` of shape
     (..., (N+1)^2).  One stacked matrix-vector product covers all rows;
     it rounds each row as Y^+ @ v does."""
-    if np.shape(w_nm)[-1:] != transform.ymat.shape[:1]:
-        raise ValueError(f"w_nm: expected {transform.ymat.shape[0]} coefficients for the "
+    if np.shape(w_nm)[-1:] != transform.ypinv.shape[1:]:
+        raise ValueError(f"w_nm: expected {transform.ypinv.shape[1]} coefficients for the "
                          f"transform's order, got shape {np.shape(w_nm)}")
     return (transform.ypinv @ (w_nm / transform.g_diag)[..., None])[..., 0]

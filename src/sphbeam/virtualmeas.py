@@ -42,7 +42,7 @@ __all__ = [
     "simulate",
 ]
 
-SIM_ORDER_MARGIN = 15  # default N_sim = N_a + margin; TransferMatrix.sim_tail checks it
+SIM_ORDER_MARGIN = 15  # N_sim = N_a + margin; TransferMatrix.sim_tail checks it
 BALLOON_STEP_DEG = 2.0
 
 
@@ -98,12 +98,12 @@ def gaussian_grid(order, radius):
     return SamplingGrid(order=order, radius=radius, directions=dirs, weights=weights)
 
 
-def transfer_matrix(geom, grid, k, sim_order=None):
+def transfer_matrix(geom, grid, k):
     """Transfer matrix H[j, l]: pressure at mic j per unit velocity of cap l.
 
     Column l equals the pressure field of the single-cap velocity
-    pattern (v_l = 1, others 0) summed to ``sim_order`` (default
-    grid.order + SIM_ORDER_MARGIN), so content above the analysis order
+    pattern (v_l = 1, others 0) summed to the simulation order
+    grid.order + SIM_ORDER_MARGIN, so content above the analysis order
     is included.  By the addition theorem this is
 
         H[j, l] = sum_n c_n P_n(cos gamma_jl),
@@ -111,8 +111,7 @@ def transfer_matrix(geom, grid, k, sim_order=None):
 
     with gamma_jl the angle between microphone j and cap l.
     """
-    if sim_order is None:
-        sim_order = grid.order + SIM_ORDER_MARGIN
+    sim_order = grid.order + SIM_ORDER_MARGIN
     orders = np.arange(sim_order + 1)
     rg = radial_near(orders, k, grid.radius, geom.r0) * cap_gain(orders, geom.alpha)
     # mic directions as (M, 1) columns against the L caps: gamma is (M, L)

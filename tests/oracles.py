@@ -65,6 +65,12 @@ def cap_gain_quadrature(order, alpha):
     return 2 * np.pi**2 * width * (qw @ sp.eval_legendre(np.arange(order + 1), x[:, None]))
 
 
+def cap_ymat(geom, order):
+    """Y = conjugated spherical harmonics up to ``order`` at the cap
+    directions, of shape ((N+1)^2, L): column l holds [Y_n^m(theta_l, phi_l)]*."""
+    return sphmath.sh_matrix(order, geom.cap_dirs[:, 0], geom.cap_dirs[:, 1]).conj().T
+
+
 def velocity_coeffs(geom, v, order):
     """Modal surface velocity u_nm = g_n sum_l v_l [Y_n^m(theta_l, phi_l)]*.
 
@@ -74,9 +80,8 @@ def velocity_coeffs(geom, v, order):
     v = np.asarray(v, dtype=complex)
     if v.shape != (geom.num_caps,):
         raise ValueError(f"expected {geom.num_caps} cap velocities, got {v.shape}")
-    ymat = sphmath.sh_matrix(order, geom.cap_dirs[:, 0], geom.cap_dirs[:, 1])
-    n = np.arange(order + 1)
-    return np.repeat(cap_gain_quadrature(order, geom.alpha), 2 * n + 1) * (ymat.conj().T @ v)
+    g = np.repeat(cap_gain_quadrature(order, geom.alpha), 2 * np.arange(order + 1) + 1)
+    return g * (cap_ymat(geom, order) @ v)
 
 
 def pressure_field(u, k, r, dirs, geom):
@@ -139,12 +144,3 @@ def wng_coefficients(w_nm, look, k, r0):
     if denom == 0.0:
         raise ValueError("zero steered weights")
     return float(num / denom)
-
-
-def forward_weights(w, transform):
-    """Forward transform w_nm = G Y w from per-unit weights."""
-    num_caps = transform.ymat.shape[1]
-    wv = np.asarray(w, dtype=complex)
-    if wv.shape != (num_caps,):
-        raise ValueError(f"expected {num_caps} unit weights, got {wv.shape}")
-    return transform.g_diag * (transform.ymat @ wv)

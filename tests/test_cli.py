@@ -27,6 +27,24 @@ def runner():
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 _CAPS_DEG = np.rad2deg(dodecahedron(0.15, 0.3).cap_dirs).tolist()
+# cap layouts that the tests name by file; _with_layouts writes them
+_LAYOUTS = {
+    "four_caps.json": [[0, 0], [90, 0], [90, 120], [90, 240]],  # too few caps for order 2
+    "meridian_caps.json": [[15 * i, 0] for i in range(12)],  # Y rank deficient at order 2
+}
+
+
+def _with_layouts(args, tmp_path):
+    """args with each _LAYOUTS name replaced by the path of that geometry
+    file, written to tmp_path."""
+    paths = []
+    for arg in args:
+        if arg in _LAYOUTS:
+            path = tmp_path / arg
+            path.write_text(json.dumps({"r0": 0.15, "alpha": 0.3, "caps_deg": _LAYOUTS[arg]}))
+            arg = str(path)
+        paths.append(arg)
+    return paths
 
 
 def _python(*args, cwd=None):
@@ -329,10 +347,16 @@ class TestBoundary:
           "--geometry", "no/such/geometry.json"], "geometry: file not found"),
         (["--method", "max-di", "--order", "2", "--freq", "400", "--look", "90"],
          "look: expected THETA,PHI"),
+        (["--method", "dolph-chebyshev", "--order", "0", "--freq", "400", "--sidelobe", "30"],
+         "config error: order: Dolph-Chebyshev design requires order >= 1"),
+        (["--method", "max-di", "--order", "2", "--freq", "400", "--geometry", "four_caps.json"],
+         "config error: order: (N+1)^2 = 9 coefficients exceed L = 4 caps"),
+        # 2 pi f overflows before the division by c
+        (["--method", "max-di", "--order", "2", "--freq", "1e308"], "config error: freq: "),
     ])
     def test_design_rejects_bad_numbers(self, runner, tmp_path, args, field):
         out = tmp_path / "out"
-        result = runner.invoke(main, ["design", *args, "--out", str(out)])
+        result = runner.invoke(main, ["design", *_with_layouts(args, tmp_path), "--out", str(out)])
         assert result.exit_code == 2, result.output
         assert field in result.output
         assert not out.exists()
@@ -379,7 +403,10 @@ class TestBoundary:
         (["design", "--geometry", "dodecahedron:r0=1e308"], "r0"),
         # k r is finite, but the pressures underflow and the squared error would read 0
         (["simulate", "--radius", "1e300"], "pattern_error"),
-    ], ids=["simulate-radius", "near-field-radius", "geometry-r0", "simulate-radius-underflow"])
+        # valid cap directions, but all on one meridian: Y has no pseudo-inverse
+        (["design", "--geometry", "meridian_caps.json"], "cap_dirs"),
+    ], ids=["simulate-radius", "near-field-radius", "geometry-r0", "simulate-radius-underflow",
+            "rank-deficient-caps"])
     def test_radius_overflow_exits_3_naming_it(self, runner, tmp_path, args, field):
         # a finite radius is valid input, but k r overflows before h_n(k r) is evaluated
         if args[0] == "simulate":
@@ -387,7 +414,8 @@ class TestBoundary:
             args = ["simulate", str(tmp_path / "modal_weights_400Hz.json"),
                     str(tmp_path / "unit_weights_400Hz.json"), *args[1:]]
         else:
-            args = ["design", "--method", "max-wng", "--order", "2", "--freq", "400", *args[1:]]
+            args = ["design", "--method", "max-wng", "--order", "2", "--freq", "400",
+                    *_with_layouts(args[1:], tmp_path)]
         out = tmp_path / "out"
         result = _python("-m", "sphbeam.cli", *args, "--out", str(out))
         assert result.returncode == 3, result.stderr
@@ -399,7 +427,8 @@ class TestBoundary:
     @pytest.mark.parametrize("command, change, message", [
         (["metrics", "modal_weights", "--format", "json"], {"d": [[1e308, 0]] * 3}, "d: "),
         (["metrics", "modal_weights", "--format", "csv"], {"d": [[1e308, 0]] * 3}, "d: "),
-        (["steer", "modal_weights", "--look", "0,0"], {"d": [[1e308, 0]] * 3, "k_per_m": 0.01},
+        (["steer", "modal_weights", "--look", "0,0"],
+         {"d": [[1e308, 0]] * 3, "k_per_m": 0.01, "frequency_hz": 0.01 * 343.0 / (2 * math.pi)},
          "coeffs: "),
         (["synthesize", "steered_weights"], {"coeffs": [[1.7e308, 1.7e308]] * 9}, "w: "),
     ], ids=["metrics-json", "metrics-csv", "steer", "synthesize"])
@@ -550,6 +579,16 @@ class TestBoundary:
         ("metrics", "modal_weights", {"r0_m": "0.15"}, "r0_m: "),
         ("simulate", "modal_weights", {"r0_m": None}, "r0_m: "),
         ("metrics", "modal_weights", {"order": 5}, "order: expected len(d) - 1 = 2"),
+        ("steer", "modal_weights", {"d": [[0, 0]] * 3}, "d: the modal weights are all zero"),
+        ("metrics", "modal_weights", {"d": [[0, 0]] * 3}, "d: the modal weights are all zero"),
+        ("simulate", "modal_weights", {"d": [[0, 0]] * 3}, "d: the modal weights are all zero"),
+        # k_per_m five times 2 pi frequency_hz / c
+        ("metrics", "modal_weights", {"k_per_m": 5 * 2 * math.pi * 400 / 343.0},
+         "k_per_m: expected 2 pi frequency_hz / c"),
+        ("steer", "modal_weights", {"k_per_m": 5 * 2 * math.pi * 400 / 343.0},
+         "k_per_m: expected 2 pi frequency_hz / c"),
+        ("simulate", "modal_weights", {"k_per_m": 5 * 2 * math.pi * 400 / 343.0},
+         "k_per_m: expected 2 pi frequency_hz / c"),
     ])
     def test_malformed_coefficient_file_exits_2(self, runner, tmp_path, command, kind, change,
                                                 message):

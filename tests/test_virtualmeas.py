@@ -102,10 +102,10 @@ class TestTransferMatrix:
     def test_column_equals_direct_pressure_field(self):
         grid = gaussian_grid(4, RADIUS)
         k = freq_to_k(400.0)
-        h = transfer_matrix(GEOM, grid, k, sim_order=12)
+        h = transfer_matrix(GEOM, grid, k)
         v = np.zeros(12, dtype=complex)
         v[5] = 1.0
-        u = velocity_coeffs(GEOM, v, order=12)
+        u = velocity_coeffs(GEOM, v, order=h.sim_order)
         direct = pressure_field(u, k, RADIUS, grid.directions, GEOM)
         assert np.max(np.abs(h.values[:, 5] - direct)) < 1e-12
 
@@ -155,10 +155,10 @@ class TestTransferMatrix:
     def test_superposition(self):
         grid = gaussian_grid(3, RADIUS)
         k = freq_to_k(400.0)
-        h = transfer_matrix(GEOM, grid, k, sim_order=8)
+        h = transfer_matrix(GEOM, grid, k)
         rng = np.random.default_rng(10)
         w = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-        u = velocity_coeffs(GEOM, w, order=8)
+        u = velocity_coeffs(GEOM, w, order=h.sim_order)
         direct = pressure_field(u, k, RADIUS, grid.directions, GEOM)
         assert np.max(np.abs(h.values @ w - direct)) < 1e-12
 
@@ -169,7 +169,7 @@ class TestTransferMatrix:
 
     def test_perturbation_is_reproducible(self):
         grid = gaussian_grid(2, RADIUS)
-        h = transfer_matrix(GEOM, grid, freq_to_k(400.0), sim_order=4)
+        h = transfer_matrix(GEOM, grid, freq_to_k(400.0))
         p1 = perturb_transfer(h, gain_db=0.5, phase_deg=2.0, noise=1e-4, seed=7)
         p2 = perturb_transfer(h, gain_db=0.5, phase_deg=2.0, noise=1e-4, seed=7)
         assert np.array_equal(p1.values, p2.values)
@@ -218,7 +218,7 @@ class TestVirtualMeasure:
         return samples, designed, order
 
     def test_zero_weights(self):
-        h = transfer_matrix(GEOM, gaussian_grid(2, RADIUS), freq_to_k(400.0), sim_order=5)
+        h = transfer_matrix(GEOM, gaussian_grid(2, RADIUS), freq_to_k(400.0))
         assert np.all(virtual_measure(np.zeros(12), h) == 0)
 
     def test_model_consistency(self):
@@ -227,8 +227,8 @@ class TestVirtualMeasure:
         rng = np.random.default_rng(12)
         w = rng.standard_normal(12) + 1j * rng.standard_normal(12)
         grid = gaussian_grid(4, RADIUS)
-        h = transfer_matrix(GEOM, grid, k, sim_order=10)
-        u = velocity_coeffs(GEOM, w, order=10)
+        h = transfer_matrix(GEOM, grid, k)
+        u = velocity_coeffs(GEOM, w, order=h.sim_order)
         assert np.max(
             np.abs(virtual_measure(w, h) - pressure_field(u, k, RADIUS, grid.directions, GEOM))
         ) < 1e-12
