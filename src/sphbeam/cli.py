@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -23,7 +24,6 @@ import sys
 from functools import partial
 from pathlib import Path
 
-import click
 import numpy as np
 
 from . import design as designs
@@ -105,10 +105,6 @@ def parse_look(text: str) -> tuple[float, float]:
     if not np.isfinite(phi):
         raise ValueError("look.phi: must be finite")
     return np.deg2rad(theta), np.deg2rad(phi)
-
-
-def look_degrees(look_rad) -> list[float]:
-    return [float(np.rad2deg(a)) for a in look_rad]
 
 
 def parse_freqs(text: str) -> list[float]:
@@ -397,68 +393,91 @@ def write_pattern_csv(path: Path, cfg_hash: str, dirs_rad, values, look_value):
 # commands
 
 
-class _Failure(click.ClickException):
-    def __init__(self, message, exit_code):
-        super().__init__(message)
-        self.exit_code = exit_code
+class _Parser(argparse.ArgumentParser):
+    """Its errors leave through main's exit-2 path; its subcommands' parsers are _Parsers."""
+
+    def error(self, message):
+        raise ValueError(message)
 
 
-def _run(fn):
-    """Map library errors onto the documented exit codes."""
-
-    def wrapper(*args, **kwargs):
+def _checked(convert, valid, expected: str):
+    """An argparse type: the value convert(text), rejected unless valid(value)."""
+    def parse(text: str):
         try:
-            # an overflow is reported once, by the check that rejects its result
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                fn(*args, **kwargs)
-        # LinAlgError subclasses ValueError, so it must be caught first
-        except (ArithmeticError, np.linalg.LinAlgError) as exc:
-            raise _Failure(f"numerical failure: {exc}", 3) from exc
-        except (ValueError, KeyError) as exc:
-            raise _Failure(f"config error: {exc}", 2) from exc
-
-    wrapper.__name__ = fn.__name__
-    wrapper.__doc__ = fn.__doc__
-    return wrapper
+            if valid(value := convert(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {reprlib.repr(text)}")
+    return parse
 
 
-geometry_opt = click.option("--geometry", default="dodecahedron", show_default=True,
-                            help="Geometry JSON path or builtin spec.")
-out_opt = click.option("--out", type=click.Path(file_okay=False, path_type=Path),
-                       default=Path("."), show_default=True, help="Output directory.")
+_natural = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_finite_positive = _checked(float, lambda v: 0 < v < np.inf, "a finite positive number")
+_PARSER = _Parser(prog="sphbeam", allow_abbrev=False,  # --meth is not --method
+                  description="Model-based beamforming for spherical loudspeaker arrays.")
+_COMMANDS = _PARSER.add_subparsers(dest="command", required=True)
+_DEFAULT = " (default: %(default)s)"
+_GEOMETRY = ("--geometry", dict(default="dodecahedron", help="JSON file or builtin" + _DEFAULT))
+_OUT = ("--out", dict(type=Path, default=Path("."), help="Output directory" + _DEFAULT))
+_RADIUS = ("--radius", dict(type=_finite_positive, default=0.57,
+                            help="Analysis radius in m, with --near-field" + _DEFAULT))
+_LOOK = ("--look", dict(default="0,0", help="Look direction THETA,PHI in degrees" + _DEFAULT))
+_NEAR_FIELD = ("--near-field", dict(action="store_true", help="Compensate steering for --radius"))
 
 
-def _finite_positive(ctx, param, value):
-    if value is not None and not 0 < value < np.inf:
-        raise click.BadParameter("must be a finite positive number")
-    return value
+def _command(name, *arguments):
+    """Register a command function under name, with its arguments as (flags...,
+    add_argument keywords) tuples; main calls it with the parsed values as keywords."""
+    def register(fn):
+        sub = _COMMANDS.add_parser(name, help=fn.__doc__.split(".")[0], description=fn.__doc__,
+                                   allow_abbrev=False)
+        for *flags, kwargs in arguments:
+            sub.add_argument(*flags, **kwargs)
+        sub.set_defaults(command=fn)
+        return fn
+    return register
 
 
-radius_opt = click.option("--radius", type=float, default=0.57, show_default=True,
-                          callback=_finite_positive,
-                          help="Analysis radius in m (with --near-field).")
-format_opt = click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
-                          default="json", show_default=True)
+def main(argv=None, standalone_mode=True) -> int:
+    """Run the command line argv (default sys.argv[1:]) and return 0.  Bad
+    input exits 2 and a numerical failure 3, each after one line ``Error:
+    <message>`` on stderr; with standalone_mode false the error is raised."""
+    try:
+        args = vars(_PARSER.parse_args(argv))
+        # an overflow is reported once, by the check that rejects its result
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            args.pop("command")(**args)
+    except (ArithmeticError, ValueError, KeyError) as exc:
+        if not standalone_mode:
+            raise
+        # LinAlgError subclasses ValueError
+        numerical = isinstance(exc, (ArithmeticError, np.linalg.LinAlgError))
+        print(f"Error: {'numerical failure' if numerical else 'config error'}: {exc}",
+              file=sys.stderr)
+        sys.exit(3 if numerical else 2)
+    return 0
 
 
-@click.group()
-def main():
-    """Model-based beamforming for spherical loudspeaker arrays."""
+def _caps_deg(call, *args):
+    """call(*args), with a rank-deficient cap layout named by the geometry's
+    field caps_deg rather than the library's cap_dirs."""
+    try:
+        return call(*args)
+    except ArithmeticError as exc:
+        if not str(exc).startswith("cap_dirs: "):
+            raise
+        raise ArithmeticError(str(exc).replace("cap_dirs", "geometry.caps_deg", 1)) from exc
 
 
-@main.command("design")
-@geometry_opt
-@click.option("--method", type=click.Choice(designs.METHODS), required=True)
-@click.option("--order", "-N", type=click.IntRange(min=0), required=True,
-              help="Design order N.")
-@click.option("--freq", required=True, help="Frequency list in Hz, comma separated.")
-@click.option("--look", default="0,0", show_default=True, help="Look direction THETA,PHI in degrees.")
-@click.option("--sidelobe", type=float, default=None, callback=_finite_positive,
-              help="Sidelobe level in dB (dolph-chebyshev).")
-@click.option("--near-field", is_flag=True, help="Compensate steering for a finite analysis radius.")
-@radius_opt
-@out_opt
-@_run
+@_command("design", _GEOMETRY,
+          ("--method", dict(choices=designs.METHODS, required=True)),
+          ("--order", "-N", dict(type=_natural, required=True, help="Design order N")),
+          ("--freq", dict(required=True, help="Frequency list in Hz, comma separated")),
+          _LOOK,
+          ("--sidelobe", dict(type=_finite_positive, help="Sidelobe level in dB "
+                                                          "(dolph-chebyshev)")),
+          _NEAR_FIELD, _RADIUS, _OUT)
 def cmd_design(geometry, method, order, freq, look, sidelobe, near_field, radius, out):
     """Design modal weights, steer, synthesize unit weights, and report metrics."""
     geom, geom_doc = load_geometry(geometry)
@@ -466,7 +485,7 @@ def cmd_design(geometry, method, order, freq, look, sidelobe, near_field, radius
     freqs = parse_freqs(freq)
     cfg = {
         "command": "design", "geometry": geom_doc, "method": method, "order": order,
-        "frequencies_hz": freqs, "look_deg": look_degrees(look_rad), "sidelobe_db": sidelobe,
+        "frequencies_hz": freqs, "look_deg": np.rad2deg(look_rad).tolist(), "sidelobe_db": sidelobe,
         "near_field": near_field, "radius_m": radius,
         "medium": {"rho0": RHO0, "c": C},
     }
@@ -474,7 +493,7 @@ def cmd_design(geometry, method, order, freq, look, sidelobe, near_field, radius
     nf_radius = radius if near_field else None
     fs = np.asarray(freqs)
     ks = 2 * np.pi * fs / C
-    sw = designs.sweep(geom, method, order, ks, look_rad, sidelobe, nf_radius)
+    sw = _caps_deg(designs.sweep, geom, method, order, ks, look_rad, sidelobe, nf_radius)
     rows = len(freqs)
     layouts = (
         JsonLayout("modal_weights", cfg_hash, {
@@ -494,8 +513,8 @@ def cmd_design(geometry, method, order, freq, look, sidelobe, near_field, radius
             write_json(f"{out}/{layout.kind}_{tag}.json", layout, i)
     rep = sw.report
     lines = zip(tags, rep.q.tolist(), rep.di_db.tolist(), rep.wng.tolist(), rep.wng_db.tolist())
-    click.echo("\n".join(f"{tag}: Q={q:.6g} DI={di_db:.4f} dB WNG={wng:.6g} ({wng_db:.4f} dB)"
-                         for tag, q, di_db, wng, wng_db in lines))
+    print("\n".join(f"{tag}: Q={q:.6g} DI={di_db:.4f} dB WNG={wng:.6g} ({wng_db:.4f} dB)"
+                    for tag, q, di_db, wng, wng_db in lines))
 
 
 def _report_doc(rep, f, k, r0, unit_weight_norm):
@@ -505,14 +524,9 @@ def _report_doc(rep, f, k, r0, unit_weight_norm):
     }
 
 
-@main.command("steer")
-@click.argument("weights_file", type=click.Path(exists=True, path_type=Path))
-@geometry_opt
-@click.option("--look", required=True, help="Look direction THETA,PHI in degrees.")
-@click.option("--near-field", is_flag=True)
-@radius_opt
-@out_opt
-@_run
+@_command("steer", ("weights_file", dict(type=Path)), _GEOMETRY,
+          ("--look", dict(required=True, help="Look direction THETA,PHI in degrees")),
+          _NEAR_FIELD, _RADIUS, _OUT)
 def cmd_steer(weights_file, geometry, look, near_field, radius, out):
     """Steer modal weights from a design file to a new look direction."""
     geom, geom_doc = load_geometry(geometry)
@@ -521,37 +535,30 @@ def cmd_steer(weights_file, geometry, look, near_field, radius, out):
     nf_radius = radius if near_field else None
     w_nm = synthesis.steer(d, look_rad, k, geom.r0, nf_radius)
     cfg = {"command": "steer", "geometry": geom_doc, "source": source,
-           "look_deg": look_degrees(look_rad), "near_field": near_field, "radius_m": radius}
+           "look_deg": np.rad2deg(look_rad).tolist(), "near_field": near_field, "radius_m": radius}
     layout = steered_layout(_config_hash(cfg), f, k, cfg["look_deg"], nf_radius, d.size - 1,
                             w_nm)
     _make_out(out)
     write_json(out / f"steered_weights_{f:g}Hz.json", layout)
-    click.echo(f"steered order-{d.size - 1} weights to look {look} deg")
+    print(f"steered order-{d.size - 1} weights to look {look} deg")
 
 
-@main.command("synthesize")
-@click.argument("steered_file", type=click.Path(exists=True, path_type=Path))
-@geometry_opt
-@out_opt
-@_run
+@_command("synthesize", ("steered_file", dict(type=Path)), _GEOMETRY, _OUT)
 def cmd_synthesize(steered_file, geometry, out):
     """Compute per-loudspeaker weights from steered coefficients."""
     geom, geom_doc = load_geometry(geometry)
     w_nm, order, f, source = read_steered(steered_file)
-    w = synthesis.unit_weights(w_nm, synthesis.build_transform(geom, order))
+    w = synthesis.unit_weights(w_nm, _caps_deg(synthesis.build_transform, geom, order))
     cfg = {"command": "synthesize", "geometry": geom_doc, "source": source}
     layout = unit_layout(_config_hash(cfg), f, w)
     _make_out(out)
     write_json(out / f"unit_weights_{f:g}Hz.json", layout)
-    click.echo(f"synthesized {geom.num_caps} unit weights")
+    print(f"synthesized {geom.num_caps} unit weights")
 
 
-@main.command("metrics")
-@click.argument("weights_file", type=click.Path(exists=True, path_type=Path))
-@geometry_opt
-@out_opt
-@format_opt
-@_run
+@_command("metrics", ("weights_file", dict(type=Path)), _GEOMETRY, _OUT,
+          ("--format", dict(dest="fmt", choices=["json", "csv"], default="json",
+                            help="Output file format" + _DEFAULT)))
 def cmd_metrics(weights_file, geometry, out, fmt):
     """Directivity factor/index and WNG of a modal weights file."""
     geom, geom_doc = load_geometry(geometry)
@@ -574,15 +581,12 @@ def cmd_metrics(weights_file, geometry, out, fmt):
         write = partial(_write, path, "\n".join(lines) + "\n")
     _make_out(out)
     write()
-    click.echo(f"Q={rep.q:.6g} DI={rep.di_db:.4f} dB WNG={rep.wng:.6g}")
+    print(f"Q={rep.q:.6g} DI={rep.di_db:.4f} dB WNG={rep.wng:.6g}")
 
 
-@main.command("grid")
-@click.option("--analysis-order", type=click.IntRange(min=0), required=True)
-@click.option("--radius", type=float, required=True, callback=_finite_positive,
-              help="Grid radius in m.")
-@out_opt
-@_run
+@_command("grid", ("--analysis-order", dict(type=_natural, required=True)),
+          ("--radius", dict(type=_finite_positive, required=True, help="Grid radius in m")),
+          _OUT)
 def cmd_grid(analysis_order, radius, out):
     """Export a Gaussian sampling grid (directions and quadrature weights)."""
     grid = virtualmeas.gaussian_grid(analysis_order, radius)
@@ -594,25 +598,21 @@ def cmd_grid(analysis_order, radius, out):
     })
     _make_out(out)
     write_json(out / f"grid_N{analysis_order}.json", layout)
-    click.echo(f"wrote {grid.num_points}-point Gaussian grid of order {analysis_order}")
+    print(f"wrote {grid.num_points}-point Gaussian grid of order {analysis_order}")
 
 
-@main.command("simulate")
-@click.argument("modal_file", type=click.Path(exists=True, path_type=Path))
-@click.argument("unit_file", type=click.Path(exists=True, path_type=Path))
-@geometry_opt
-@click.option("--analysis-order", type=click.IntRange(min=0), default=10, show_default=True)
-@click.option("--radius", type=float, default=0.57, show_default=True,
-              callback=_finite_positive, help="Virtual microphone radius in m.")
-@click.option("--look", default="0,0", show_default=True,
-              help="Look direction THETA,PHI in degrees; must match the steering.")
-@click.option("--perturb", default="", help="Perturbation spec, e.g. "
-                                            "'gain_db=0.5,phase_deg=2,noise=1e-4,seed=1'.")
-@out_opt
-@_run
+@_command("simulate", ("modal_file", dict(type=Path)), ("unit_file", dict(type=Path)),
+          _GEOMETRY, ("--analysis-order", dict(type=_natural, default=10,
+                                               help="Microphone grid order" + _DEFAULT)),
+          ("--radius", dict(type=_finite_positive, default=0.57,
+                            help="Virtual microphone radius in m" + _DEFAULT)),
+          _LOOK,
+          ("--perturb", dict(default="", help="Perturbation spec, e.g. "
+                                              "'gain_db=0.5,phase_deg=2,noise=1e-4,seed=1'")),
+          _OUT)
 def cmd_simulate(modal_file, unit_file, geometry, analysis_order, radius, look, perturb, out):
-    """Virtually measure a synthesized design and export designed and
-    measured balloon grids and cross-sections."""
+    """Virtually measure a synthesized design at the --look it was steered to,
+    and export designed and measured balloon grids and cross-sections."""
     geom, geom_doc = load_geometry(geometry)
     d, k, f, source = read_modal(modal_file, geom.r0)
     w, unit_f = read_unit(unit_file)
@@ -624,7 +624,7 @@ def cmd_simulate(modal_file, unit_file, geometry, analysis_order, radius, look, 
 
     cfg = {"command": "simulate", "geometry": geom_doc, "source": source,
            "analysis_order": analysis_order, "radius_m": radius,
-           "look_deg": look_degrees(look_rad), "perturb": perturbation}
+           "look_deg": np.rad2deg(look_rad).tolist(), "perturb": perturbation}
     cfg_hash = _config_hash(cfg)
     tag = f"{f:g}Hz"
     sim = virtualmeas.simulate(geom, d, w, k, look_rad, analysis_order, radius, perturbation)
@@ -641,8 +641,8 @@ def cmd_simulate(modal_file, unit_file, geometry, analysis_order, radius, look, 
         write_pattern_csv(out / f"{name}_measured_{tag}.csv", cfg_hash, dirs, measured,
                           sim.measured_look)
     write_json(out / f"simulation_{tag}.json", report)
-    click.echo(f"{tag}: pattern_error={sim.pattern_error:.3e}")
+    print(f"{tag}: pattern_error={sim.pattern_error:.3e}")
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -6,17 +7,57 @@ import shlex
 import subprocess
 import sys
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 
-import click
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sphbeam.cli import JsonLayout, _run, main, write_json
+from sphbeam import synthesis
+from sphbeam.cli import JsonLayout, main, write_json
 from sphbeam.radiation import dodecahedron
+
+
+class _Tee(io.StringIO):
+    """A text buffer that also copies everything written to it into another."""
+
+    def __init__(self, copy):
+        super().__init__()
+        self.copy = copy
+
+    def write(self, text):
+        self.copy.write(text)
+        return super().write(text)
+
+
+class CliRunner:
+    """Runs the CLI in this process as its console script would."""
+
+    def invoke(self, cli, args, catch_exceptions=True):
+        """cli(args) with stdout and stderr captured, each alone and both
+        interleaved as output.  The exit code is 0 on a return, and a
+        SystemExit's code otherwise; exception is that SystemExit when its
+        code is not 0, or any other exception, which is raised instead when
+        catch_exceptions is false."""
+        output = io.StringIO()
+        stdout, stderr = _Tee(output), _Tee(output)
+        exit_code, exception = 0, None
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            try:
+                cli(args)
+            except SystemExit as exc:
+                exit_code = exc.code or 0
+                exception = exc if exit_code else None
+            except Exception as exc:
+                if not catch_exceptions:
+                    raise
+                exit_code, exception = 1, exc
+        return SimpleNamespace(exit_code=exit_code, exception=exception,
+                               output=output.getvalue(), stdout=stdout.getvalue(),
+                               stderr=stderr.getvalue())
 
 
 @pytest.fixture
@@ -295,14 +336,66 @@ def test_cli_import_leaves_out_scipy():
     assert result.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_out_click():
+    result = _python("-c", "import sys, sphbeam.cli; print('click' in sys.modules)")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("command, options", [
+    ("design", ["--geometry", "--method", "--order", "-N", "--freq", "--look", "--sidelobe",
+                "--near-field", "--radius", "--out"]),
+    ("steer", ["weights_file", "--geometry", "--look", "--near-field", "--radius", "--out"]),
+    ("synthesize", ["steered_file", "--geometry", "--out"]),
+    ("metrics", ["weights_file", "--geometry", "--out", "--format"]),
+    ("grid", ["--analysis-order", "--radius", "--out"]),
+    ("simulate", ["modal_file", "unit_file", "--geometry", "--analysis-order", "--radius",
+                  "--look", "--perturb", "--out"]),
+])
+def test_command_help_lists_its_options(runner, command, options):
+    result = runner.invoke(main, [command, "--help"])
+    assert result.exit_code == 0, result.output
+    assert result.stderr == ""
+    listed = set(re.findall(r"(?<![\w-])-[\w-]+|\b\w+_file\b", result.stdout))
+    assert listed >= set(options), result.stdout
+
+
 class TestBoundary:
-    def test_linalg_error_exits_3(self):
-        def failing():
+    def test_linalg_error_exits_3(self, runner, monkeypatch, tmp_path):
+        def failing(*args):
             raise np.linalg.LinAlgError("SVD did not converge")
 
-        with pytest.raises(click.ClickException) as info:
-            _run(failing)()
-        assert info.value.exit_code == 3
+        monkeypatch.setattr(synthesis, "build_transform", failing)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["design", "--method", "max-di", "--order", "2",
+                                      "--freq", "400", "--out", str(out)])
+        assert result.exit_code == 3, result.output
+        assert result.stderr == "Error: numerical failure: SVD did not converge\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, name", [
+        (["design", "--method", "max-di", "--order", "-1", "--freq", "400"], "--order"),
+        (["design", "--method", "foo", "--order", "2", "--freq", "400"], "--method"),
+        (["design", "--order", "2", "--freq", "400"], "--method"),
+        (["design", "--method", "max-di", "--order", "2", "--freq", "400", "--bogus", "1"],
+         "--bogus"),
+        (["simulate", "no/such/modal.json", "no/such/unit.json"], "no/such/modal.json"),
+        (["simulate", "no/such/modal.json", "no/such/unit.json", "--radius", "nan"], "--radius"),
+        # an abbreviation is not taken for the option it begins, so --method is missing
+        (["design", "--meth", "max-di", "--order", "2", "--freq", "400"], "--method"),
+        # the rejected value is echoed clipped
+        (["grid", "--analysis-order", "2", "--radius", "9" * 400], "--radius"),
+    ], ids=["negative-order", "unknown-method", "missing-method", "unknown-option",
+            "missing-modal-file", "nan-radius", "abbreviated-option", "400-digit-radius"])
+    def test_bad_option_exits_2_on_one_line(self, runner, tmp_path, args, name):
+        out = tmp_path / "out"
+        result = runner.invoke(main, [*args, "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("Error: config error: "), result.stderr
+        assert name in lines[0] and len(lines[0]) < 200
+        assert result.stdout == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("extra", [100, 0], ids=["longer", "equal-length"])
     def test_write_json_overwrites_in_place(self, tmp_path, extra):
@@ -404,18 +497,20 @@ class TestBoundary:
         # k r is finite, but the pressures underflow and the squared error would read 0
         (["simulate", "--radius", "1e300"], "pattern_error"),
         # valid cap directions, but all on one meridian: Y has no pseudo-inverse
-        (["design", "--geometry", "meridian_caps.json"], "cap_dirs"),
+        (["design", "--geometry", "meridian_caps.json"], "geometry.caps_deg"),
+        (["synthesize", "--geometry", "meridian_caps.json"], "geometry.caps_deg"),
     ], ids=["simulate-radius", "near-field-radius", "geometry-r0", "simulate-radius-underflow",
-            "rank-deficient-caps"])
+            "rank-deficient-caps", "rank-deficient-caps-synthesize"])
     def test_radius_overflow_exits_3_naming_it(self, runner, tmp_path, args, field):
         # a finite radius is valid input, but k r overflows before h_n(k r) is evaluated
-        if args[0] == "simulate":
-            _design(runner, tmp_path)
-            args = ["simulate", str(tmp_path / "modal_weights_400Hz.json"),
-                    str(tmp_path / "unit_weights_400Hz.json"), *args[1:]]
+        command, *options = _with_layouts(args, tmp_path)
+        if command == "design":
+            args = ["design", "--method", "max-wng", "--order", "2", "--freq", "400", *options]
         else:
-            args = ["design", "--method", "max-wng", "--order", "2", "--freq", "400",
-                    *_with_layouts(args[1:], tmp_path)]
+            _design(runner, tmp_path)
+            stems = {"simulate": ["modal_weights", "unit_weights"],
+                     "synthesize": ["steered_weights"]}[command]
+            args = [command, *(str(tmp_path / f"{stem}_400Hz.json") for stem in stems), *options]
         out = tmp_path / "out"
         result = _python("-m", "sphbeam.cli", *args, "--out", str(out))
         assert result.returncode == 3, result.stderr
