@@ -6,9 +6,11 @@ Coefficient files are JSON as ``json.dumps(doc, sort_keys=True, indent=2)``
 writes it, plus a newline; each file kind is one ``%`` template
 (JsonLayout), filled per frequency from the sweep arrays.  Pattern grids
 and cross-sections are CSV with columns theta_deg, phi_deg, re, im, abs,
-db.  Identical inputs produce bit-identical outputs; every file carries
-the config hash.  An existing output file is overwritten in place and cut
-to length.
+db: angles and dB as ``%.6f``, re, im and abs as ``%.12e``, correctly
+rounded as Python's ``%`` rounds them (rendered in numpy blocks by
+write_pattern_csv).  Identical inputs produce bit-identical outputs; every
+file carries the config hash.  An existing output file is overwritten in
+place and cut to length.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -21,7 +23,7 @@ import json
 import os
 import reprlib
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -229,8 +231,8 @@ def _l2c(pairs, field: str) -> np.ndarray:
     return arr[:, 0] + 1j * arr[:, 1]
 
 
-def _write(path, text: str):
-    """Overwrite the file at path with text, in place, cut to length: the
+def _write(path, data: bytes):
+    """Overwrite the file at path with data, in place, cut to length: the
     only place an output file is opened.
 
     The open does not truncate: on ext4, truncating an existing file makes
@@ -239,7 +241,6 @@ def _write(path, text: str):
     the new head over the old tail.  An OSError becomes a ValueError naming
     ``out`` and the path.
     """
-    data = text.encode()
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
         try:
@@ -269,7 +270,7 @@ def _make_out(out: Path):
 def write_json(path, layout: JsonLayout, row: int = 0):
     """Write one row of a JSON layout to path (a str or Path) through the
     one output writer."""
-    _write(path, layout.template % tuple(layout.values[row].tolist()))
+    _write(path, (layout.template % tuple(layout.values[row].tolist())).encode())
 
 
 def steered_layout(cfg_hash, f, k, look_deg, near_field_radius, order, coeffs, rows=None):
@@ -372,21 +373,155 @@ def read_unit(path: Path):
 def write_pattern_csv(path: Path, cfg_hash: str, dirs_rad, values, look_value):
     """Pattern CSV: angles in degrees, dB relative to the look value.  The
     values must be finite and the look value nonzero (virtualmeas.simulate
-    checks both)."""
+    checks both).
+
+    Angles and dB are written as ``%.6f`` and re, im and abs as ``%.12e``,
+    correctly rounded as Python's ``%`` rounds them (_pattern_rows)."""
     scale = abs(look_value)
-    lines = [
-        f"# config_hash: {cfg_hash}",
-        "# units: theta_deg, phi_deg [degrees]; re, im, abs [pattern units]; "
-        "db [20*log10(|B|/|B(look)|)]",
-        "theta_deg,phi_deg,re,im,abs,db",
-    ]
+    header = (f"# config_hash: {cfg_hash}\n"
+              "# units: theta_deg, phi_deg [degrees]; re, im, abs [pattern units]; "
+              "db [20*log10(|B|/|B(look)|)]\n"
+              "theta_deg,phi_deg,re,im,abs,db\n")
     mags = np.abs(values)
     dbs = 20.0 * np.log10(np.maximum(mags, 1e-300) / scale)
     degs = np.rad2deg(dirs_rad)
-    columns = (degs[:, 0], degs[:, 1], values.real, values.imag, mags, dbs)
-    row = "%.6f,%.6f,%.12e,%.12e,%.12e,%.6f"
-    lines += [row % r for r in zip(*(c.tolist() for c in columns))]
-    _write(path, "\n".join(lines) + "\n")
+    columns = np.array([degs[:, 0], degs[:, 1], values.real, values.imag, mags, dbs])
+    _write(path, header.encode() + _pattern_rows(columns))
+
+
+_PATTERN_FORMATS = ("%.6f", "%.6f", "%.12e", "%.12e", "%.12e", "%.6f")
+_BLOCK_ROWS = 4096  # rows rendered at a time: a word grid of about 0.5 MB
+_TIE_MARGIN = 2.0**-51  # relative: twice the error of a value scaled with two roundings
+
+
+def _pattern_rows(columns: np.ndarray) -> bytes:
+    """The rows of a (6, n) float array as the lines
+    ``"%.6f,%.6f,%.12e,%.12e,%.12e,%.6f\\n" % row`` writes them, byte for byte.
+
+    Each block of rows is a uint32 word grid, each column a fixed run of
+    words: digits come four at a time from a table of ASCII words, and a
+    missing sign or leading digit is a 0 byte, deleted at the end.  A number
+    is scaled to an integer with exact powers of ten; one whose scaled value
+    lies within its rounding error of a tie, is not finite or is out of the
+    scaling range is formatted by Python's ``%`` alone.
+    """
+    return b"".join(_pattern_block(columns[:, start:start + _BLOCK_ROWS])
+                    for start in range(0, columns.shape[1], _BLOCK_ROWS))
+
+
+def _pattern_block(columns: np.ndarray) -> bytes:
+    """_pattern_rows of one block of rows."""
+    cells = [(_fixed_words, 4) if fmt == "%.6f" else (_exponent_words, 6)
+             for fmt in _PATTERN_FORMATS]
+    starts = np.cumsum([0] + [size for _, size in cells]).tolist()
+    width = starts.pop()
+    words = np.zeros((columns.shape[1], width), dtype=np.uint32)
+    exact = np.array([write(column, words, start)
+                      for (write, _), column, start in zip(cells, columns, starts)])
+    words.view(np.uint8)[:, -1] = ord("\n")  # the last byte of each cell is its separator
+    flat, pieces, done = words.ravel(), [], 0
+    for row, c in zip(*(i.tolist() for i in np.nonzero(~exact.T))):  # in file order
+        at = row * width + starts[c]
+        text = _PATTERN_FORMATS[c] % columns[c, row] + ("," if c < len(cells) - 1 else "\n")
+        pieces += [flat[done:at], text.encode()]
+        done = at + cells[c][1]
+    pieces.append(flat[done:])
+    return b"".join(pieces).translate(None, b"\0")
+
+
+@cache
+def _digit_words() -> np.ndarray:
+    """ASCII words as uint32s: entry i < 10 000 is i as four digits, entry
+    10 000 + i the same with its leading zeros as 0 bytes (the last digit
+    kept).  Built on first use, so importing the CLI does not pay for it."""
+    n = np.arange(10000)[:, None]
+    digits = n // [1000, 100, 10, 1] % 10 + ord("0")
+    stripped = np.where(n >= [1000, 100, 10, 0], digits, 0)
+    table = np.concatenate([digits, stripped]).astype(np.uint8).view(np.uint32).ravel()
+    table.flags.writeable = False
+    return table
+
+
+def _fixed_words(v, words, j):
+    """Write each v as ``%.6f`` and a separator into words[:, j:j + 4], as
+    [sign, 3 digits] [4 digits] [".", 3 digits] [3 digits, ","] with the
+    integer part's leading zeros deleted; return where that is exact, and
+    elsewhere the cell must be formatted by %."""
+    a = np.abs(v)
+    exact = a < 1e7  # false for inf and NaN
+    s = np.where(exact, a, 0.0) * 1e6
+    n = np.rint(s).astype(np.int64)
+    exact &= (n < 10**13) & (np.abs(s - np.floor(s) - 0.5) > s * _TIE_MARGIN)
+    whole, frac = np.divmod(n, 10**6)
+    high, low = np.divmod(whole, 10**4)
+    table = _digit_words()
+    words[:, j] = table[10000 + high] * (high > 0)
+    words[:, j + 1] = table[low + 10000 * (high == 0)]
+    words[:, j + 2] = table[frac // 1000]
+    words[:, j + 3] = table[frac % 1000 * 10]
+    cell = words.view(np.uint8)[:, 4 * j:4 * j + 16]
+    cell[:, 0] = np.signbit(v) * ord("-")
+    cell[:, 8] = ord(".")
+    cell[:, 15] = ord(",")
+    return exact
+
+
+def _exponent_words(v, words, j):
+    """Write each v as ``%.12e`` and a separator into words[:, j:j + 6], as
+    [sign, 0, digit, "."] [4 digits] x 3 ["e", sign, 0, 0] [3 digits, ","]
+    with a zero hundreds digit of the exponent deleted; return where that is
+    exact, and elsewhere the cell must be formatted by %."""
+    a = np.abs(v)
+    nonzero, finite = a > 0, np.isfinite(a)
+    x = np.where(nonzero & finite, a, 1.0)
+    e = np.floor(np.log10(x)).astype(np.int64)
+    s = _scaled(x, 12 - e)
+    # log10 may miss the exponent by one next to a power of ten
+    miss = (s < 1e12) | (s >= 1e13)
+    e[miss] += np.where(s[miss] < 1e12, -1, 1)
+    s[miss] = _scaled(x[miss], 12 - e[miss])
+    exact = finite & (np.abs(12 - e) <= 44) & (np.abs(s - np.floor(s) - 0.5) > s * _TIE_MARGIN)
+    m = np.rint(np.where(exact, s, 0.0)).astype(np.int64) * nonzero
+    carry = m == 10**13  # 9.9999999999995e+k rounds up to 1.000000000000e+(k+1)
+    m[carry] = 10**12
+    e = (e + carry) * nonzero
+    lead, rest = np.divmod(m, 10**12)
+    table = _digit_words()
+    words[:, j + 1] = table[rest // 10**8]
+    words[:, j + 2] = table[rest // 10**4 % 10**4]
+    words[:, j + 3] = table[rest % 10**4]
+    words[:, j + 5] = table[np.abs(e) * 10]
+    cell = words.view(np.uint8)[:, 4 * j:4 * j + 24]
+    cell[:, 0] = np.signbit(v) * ord("-")
+    cell[:, 2] = lead + ord("0")
+    cell[:, 3] = ord(".")
+    cell[:, 16] = ord("e")
+    cell[:, 17] = np.where(e < 0, ord("-"), ord("+"))
+    cell[:, 20] *= np.abs(e) >= 100
+    cell[:, 23] = ord(",")
+    return exact
+
+
+@cache
+def _powers_of_ten() -> np.ndarray:
+    """A (4, 89) array whose column p + 44 holds a, b, c, d with 10**p =
+    a * b / c / d for p in [-44, 44], each a power of ten up to 1e22 and so
+    an exact float.  Built on first use."""
+    columns = []
+    for p in range(-44, 45):
+        up, down = max(p, 0), max(-p, 0)
+        columns.append([float(10**k) for k in (min(up, 22), up - min(up, 22),
+                                               min(down, 22), down - min(down, 22))])
+    table = np.array(columns).T
+    table.flags.writeable = False
+    return table
+
+
+def _scaled(x, p):
+    """x * 10**p for p in [-44, 44] (clipped to it) by products and
+    quotients of exact powers of ten: at most two roundings."""
+    a, b, c, d = _powers_of_ten().take(p + 44, axis=1, mode="clip")
+    return x * a * b / c / d
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +713,7 @@ def cmd_metrics(weights_file, geometry, out, fmt):
         keys = sorted(doc)
         lines = [f"# config_hash: {cfg_hash}", ",".join(keys),
                  ",".join("" if doc[k] is None else f"{doc[k]:.12g}" for k in keys)]
-        write = partial(_write, path, "\n".join(lines) + "\n")
+        write = partial(_write, path, ("\n".join(lines) + "\n").encode())
     _make_out(out)
     write()
     print(f"Q={rep.q:.6g} DI={rep.di_db:.4f} dB WNG={rep.wng:.6g}")

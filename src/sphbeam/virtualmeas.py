@@ -85,16 +85,22 @@ def gaussian_grid(order, radius):
 
     (order+1) Gauss-Legendre elevations times 2(order+1) uniform
     azimuths, with product quadrature weights; 2(order+1)^2 nodes.
+    Raises ArithmeticError naming ``analysis_order`` when the grid does not
+    fit in memory.
     """
     if order < 0 or not 0 < radius < np.inf:
         raise ValueError("order must be >= 0 and radius finite and positive")
-    x, wx = np.polynomial.legendre.leggauss(order + 1)
-    theta = np.arccos(x)
-    nphi = 2 * (order + 1)
-    phi = 2 * np.pi * np.arange(nphi) / nphi
-    tt, pp = np.meshgrid(theta, phi, indexing="ij")
-    dirs = np.column_stack([tt.ravel(), pp.ravel()])
-    weights = np.repeat(wx, nphi) * (np.pi / (order + 1))
+    try:
+        x, wx = np.polynomial.legendre.leggauss(order + 1)
+        theta = np.arccos(x)
+        nphi = 2 * (order + 1)
+        phi = 2 * np.pi * np.arange(nphi) / nphi
+        tt, pp = np.meshgrid(theta, phi, indexing="ij")
+        dirs = np.column_stack([tt.ravel(), pp.ravel()])
+        weights = np.repeat(wx, nphi) * (np.pi / (order + 1))
+    except MemoryError as exc:  # leggauss alone takes (order + 1)^2 floats
+        raise ArithmeticError(f"analysis_order: a Gaussian grid of order {order} does not "
+                              f"fit in memory") from exc
     return SamplingGrid(order=order, radius=radius, directions=dirs, weights=weights)
 
 

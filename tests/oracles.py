@@ -144,3 +144,25 @@ def wng_coefficients(w_nm, look, k, r0):
     if denom == 0.0:
         raise ValueError("zero steered weights")
     return float(num / denom)
+
+
+PATTERN_ROW = "%.6f,%.6f,%.12e,%.12e,%.12e,%.6f"
+
+
+def pattern_rows(columns):
+    """The rows of a (6, n) float array, each formatted by PATTERN_ROW, one
+    Python ``%`` per row, and ended by a newline."""
+    return "".join(PATTERN_ROW % row + "\n" for row in zip(*(c.tolist() for c in columns)))
+
+
+def pattern_csv(cfg_hash, dirs_rad, values, look_value):
+    """The text of the pattern CSV that cli.write_pattern_csv writes for
+    these directions, complex values and look value, rendered row by row."""
+    mags = np.abs(values)
+    dbs = 20.0 * np.log10(np.maximum(mags, 1e-300) / abs(look_value))
+    degs = np.rad2deg(dirs_rad)
+    return (f"# config_hash: {cfg_hash}\n"
+            "# units: theta_deg, phi_deg [degrees]; re, im, abs [pattern units]; "
+            "db [20*log10(|B|/|B(look)|)]\n"
+            "theta_deg,phi_deg,re,im,abs,db\n"
+            + pattern_rows((degs[:, 0], degs[:, 1], values.real, values.imag, mags, dbs)))

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import resource
 import shlex
 import subprocess
 import sys
@@ -88,12 +89,17 @@ def _with_layouts(args, tmp_path):
     return paths
 
 
-def _python(*args, cwd=None):
+def _python(*args, cwd=None, preexec_fn=None):
     """Run a fresh interpreter with the package source importable."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
-                          cwd=cwd)
+                          cwd=cwd, preexec_fn=preexec_fn)
+
+
+def _limit_address_space():
+    """Cap a child's address space at 2 GiB, so that a huge allocation fails at once."""
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
 def _design(runner, tmp_path, *extra):
@@ -634,6 +640,24 @@ class TestBoundary:
         lines = result.stderr.strip().splitlines()
         assert len(lines) == 1 and "out: cannot write " in lines[0], result.stderr
         assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("command", ["grid", "simulate"])
+    def test_grid_beyond_memory_exits_3_naming_analysis_order(self, runner, tmp_path, command):
+        # only ever run under the address-space limit: unlimited, leggauss would try
+        # to allocate (N+1)^2 floats, 74.5 GiB at N = 100 000
+        if command == "grid":
+            args = ["grid", "--radius", "1"]
+        else:
+            _design(runner, tmp_path)
+            args = ["simulate", str(tmp_path / "modal_weights_400Hz.json"),
+                    str(tmp_path / "unit_weights_400Hz.json")]
+        out = tmp_path / "out"
+        result = _python("-m", "sphbeam.cli", *args, "--analysis-order", "100000",
+                         "--out", str(out), preexec_fn=_limit_address_space)
+        assert result.returncode == 3, result.stderr
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and "numerical failure: analysis_order: " in lines[0], lines
+        assert not out.exists()
 
     def test_simulate_rejects_non_finite_radius(self, runner, tmp_path):
         _design(runner, tmp_path)

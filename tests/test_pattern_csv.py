@@ -1,0 +1,126 @@
+"""Pattern CSVs: the block renderer of cli against the per-row ``%`` template
+in oracles, byte for byte, and the files that ``simulate`` writes."""
+
+import json
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from oracles import pattern_csv, pattern_rows
+from sphbeam import cli, virtualmeas
+
+
+def _assert_rendered(columns):
+    columns = np.asarray(columns, dtype=float)
+    assert cli._pattern_rows(columns).decode() == pattern_rows(columns)
+
+
+def _near_tie(digits, exponent, ulps, negative):
+    """The float ``ulps`` steps from the decimal tie ``<digits>5e<exponent>``:
+    with 13 digits a tie of %.12e, with exponent -7 one of %.6f."""
+    x = float(f"{digits}5e{exponent}")
+    for _ in range(abs(ulps)):
+        x = float(np.nextafter(x, np.copysign(np.inf, ulps)))
+    return -x if negative else x
+
+
+_NEAR_TIES = st.builds(_near_tie, st.integers(0, 10**13 - 1),
+                       st.one_of(st.just(-7), st.integers(-50, 50)), st.integers(-3, 3),
+                       st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, st.tuples(st.just(6), st.integers(0, 12)),
+                  elements=st.one_of(st.floats(width=64), _NEAR_TIES)))
+def test_rows_match_the_template(columns):
+    _assert_rendered(columns)
+
+
+_POWERS = [x for k in range(-45, 60) for x in (10.0**k, float(np.nextafter(10.0**k, 0)))]
+_FIXED = [
+    0.0, 5e-324, 2.2250738585072014e-308, 2.225073858507201e-308, 1e-300, 1e300, 1.7e308,
+    # 13 nines and a 5 round up to the next exponent
+    *(float(f"9.9999999999995e{k}") for k in range(-40, 60)),
+    *(9.9999999999995 * 10.0**k for k in range(-40, 60)),
+    # exact ties, rounded half to even
+    12345678901235.0, 12345678901225.0, 2.5, 0.125, 1e22, 1e23,
+    # near-ties scaled with two roundings, misrounded by a tie margin below 2**-52
+    6.2664664590185e-32, 5.5685028913865e-32, 8.0377616320755e-31, 8.3173511914715e+41,
+    4.1927157426355e+41, 2.0397526061215e+41,
+    # %.6f of 1e7 and above, and just below
+    1e7, 12345678.5, 1e15, 1e300, 9999999.9999995, 9999999.999999499, 0.0000005, 0.0000015,
+    *_POWERS, np.inf, np.nan,
+]
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_fixed_cases_match_the_template(sign):
+    """Each value in every column, so through both formats."""
+    _assert_rendered(np.tile(sign * np.array(_FIXED), (6, 1)))
+
+
+@pytest.mark.parametrize("shift", [-0.5, 0.5])
+def test_rows_do_not_rely_on_the_last_bits_of_log10(monkeypatch, shift):
+    """The exponent from log10 is corrected by one where the mantissa leaves
+    [1e12, 1e13), so a log10 off by up to half a decade changes nothing."""
+    log10 = np.log10
+    rng = np.random.default_rng(7)
+    columns = rng.standard_normal((6, 500)) * 10.0 ** rng.integers(-30, 50, (6, 500))
+    monkeypatch.setattr(np, "log10", lambda x: log10(x) + shift)
+    _assert_rendered(np.hstack([columns, np.tile(_FIXED, (6, 1))]))
+
+
+def test_rows_across_blocks_match_the_template():
+    rng = np.random.default_rng(5)
+    rows = 2 * cli._BLOCK_ROWS + 7
+    columns = rng.standard_normal((6, rows)) * 10.0 ** rng.integers(-35, 55, (6, rows))
+    columns[:, ::997] = np.nan
+    _assert_rendered(columns)
+
+
+def test_write_pattern_csv_matches_the_template_without_warnings(tmp_path):
+    """Non-finite values go through Python's %, and no RuntimeWarning is
+    raised outside main's errstate."""
+    dirs = np.deg2rad([[0.0, 0.0], [90.0, 45.0], [180.0, 359.0], [45.0, 90.0], [30.0, 1.0]])
+    values = np.array([1 + 2j, complex(np.inf, 0), complex(-np.inf, np.nan),
+                       complex(np.nan, 1), -0.0 - 1e-320j])
+    path = tmp_path / "pattern.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cli.write_pattern_csv(path, "abc", dirs, values, 0.5 + 0.5j)
+        want = pattern_csv("abc", dirs, values, 0.5 + 0.5j)
+    assert path.read_text() == want
+    assert ",inf," in want and ",nan," in want and "-inf" in want
+
+
+@pytest.mark.parametrize("design, perturb", [
+    (["--method", "max-di"], ""),
+    (["--method", "max-wng", "--near-field"], "gain_db=0.5,phase_deg=2,noise=1e-4,seed=1"),
+    (["--method", "dolph-chebyshev", "--sidelobe", "25"], ""),
+], ids=["max-di", "max-wng-perturbed", "dolph-chebyshev"])
+def test_simulate_writes_the_template_bytes(tmp_path, design, perturb):
+    """The four CSVs equal the row-by-row rendering of virtualmeas.simulate's
+    patterns, header included."""
+    look, order, radius = "90,0", 10, 0.57
+    assert cli.main(["design", *design, "--order", "2", "--freq", "400", "--look", look,
+                     "--out", str(tmp_path)]) == 0
+    modal, unit = tmp_path / "modal_weights_400Hz.json", tmp_path / "unit_weights_400Hz.json"
+    assert cli.main(["simulate", str(modal), str(unit), "--look", look,
+                     "--analysis-order", str(order), "--radius", str(radius),
+                     "--perturb", perturb, "--out", str(tmp_path)]) == 0
+
+    geom, _ = cli.load_geometry("dodecahedron")
+    d, k, _, _ = cli.read_modal(modal, geom.r0)
+    w, _ = cli.read_unit(unit)
+    sim = virtualmeas.simulate(geom, d, w, k, cli.parse_look(look), order, radius,
+                               cli.parse_perturb(perturb))
+    cfg_hash = json.loads((tmp_path / "simulation_400Hz.json").read_text())["config_hash"]
+    for name, (dirs, designed, measured) in sim.patterns.items():
+        for kind, values, look_value in (("designed", designed, sim.designed_look),
+                                         ("measured", measured, sim.measured_look)):
+            text = (tmp_path / f"{name}_{kind}_400Hz.csv").read_text()
+            assert text == pattern_csv(cfg_hash, dirs, values, look_value), (name, kind)
