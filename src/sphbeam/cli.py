@@ -370,10 +370,12 @@ def read_unit(path: Path):
     return w, _field(data, "frequency_hz")
 
 
-def write_pattern_csv(path: Path, cfg_hash: str, dirs_rad, values, look_value):
-    """Pattern CSV: angles in degrees, dB relative to the look value.  The
-    values must be finite and the look value nonzero (virtualmeas.simulate
-    checks both).
+def write_pattern_csv(path: Path, cfg_hash: str, theta, phi, values, look_value):
+    """Pattern CSV of the theta x phi product grid: T polar and P azimuthal
+    angles in radians, and T * P values in meshgrid "ij" order (phi varying
+    fastest), one row each.  Angles are written in degrees, dB relative to
+    the look value.  The values must be finite and the look value nonzero
+    (virtualmeas.simulate checks both).
 
     Angles and dB are written as ``%.6f`` and re, im and abs as ``%.12e``,
     correctly rounded as Python's ``%`` rounds them (_pattern_rows)."""
@@ -384,9 +386,8 @@ def write_pattern_csv(path: Path, cfg_hash: str, dirs_rad, values, look_value):
               "theta_deg,phi_deg,re,im,abs,db\n")
     mags = np.abs(values)
     dbs = 20.0 * np.log10(np.maximum(mags, 1e-300) / scale)
-    degs = np.rad2deg(dirs_rad)
-    columns = np.array([degs[:, 0], degs[:, 1], values.real, values.imag, mags, dbs])
-    _write(path, header.encode() + _pattern_rows(columns))
+    _write(path, header.encode() + _pattern_rows(np.rad2deg(theta), np.rad2deg(phi),
+                                                 np.array([values.real, values.imag, mags, dbs])))
 
 
 _PATTERN_FORMATS = ("%.6f", "%.6f", "%.12e", "%.12e", "%.12e", "%.6f")
@@ -394,35 +395,50 @@ _BLOCK_ROWS = 4096  # rows rendered at a time: a word grid of about 0.5 MB
 _TIE_MARGIN = 2.0**-51  # relative: twice the error of a value scaled with two roundings
 
 
-def _pattern_rows(columns: np.ndarray) -> bytes:
-    """The rows of a (6, n) float array as the lines
-    ``"%.6f,%.6f,%.12e,%.12e,%.12e,%.6f\\n" % row`` writes them, byte for byte.
+def _pattern_rows(theta_deg, phi_deg, values) -> bytes:
+    """The rows of a pattern on the theta x phi product grid, in meshgrid
+    "ij" order, as the lines ``"%.6f,%.6f,%.12e,%.12e,%.12e,%.6f\\n" % row``
+    writes them, byte for byte; ``values`` is the (4, T * P) float array of
+    the re, im, abs and dB columns.
 
     Each block of rows is a uint32 word grid, each column a fixed run of
     words: digits come four at a time from a table of ASCII words, and a
-    missing sign or leading digit is a 0 byte, deleted at the end.  A number
-    is scaled to an integer with exact powers of ten; one whose scaled value
+    missing sign or leading digit is a 0 byte, deleted at the end.  The
+    angle columns are rendered once for the T polar and the P azimuthal
+    angles, and each block gathers its rows' words from them.  A number is
+    scaled to an integer with exact powers of ten; one whose scaled value
     lies within its rounding error of a tie, is not finite or is out of the
     scaling range is formatted by Python's ``%`` alone.
     """
-    return b"".join(_pattern_block(columns[:, start:start + _BLOCK_ROWS])
-                    for start in range(0, columns.shape[1], _BLOCK_ROWS))
+    angles = []
+    for degs in (theta_deg, phi_deg):
+        words = np.zeros((degs.size, 4), dtype=np.uint32)
+        angles.append((degs, words, _fixed_words(degs, words, 0)))
+    return b"".join(_pattern_block(angles, start, values[:, start:start + _BLOCK_ROWS])
+                    for start in range(0, values.shape[1], _BLOCK_ROWS))
 
 
-def _pattern_block(columns: np.ndarray) -> bytes:
-    """_pattern_rows of one block of rows."""
+def _pattern_block(angles, start, values) -> bytes:
+    """_pattern_rows of the block of rows from row ``start`` on."""
+    # each row's indices into the polar and the azimuthal angles
+    index = divmod(np.arange(start, start + values.shape[1]), angles[1][0].size)
     cells = [(_fixed_words, 4) if fmt == "%.6f" else (_exponent_words, 6)
              for fmt in _PATTERN_FORMATS]
     starts = np.cumsum([0] + [size for _, size in cells]).tolist()
     width = starts.pop()
-    words = np.zeros((columns.shape[1], width), dtype=np.uint32)
-    exact = np.array([write(column, words, start)
-                      for (write, _), column, start in zip(cells, columns, starts)])
+    words = np.zeros((values.shape[1], width), dtype=np.uint32)
+    exact = np.empty((len(cells), values.shape[1]), dtype=bool)
+    for c, ((_, angle_words, angle_exact), i) in enumerate(zip(angles, index)):
+        words[:, starts[c]:starts[c] + 4] = angle_words.take(i, axis=0)
+        exact[c] = angle_exact.take(i)
+    for c, column in enumerate(values, len(angles)):
+        exact[c] = cells[c][0](column, words, starts[c])
     words.view(np.uint8)[:, -1] = ord("\n")  # the last byte of each cell is its separator
     flat, pieces, done = words.ravel(), [], 0
     for row, c in zip(*(i.tolist() for i in np.nonzero(~exact.T))):  # in file order
         at = row * width + starts[c]
-        text = _PATTERN_FORMATS[c] % columns[c, row] + ("," if c < len(cells) - 1 else "\n")
+        value = angles[c][0][index[c][row]] if c < len(angles) else values[c - len(angles), row]
+        text = _PATTERN_FORMATS[c] % value + ("," if c < len(cells) - 1 else "\n")
         pieces += [flat[done:at], text.encode()]
         done = at + cells[c][1]
     pieces.append(flat[done:])
@@ -770,10 +786,10 @@ def cmd_simulate(modal_file, unit_file, geometry, analysis_order, radius, look, 
     })
 
     _make_out(out)
-    for name, (dirs, designed, measured) in sim.patterns.items():
-        write_pattern_csv(out / f"{name}_designed_{tag}.csv", cfg_hash, dirs, designed,
+    for name, (theta, phi, designed, measured) in sim.patterns.items():
+        write_pattern_csv(out / f"{name}_designed_{tag}.csv", cfg_hash, theta, phi, designed,
                           sim.designed_look)
-        write_pattern_csv(out / f"{name}_measured_{tag}.csv", cfg_hash, dirs, measured,
+        write_pattern_csv(out / f"{name}_measured_{tag}.csv", cfg_hash, theta, phi, measured,
                           sim.measured_look)
     write_json(out / f"simulation_{tag}.json", report)
     print(f"{tag}: pattern_error={sim.pattern_error:.3e}")

@@ -95,13 +95,18 @@ def gaussian_grid(order, radius):
         theta = np.arccos(x)
         nphi = 2 * (order + 1)
         phi = 2 * np.pi * np.arange(nphi) / nphi
-        tt, pp = np.meshgrid(theta, phi, indexing="ij")
-        dirs = np.column_stack([tt.ravel(), pp.ravel()])
+        dirs = _product_dirs(theta, phi)
         weights = np.repeat(wx, nphi) * (np.pi / (order + 1))
     except MemoryError as exc:  # leggauss alone takes (order + 1)^2 floats
         raise ArithmeticError(f"analysis_order: a Gaussian grid of order {order} does not "
                               f"fit in memory") from exc
     return SamplingGrid(order=order, radius=radius, directions=dirs, weights=weights)
+
+
+def _product_dirs(theta, phi):
+    """The (T * P, 2) directions of the theta x phi grid, in meshgrid "ij" order."""
+    tt, pp = np.meshgrid(theta, phi, indexing="ij")
+    return np.column_stack([tt.ravel(), pp.ravel()])
 
 
 def transfer_matrix(geom, grid, k):
@@ -189,6 +194,24 @@ def measured_pattern(pnm, dirs):
     return sphmath.sh_matrix(math.isqrt(pnm.size) - 1, dirs[:, 0], dirs[:, 1]) @ pnm
 
 
+def _product_pattern(pnm, theta, phi):
+    """:func:`measured_pattern` on the theta x phi product grid, (T * P,) in
+    meshgrid "ij" order.
+
+    Y_n^m(theta, phi) = Y_n^m(theta, 0) e^{im phi} for every signed m, so
+    a table of Y_n^m(theta, 0) over the T polar angles and one of
+    e^{im phi} over the P azimuths replace the (T * P, Q) matrix.  The sum
+    runs in another order than the scattered route's, so the two agree to
+    round-off, not bit for bit.
+    """
+    order = math.isqrt(pnm.size) - 1
+    m = np.concatenate([np.arange(-n, n + 1) for n in range(order + 1)])  # m of column q
+    eimphi = np.exp(1j * np.outer(np.arange(-order, order + 1), phi))
+    ytheta = sphmath.sh_matrix(order, theta, 0.0) * pnm
+    # einsum, not @: a first level-3 BLAS call raises the process's peak memory
+    return np.einsum("tq,qp->tp", ytheta, eimphi[m + order]).ravel()
+
+
 def pattern_error(measured, reference, weights):
     """Scale-aligned relative L2 error between two sampled patterns.
 
@@ -225,8 +248,10 @@ class Simulation:
 
     ``patterns`` maps "balloon" (a BALLOON_STEP_DEG theta x phi grid) and
     "cross_section" (the plane theta = 90 deg in 1-degree steps) to
-    (dirs (P, 2) of theta, phi; designed (P,); measured (P,)).  The look
-    values are each pattern's reference for dB.
+    (theta (T,), phi (P,), designed (T * P,), measured (T * P,)): each grid
+    is the product of its T polar and P azimuthal angles, with the values
+    in meshgrid "ij" order (phi varying fastest).  The look values are
+    each pattern's reference for dB.
     """
 
     sim_order: int
@@ -237,16 +262,11 @@ class Simulation:
     patterns: dict
 
 
-def _balloon_dirs():
-    theta = np.deg2rad(np.arange(0.0, 180.0 + BALLOON_STEP_DEG, BALLOON_STEP_DEG))
-    phi = np.deg2rad(np.arange(0.0, 360.0, BALLOON_STEP_DEG))
-    tt, pp = np.meshgrid(theta, phi, indexing="ij")
-    return np.column_stack([tt.ravel(), pp.ravel()])
-
-
-def _cross_section_dirs():
-    phi = np.deg2rad(np.arange(0.0, 360.0, 1.0))
-    return np.column_stack([np.full_like(phi, np.pi / 2), phi])
+def _pattern_grids():
+    """(name, theta, phi) of the balloon and cross-section product grids."""
+    return (("balloon", np.deg2rad(np.arange(0.0, 180.0 + BALLOON_STEP_DEG, BALLOON_STEP_DEG)),
+             np.deg2rad(np.arange(0.0, 360.0, BALLOON_STEP_DEG))),
+            ("cross_section", np.array([np.pi / 2]), np.deg2rad(np.arange(0.0, 360.0, 1.0))))
 
 
 def simulate(geom, d, w, k, look, analysis_order, radius, perturbation=None):
@@ -275,15 +295,16 @@ def simulate(geom, d, w, k, look, analysis_order, radius, perturbation=None):
             raise ArithmeticError("d: the designed pattern is not finite")
         err = pattern_error(measured_pattern(measured_nm, grid.directions), designed,
                             grid.weights)
+        patterns = {}
+        for name, theta, phi in _pattern_grids():
+            gc = great_circle_angle(look, _product_dirs(theta, phi))
+            patterns[name] = (theta, phi, beam_pattern_modal(d, gc),
+                              _product_pattern(measured_nm, theta, phi))
         sim = Simulation(
             sim_order=transfer.sim_order, sim_tail=transfer.sim_tail, pattern_error=err,
             designed_look=beam_pattern_modal(d, 0.0),
-            measured_look=measured_pattern(measured_nm, [look])[0],
-            patterns={name: (dirs, beam_pattern_modal(d, great_circle_angle(look, dirs)),
-                             measured_pattern(measured_nm, dirs))
-                      for name, dirs in (("balloon", _balloon_dirs()),
-                                         ("cross_section", _cross_section_dirs()))})
-    for name, (_, designed, measured) in sim.patterns.items():
+            measured_look=measured_pattern(measured_nm, [look])[0], patterns=patterns)
+    for name, (_, _, designed, measured) in sim.patterns.items():
         for kind, values, look_value in (("designed", designed, sim.designed_look),
                                          ("measured", measured, sim.measured_look)):
             if not (np.all(np.isfinite(values)) and np.isfinite(look_value)):

@@ -1,5 +1,6 @@
 """Pattern CSVs: the block renderer of cli against the per-row ``%`` template
-in oracles, byte for byte, and the files that ``simulate`` writes."""
+in oracles, byte for byte, on the meshgrid rows of theta x phi product
+grids, and the files that ``simulate`` writes."""
 
 import json
 import warnings
@@ -14,9 +15,18 @@ from oracles import pattern_csv, pattern_rows
 from sphbeam import cli, virtualmeas
 
 
-def _assert_rendered(columns):
-    columns = np.asarray(columns, dtype=float)
-    assert cli._pattern_rows(columns).decode() == pattern_rows(columns)
+def _meshgrid_dirs(theta, phi):
+    tt, pp = np.meshgrid(theta, phi, indexing="ij")
+    return np.column_stack([tt.ravel(), pp.ravel()])
+
+
+def _assert_rendered(theta, phi, values):
+    """The angle factors and the (4, T * P) value columns against the
+    template's rows of the full meshgrid."""
+    theta, phi, values = (np.asarray(a, dtype=float) for a in (theta, phi, values))
+    dirs = _meshgrid_dirs(theta, phi)
+    assert cli._pattern_rows(theta, phi, values).decode() == pattern_rows(
+        (dirs[:, 0], dirs[:, 1], *values))
 
 
 def _near_tie(digits, exponent, ulps, negative):
@@ -31,13 +41,21 @@ def _near_tie(digits, exponent, ulps, negative):
 _NEAR_TIES = st.builds(_near_tie, st.integers(0, 10**13 - 1),
                        st.one_of(st.just(-7), st.integers(-50, 50)), st.integers(-3, 3),
                        st.booleans())
+_FLOATS = st.one_of(st.floats(width=64), _NEAR_TIES)
+
+
+@st.composite
+def _grids(draw):
+    """Angle factors of 0 to 4 values each and their (4, T * P) value columns."""
+    theta, phi = (draw(hnp.arrays(np.float64, st.integers(0, 4), elements=_FLOATS))
+                  for _ in range(2))
+    return theta, phi, draw(hnp.arrays(np.float64, (4, theta.size * phi.size), elements=_FLOATS))
 
 
 @settings(max_examples=300, deadline=None)
-@given(hnp.arrays(np.float64, st.tuples(st.just(6), st.integers(0, 12)),
-                  elements=st.one_of(st.floats(width=64), _NEAR_TIES)))
-def test_rows_match_the_template(columns):
-    _assert_rendered(columns)
+@given(_grids())
+def test_rows_match_the_template(grid):
+    _assert_rendered(*grid)
 
 
 _POWERS = [x for k in range(-45, 60) for x in (10.0**k, float(np.nextafter(10.0**k, 0)))]
@@ -59,8 +77,24 @@ _FIXED = [
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_fixed_cases_match_the_template(sign):
-    """Each value in every column, so through both formats."""
-    _assert_rendered(np.tile(sign * np.array(_FIXED), (6, 1)))
+    """Each value in every column, so through both formats: as T polar
+    angles with P = 1, and as P azimuths with T = 1."""
+    fixed = sign * np.array(_FIXED)
+    values = np.tile(fixed, (4, 1))
+    _assert_rendered(fixed, fixed[:1], values)
+    _assert_rendered(fixed[:1], fixed, values)
+
+
+@pytest.mark.parametrize("theta, phi", [
+    ([0.0000005, 0.0000015, 359.9999995, 179.9999985], [-0.0, 0.0, 359.9999995]),
+    ([-0.0], [0.0000005, 2.5e-7, 359.9999995, 359.99999949999997, 360.0]),
+    ([90.0, np.inf, -np.inf], [np.nan, 1.0]),
+], ids=["near-ties", "t1-negative-zero", "non-finite"])
+def test_angle_factors_match_the_template(theta, phi):
+    """%.6f near-ties, -0.0 and non-finite values in an angle factor: the
+    words rendered once per factor, or the % fallback, land in every row."""
+    rng = np.random.default_rng(3)
+    _assert_rendered(theta, phi, rng.standard_normal((4, len(theta) * len(phi))))
 
 
 @pytest.mark.parametrize("shift", [-0.5, 0.5])
@@ -69,32 +103,42 @@ def test_rows_do_not_rely_on_the_last_bits_of_log10(monkeypatch, shift):
     [1e12, 1e13), so a log10 off by up to half a decade changes nothing."""
     log10 = np.log10
     rng = np.random.default_rng(7)
-    columns = rng.standard_normal((6, 500)) * 10.0 ** rng.integers(-30, 50, (6, 500))
+    values = rng.standard_normal((4, 500)) * 10.0 ** rng.integers(-30, 50, (4, 500))
+    values = np.hstack([values, np.tile(_FIXED, (4, 1))])
     monkeypatch.setattr(np, "log10", lambda x: log10(x) + shift)
-    _assert_rendered(np.hstack([columns, np.tile(_FIXED, (6, 1))]))
+    _assert_rendered(rng.uniform(0.0, 180.0, values.shape[1]), [90.0], values)
 
 
 def test_rows_across_blocks_match_the_template():
+    """9 x 911 rows: block edges fall inside a run of azimuths."""
     rng = np.random.default_rng(5)
-    rows = 2 * cli._BLOCK_ROWS + 7
-    columns = rng.standard_normal((6, rows)) * 10.0 ** rng.integers(-35, 55, (6, rows))
-    columns[:, ::997] = np.nan
-    _assert_rendered(columns)
+    theta, phi = rng.uniform(0.0, 180.0, 9), rng.uniform(0.0, 360.0, 911)
+    theta[4] = phi[500] = np.nan
+    assert 2 * cli._BLOCK_ROWS < theta.size * phi.size < 3 * cli._BLOCK_ROWS
+    values = rng.standard_normal((4, theta.size * phi.size))
+    values *= 10.0 ** rng.integers(-35, 55, values.shape)
+    values[:, ::997] = np.nan
+    _assert_rendered(theta, phi, values)
 
 
 def test_write_pattern_csv_matches_the_template_without_warnings(tmp_path):
-    """Non-finite values go through Python's %, and no RuntimeWarning is
-    raised outside main's errstate."""
-    dirs = np.deg2rad([[0.0, 0.0], [90.0, 45.0], [180.0, 359.0], [45.0, 90.0], [30.0, 1.0]])
+    """Non-finite values and angles go through Python's %, and no
+    RuntimeWarning is raised outside main's errstate: on a 3 x 2 grid, with
+    P = 1, with T = 1 and with non-finite angles."""
     values = np.array([1 + 2j, complex(np.inf, 0), complex(-np.inf, np.nan),
-                       complex(np.nan, 1), -0.0 - 1e-320j])
+                       complex(np.nan, 1), -0.0 - 1e-320j, 3e-7 + 0j])
     path = tmp_path / "pattern.csv"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        cli.write_pattern_csv(path, "abc", dirs, values, 0.5 + 0.5j)
-        want = pattern_csv("abc", dirs, values, 0.5 + 0.5j)
-    assert path.read_text() == want
-    assert ",inf," in want and ",nan," in want and "-inf" in want
+    for theta_deg, phi_deg in (([0.0, 90.0, 180.0], [45.0, 359.0]),
+                               ([-0.0, 30.0, 45.0, 180.0, 90.0, 1.0], [0.0]),
+                               ([90.0], [-0.0, 1.0, 2.0, 359.9999995, 0.0000005, 180.0]),
+                               ([np.inf, 45.0], [np.nan, 1.0, 2.0])):
+        theta, phi = np.deg2rad(theta_deg), np.deg2rad(phi_deg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cli.write_pattern_csv(path, "abc", theta, phi, values, 0.5 + 0.5j)
+            want = pattern_csv("abc", _meshgrid_dirs(theta, phi), values, 0.5 + 0.5j)
+        assert path.read_text() == want, (theta_deg, phi_deg)
+        assert ",inf," in want and ",nan," in want and "-inf" in want
 
 
 @pytest.mark.parametrize("design, perturb", [
@@ -119,7 +163,8 @@ def test_simulate_writes_the_template_bytes(tmp_path, design, perturb):
     sim = virtualmeas.simulate(geom, d, w, k, cli.parse_look(look), order, radius,
                                cli.parse_perturb(perturb))
     cfg_hash = json.loads((tmp_path / "simulation_400Hz.json").read_text())["config_hash"]
-    for name, (dirs, designed, measured) in sim.patterns.items():
+    for name, (theta, phi, designed, measured) in sim.patterns.items():
+        dirs = _meshgrid_dirs(theta, phi)
         for kind, values, look_value in (("designed", designed, sim.designed_look),
                                          ("measured", measured, sim.measured_look)):
             text = (tmp_path / f"{name}_{kind}_400Hz.csv").read_text()

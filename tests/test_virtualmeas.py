@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from oracles import pressure_field, velocity_coeffs
 
-from sphbeam import sphmath
+from sphbeam import sphmath, virtualmeas
 from sphbeam.design import max_directivity_weights, max_wng_weights
 from sphbeam.radiation import (
     C,
@@ -274,17 +274,39 @@ class TestVirtualMeasure:
         assert (sim.sim_order, sim.sim_tail, sim.pattern_error) == (h.sim_order, h.sim_tail, err)
         assert sim.designed_look == beam_pattern_modal(d, 0.0)
         assert sim.measured_look == measured_pattern(pnm, [LOOK])[0]
-        assert {name: dirs.shape for name, (dirs, _, _) in sim.patterns.items()} == {
-            "balloon": (91 * 180, 2), "cross_section": (360, 2)}
-        for dirs, designed, measured in sim.patterns.values():
+        assert {name: (theta.shape, phi.shape)
+                for name, (theta, phi, _, _) in sim.patterns.items()} == {
+            "balloon": ((91,), (180,)), "cross_section": ((1,), (360,))}
+        for theta, phi, designed, measured in sim.patterns.values():
+            tt, pp = np.meshgrid(theta, phi, indexing="ij")
+            dirs = np.column_stack([tt.ravel(), pp.ravel()])
             assert np.array_equal(designed, beam_pattern_modal(d, great_circle_angle(LOOK, dirs)))
-            assert np.array_equal(measured, measured_pattern(pnm, dirs))
+            # the product route sums in another order than measured_pattern's
+            scattered = measured_pattern(pnm, dirs)
+            assert np.max(np.abs(measured - scattered)) <= 1e-13 * np.max(np.abs(scattered))
 
     def test_kr_sanity(self):
         assert freq_to_k(400.0) * 0.15 == pytest.approx(1.10, abs=0.01)
         assert freq_to_k(400.0) * 0.57 == pytest.approx(4.18, abs=0.05)
         assert freq_to_k(1000.0) * 0.15 == pytest.approx(2.75, abs=0.01)
         assert freq_to_k(1000.0) * 0.57 == pytest.approx(10.45, abs=0.05)
+
+
+class TestProductPattern:
+    @pytest.mark.parametrize("order", range(5))
+    @pytest.mark.parametrize("num_theta", [1, 7])
+    def test_equals_the_scattered_route(self, order, num_theta):
+        """Y_n^m(theta, 0) e^{im phi} over theta x phi equals sh_matrix at
+        every meshgrid direction, poles and the ends of phi included."""
+        rng = np.random.default_rng(10 * order + num_theta)
+        pnm = rng.standard_normal((order + 1) ** 2) + 1j * rng.standard_normal((order + 1) ** 2)
+        theta = (np.array([1.1]) if num_theta == 1
+                 else np.concatenate([[0.0, np.pi], rng.uniform(0.0, np.pi, num_theta - 2)]))
+        phi = np.concatenate([[0.0, 2 * np.pi - 1e-9], rng.uniform(0.0, 2 * np.pi, 9)])
+        pattern = virtualmeas._product_pattern(pnm, theta, phi)
+        want = sphmath.sh_matrix(order, np.repeat(theta, phi.size), np.tile(phi, theta.size)) @ pnm
+        assert pattern.shape == (theta.size * phi.size,)
+        assert np.max(np.abs(pattern - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestPatternError:
