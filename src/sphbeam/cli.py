@@ -7,10 +7,12 @@ writes it, plus a newline; each file kind is one ``%`` template
 (JsonLayout), filled per frequency from the sweep arrays.  Pattern grids
 and cross-sections are CSV with columns theta_deg, phi_deg, re, im, abs,
 db: angles and dB as ``%.6f``, re, im and abs as ``%.12e``, correctly
-rounded as Python's ``%`` rounds them (rendered in numpy blocks by
-write_pattern_csv).  Identical inputs produce bit-identical outputs; every
-file carries the config hash.  An existing output file is overwritten in
-place and cut to length.
+rounded as Python's ``%`` rounds them (rendered and written in numpy
+blocks of rows by write_pattern_csv, so a file is never held whole).
+Identical inputs produce bit-identical outputs; every file carries the
+config hash.  An existing output file is overwritten in place and cut to
+length.  Results are computed and checked before any file is opened, but
+an I/O error can leave a pattern CSV partly written.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -231,24 +233,28 @@ def _l2c(pairs, field: str) -> np.ndarray:
     return arr[:, 0] + 1j * arr[:, 1]
 
 
-def _write(path, data: bytes):
-    """Overwrite the file at path with data, in place, cut to length: the
-    only place an output file is opened.
+def _write(path, chunks):
+    """Overwrite the file at path with the byte strings of chunks, in place,
+    cut to length: the only place an output file is opened.
 
-    The open does not truncate: on ext4, truncating an existing file makes
-    close() start writing it back synchronously, which cost most of a
-    many-file design.  The write is not atomic; a failure part way can leave
-    the new head over the old tail.  An OSError becomes a ValueError naming
-    ``out`` and the path.
+    Each chunk is written as the iterable yields it, so a file need not be
+    held in memory whole.  The open does not truncate: on ext4, truncating
+    an existing file makes close() start writing it back synchronously,
+    which cost most of a many-file design.  The write is not atomic; a
+    failure part way can leave the new head over the old tail.  An OSError
+    becomes a ValueError naming ``out`` and the path.
     """
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
         try:
-            written = os.write(fd, data)
-            while written < len(data):  # a short write
-                written += os.write(fd, data[written:])
-            if os.fstat(fd).st_size > len(data):
-                os.ftruncate(fd, len(data))
+            size = 0
+            for chunk in chunks:
+                written = os.write(fd, chunk)
+                while written < len(chunk):  # a short write
+                    written += os.write(fd, chunk[written:])
+                size += written
+            if os.fstat(fd).st_size > size:
+                os.ftruncate(fd, size)
         finally:
             os.close(fd)
     except OSError as exc:
@@ -270,7 +276,7 @@ def _make_out(out: Path):
 def write_json(path, layout: JsonLayout, row: int = 0):
     """Write one row of a JSON layout to path (a str or Path) through the
     one output writer."""
-    _write(path, (layout.template % tuple(layout.values[row].tolist())).encode())
+    _write(path, ((layout.template % tuple(layout.values[row].tolist())).encode(),))
 
 
 def steered_layout(cfg_hash, f, k, look_deg, near_field_radius, order, coeffs, rows=None):
@@ -378,16 +384,22 @@ def write_pattern_csv(path: Path, cfg_hash: str, theta, phi, values, look_value)
     (virtualmeas.simulate checks both).
 
     Angles and dB are written as ``%.6f`` and re, im and abs as ``%.12e``,
-    correctly rounded as Python's ``%`` rounds them (_pattern_rows)."""
+    correctly rounded as Python's ``%`` rounds them (_pattern_rows).  The
+    file is written block by block as it is rendered, so an I/O error can
+    leave it partly written."""
     scale = abs(look_value)
+
+    def columns(start, stop):
+        block = values[start:stop]
+        mags = np.abs(block)
+        return np.array([block.real, block.imag, mags,
+                         20.0 * np.log10(np.maximum(mags, 1e-300) / scale)])
+
     header = (f"# config_hash: {cfg_hash}\n"
               "# units: theta_deg, phi_deg [degrees]; re, im, abs [pattern units]; "
               "db [20*log10(|B|/|B(look)|)]\n"
               "theta_deg,phi_deg,re,im,abs,db\n")
-    mags = np.abs(values)
-    dbs = 20.0 * np.log10(np.maximum(mags, 1e-300) / scale)
-    _write(path, header.encode() + _pattern_rows(np.rad2deg(theta), np.rad2deg(phi),
-                                                 np.array([values.real, values.imag, mags, dbs])))
+    _write(path, _pattern_rows(header.encode(), np.rad2deg(theta), np.rad2deg(phi), columns))
 
 
 _PATTERN_FORMATS = ("%.6f", "%.6f", "%.12e", "%.12e", "%.12e", "%.6f")
@@ -395,11 +407,13 @@ _BLOCK_ROWS = 4096  # rows rendered at a time: a word grid of about 0.5 MB
 _TIE_MARGIN = 2.0**-51  # relative: twice the error of a value scaled with two roundings
 
 
-def _pattern_rows(theta_deg, phi_deg, values) -> bytes:
-    """The rows of a pattern on the theta x phi product grid, in meshgrid
-    "ij" order, as the lines ``"%.6f,%.6f,%.12e,%.12e,%.12e,%.6f\\n" % row``
-    writes them, byte for byte; ``values`` is the (4, T * P) float array of
-    the re, im, abs and dB columns.
+def _pattern_rows(header: bytes, theta_deg, phi_deg, columns):
+    """Yield header, then the rows of a pattern on the theta x phi product
+    grid, in meshgrid "ij" order, as the lines
+    ``"%.6f,%.6f,%.12e,%.12e,%.12e,%.6f\\n" % row`` writes them, byte for
+    byte, one block of up to _BLOCK_ROWS rows at a time.  ``columns(start,
+    stop)`` gives the (4, stop - start) float array of the re, im, abs and
+    dB columns of rows start to stop, so only one block's values are held.
 
     Each block of rows is a uint32 word grid, each column a fixed run of
     words: digits come four at a time from a table of ASCII words, and a
@@ -414,8 +428,10 @@ def _pattern_rows(theta_deg, phi_deg, values) -> bytes:
     for degs in (theta_deg, phi_deg):
         words = np.zeros((degs.size, 4), dtype=np.uint32)
         angles.append((degs, words, _fixed_words(degs, words, 0)))
-    return b"".join(_pattern_block(angles, start, values[:, start:start + _BLOCK_ROWS])
-                    for start in range(0, values.shape[1], _BLOCK_ROWS))
+    yield header
+    rows = theta_deg.size * phi_deg.size
+    for start in range(0, rows, _BLOCK_ROWS):
+        yield _pattern_block(angles, start, columns(start, min(start + _BLOCK_ROWS, rows)))
 
 
 def _pattern_block(angles, start, values) -> bytes:
@@ -450,10 +466,13 @@ def _digit_words() -> np.ndarray:
     """ASCII words as uint32s: entry i < 10 000 is i as four digits, entry
     10 000 + i the same with its leading zeros as 0 bytes (the last digit
     kept).  Built on first use, so importing the CLI does not pay for it."""
-    n = np.arange(10000)[:, None]
-    digits = n // [1000, 100, 10, 1] % 10 + ord("0")
-    stripped = np.where(n >= [1000, 100, 10, 0], digits, 0)
-    table = np.concatenate([digits, stripped]).astype(np.uint8).view(np.uint32).ravel()
+    ascii_digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    # row i holds the four digits of i: the first meshgrid axis varies slowest
+    digits = np.stack(np.meshgrid(*[ascii_digits] * 4, indexing="ij"), axis=-1).reshape(-1, 4)
+    leading = np.logical_and.accumulate(digits[:, :3] == ord("0"), axis=1)
+    stripped = digits.copy()
+    stripped[:, :3] *= ~leading
+    table = np.concatenate([digits, stripped]).view(np.uint32).ravel()
     table.flags.writeable = False
     return table
 
@@ -729,7 +748,7 @@ def cmd_metrics(weights_file, geometry, out, fmt):
         keys = sorted(doc)
         lines = [f"# config_hash: {cfg_hash}", ",".join(keys),
                  ",".join("" if doc[k] is None else f"{doc[k]:.12g}" for k in keys)]
-        write = partial(_write, path, ("\n".join(lines) + "\n").encode())
+        write = partial(_write, path, (("\n".join(lines) + "\n").encode(),))
     _make_out(out)
     write()
     print(f"Q={rep.q:.6g} DI={rep.di_db:.4f} dB WNG={rep.wng:.6g}")

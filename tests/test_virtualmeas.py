@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import pressure_field, velocity_coeffs
+from oracles import pressure_field, sh_index, velocity_coeffs
 
 from sphbeam import sphmath, virtualmeas
 from sphbeam.design import max_directivity_weights, max_wng_weights
@@ -61,11 +61,11 @@ class TestDiscreteSft:
 
     def test_single_harmonic(self):
         samples = sphmath.sh_matrix(2, self.grid.directions[:, 0], self.grid.directions[:, 1])[
-            :, sphmath.sh_index(2, 1)
+            :, sh_index(2, 1)
         ]
         coeffs = discrete_sft(samples, self.grid, 2)
         expected = np.zeros(9)
-        expected[sphmath.sh_index(2, 1)] = 1.0
+        expected[sh_index(2, 1)] = 1.0
         assert np.max(np.abs(coeffs - expected)) < 1e-10
 
     def test_constant_function(self):
