@@ -10,9 +10,13 @@ db: angles and dB as ``%.6f``, re, im and abs as ``%.12e``, correctly
 rounded as Python's ``%`` rounds them (rendered and written in numpy
 blocks of rows by write_pattern_csv, so a file is never held whole).
 Identical inputs produce bit-identical outputs; every file carries the
-config hash.  An existing output file is overwritten in place and cut to
-length.  Results are computed and checked before any file is opened, but
-an I/O error can leave a pattern CSV partly written.
+config hash: the first 16 hex digits of the SHA-256 of the command's config,
+as ``json.dumps(cfg, sort_keys=True)`` writes it, computed with CPython's
+built-in SHA-256 so that the CLI does not load OpenSSL (``simulate
+--perturb`` still does, through numpy.random).  An existing output file is
+overwritten in place and cut to length.  Results are computed and checked
+before any file is opened, but an I/O error can leave a pattern CSV partly
+written.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -20,7 +24,6 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import reprlib
@@ -35,6 +38,15 @@ from . import metrics as metricsmod
 from . import synthesis, virtualmeas
 from .radiation import ArrayGeometry, C, RHO0, dodecahedron
 
+# hashlib maps OpenSSL's libcrypto; CPython's own SHA-256 does not
+try:
+    from _sha2 import sha256  # Python >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256  # an interpreter built without them
+
 DEFAULT_R0 = 0.15
 DEFAULT_ALPHA = 0.3
 
@@ -44,7 +56,8 @@ DEFAULT_ALPHA = 0.3
 
 
 def _config_hash(cfg: dict) -> str:
-    return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:16]
+    """The first 16 hex digits of the SHA-256 of json.dumps(cfg, sort_keys=True)."""
+    return sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:16]
 
 
 def _number(value, field: str) -> float:

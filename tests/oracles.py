@@ -6,6 +6,9 @@ integral or the forward transform.  scipy is a test dependency only; the
 library computes its special functions in numpy alone.
 """
 
+import hashlib
+import json
+
 import numpy as np
 import scipy.special as sp
 
@@ -173,3 +176,9 @@ def pattern_csv(cfg_hash, dirs_rad, values, look_value):
             "db [20*log10(|B|/|B(look)|)]\n"
             "theta_deg,phi_deg,re,im,abs,db\n"
             + pattern_rows((degs[:, 0], degs[:, 1], values.real, values.imag, mags, dbs)))
+
+
+def config_hash(cfg):
+    """The 16-hex config_hash of a command's config, by hashlib's (OpenSSL's)
+    SHA-256 of the config as json.dumps(cfg, sort_keys=True) writes it."""
+    return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:16]

@@ -1,3 +1,4 @@
+import importlib.util
 import io
 import json
 import math
@@ -16,8 +17,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from oracles import config_hash
 
-from sphbeam import synthesis
+from sphbeam import cli, synthesis
 from sphbeam.cli import JsonLayout, main, write_json
 from sphbeam.radiation import dodecahedron
 
@@ -346,6 +348,68 @@ def test_cli_import_leaves_out_click():
     result = _python("-c", "import sys, sphbeam.cli; print('click' in sys.modules)")
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+@pytest.mark.skipif(not any(map(importlib.util.find_spec, ("_sha2", "_sha256"))),
+                    reason="this interpreter has no built-in SHA-256, so hashlib is the fallback")
+def test_cli_runs_without_openssl(tmp_path):
+    # hashlib's _hashlib maps OpenSSL's libcrypto, and numpy.random maps it too
+    # (through secrets and hmac); a design and an unperturbed simulate need neither
+    out = str(tmp_path)
+    script = f"""
+import sys
+from sphbeam.cli import main
+main(["design", "--method", "max-wng", "--order", "2", "--freq", "400,1000", "--look", "90,0",
+      "--out", {out!r}], standalone_mode=False)
+main(["simulate", {out!r} + "/modal_weights_400Hz.json", {out!r} + "/unit_weights_400Hz.json",
+      "--look", "90,0", "--out", {out!r}], standalone_mode=False)
+print(sorted({{"_hashlib", "numpy.random"}} & set(sys.modules)))
+"""
+    result = _python("-c", script)
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "balloon_measured_400Hz.csv").exists()
+    assert result.stdout.splitlines()[-1] == "[]"
+
+
+def test_config_hash_matches_hashlib_oracle(runner, monkeypatch, tmp_path):
+    """cli._config_hash gives hashlib's digest on the config of each of the six
+    commands, and every written file carries the digest of its config."""
+    hash_config, configs = cli._config_hash, []
+    monkeypatch.setattr(cli, "_config_hash", lambda cfg: configs.append(cfg) or hash_config(cfg))
+    geom = tmp_path / "geom.json"
+    geom.write_text(json.dumps({"r0": 0.15, "alpha": 0.3, "caps_deg": _CAPS_DEG}))
+    out, restee = tmp_path / "out", tmp_path / "restee"
+    modal, unit = out / "modal_weights_400Hz.json", out / "unit_weights_400Hz.json"
+    for args in (
+        ["design", "--method", "max-wng", "--order", "2", "--freq", "400,1000", "--look", "90,0",
+         "--geometry", str(geom), "--out", str(out)],
+        ["design", "--method", "dolph-chebyshev", "--order", "2", "--freq", "700",
+         "--sidelobe", "20", "--near-field", "--out", str(out)],
+        ["steer", str(modal), "--look", "45,120", "--near-field", "--out", str(restee)],
+        ["synthesize", str(restee / "steered_weights_400Hz.json"), "--out", str(restee)],
+        ["metrics", str(modal), "--out", str(out)],
+        ["metrics", str(modal), "--format", "csv", "--out", str(out)],
+        ["grid", "--analysis-order", "4", "--radius", "0.57", "--out", str(out)],
+        ["simulate", str(modal), str(unit), "--look", "90,0", "--out", str(out)],
+        ["simulate", str(modal), str(unit), "--look", "90,0", "--analysis-order", "6",
+         "--perturb", "gain_db=0.5,phase_deg=2,noise=1e-4,seed=1", "--out", str(out)],
+    ):
+        result = runner.invoke(main, args, catch_exceptions=False)
+        assert result.exit_code == 0, result.output
+    assert {cfg["command"] for cfg in configs} == {
+        "design", "steer", "synthesize", "metrics", "grid", "simulate"}
+    assert any("caps_deg" in cfg["geometry"] for cfg in configs if "geometry" in cfg)
+    assert any(cfg.get("perturb", {}).get("noise") for cfg in configs)
+    for cfg in configs:
+        assert hash_config(cfg) == config_hash(cfg), cfg
+    expected = {config_hash(cfg) for cfg in configs}
+    files = [*out.iterdir(), *restee.iterdir()]
+    assert len(files) > 20
+    for path in files:
+        text = path.read_text()
+        written = (json.loads(text)["config_hash"] if path.suffix == ".json"
+                   else text.partition("\n")[0].removeprefix("# config_hash: "))
+        assert written in expected, path.name
 
 
 @pytest.mark.parametrize("command, options", [

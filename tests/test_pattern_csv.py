@@ -16,6 +16,25 @@ from oracles import pattern_csv, pattern_rows
 from sphbeam import cli, virtualmeas
 
 
+def _assert_same_text(got, want, *context):
+    """got == want.  A mismatch is reported by the two lengths, the first
+    differing line's number and both lines: pytest's own diff of two
+    multi-megabyte texts can run for minutes."""
+    __tracebackhide__ = True
+    if got == want:
+        return
+    got_lines, want_lines = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    i = next((i for i, pair in enumerate(zip(got_lines, want_lines)) if pair[0] != pair[1]),
+             min(len(got_lines), len(want_lines)))
+
+    def line(lines):
+        return repr(lines[i]) if i < len(lines) else "<no such line>"
+
+    pytest.fail(f"texts differ{''.join(f' {c!r}' for c in context)}: lengths {len(got)} and "
+                f"{len(want)}; first at line {i + 1}:\n  got:  {line(got_lines)}\n"
+                f"  want: {line(want_lines)}")
+
+
 def _meshgrid_dirs(theta, phi):
     tt, pp = np.meshgrid(theta, phi, indexing="ij")
     return np.column_stack([tt.ravel(), pp.ravel()])
@@ -27,7 +46,21 @@ def _assert_rendered(theta, phi, values):
     theta, phi, values = (np.asarray(a, dtype=float) for a in (theta, phi, values))
     dirs = _meshgrid_dirs(theta, phi)
     blocks = cli._pattern_rows(b"", theta, phi, lambda start, stop: values[:, start:stop])
-    assert b"".join(blocks).decode() == pattern_rows((dirs[:, 0], dirs[:, 1], *values))
+    _assert_same_text(b"".join(blocks).decode(), pattern_rows((dirs[:, 0], dirs[:, 1], *values)))
+
+
+@pytest.mark.parametrize("got, want, line", [
+    ("a\nb\nc\n", "a\nB\nc\n", "line 2:\n  got:  'b\\n'\n  want: 'B\\n'"),
+    ("a\nb\n", "a\nb", "line 2:\n  got:  'b\\n'\n  want: 'b'"),
+    ("a\n", "a\nb\n", "line 2:\n  got:  <no such line>\n  want: 'b\\n'"),
+], ids=["changed", "newline", "shorter"])
+def test_assert_same_text_names_the_first_differing_line(got, want, line):
+    with pytest.raises(pytest.fail.Exception) as info:
+        _assert_same_text(got, want, "ctx")
+    message = str(info.value)
+    assert f"texts differ 'ctx': lengths {len(got)} and {len(want)}; first at " in message
+    assert message.endswith(line)
+    _assert_same_text(got, got)
 
 
 def _near_tie(digits, exponent, ulps, negative):
@@ -138,7 +171,7 @@ def test_write_pattern_csv_matches_the_template_without_warnings(tmp_path):
             warnings.simplefilter("error")
             cli.write_pattern_csv(path, "abc", theta, phi, values, 0.5 + 0.5j)
             want = pattern_csv("abc", _meshgrid_dirs(theta, phi), values, 0.5 + 0.5j)
-        assert path.read_text() == want, (theta_deg, phi_deg)
+        _assert_same_text(path.read_text(), want, theta_deg, phi_deg)
         assert ",inf," in want and ",nan," in want and "-inf" in want
 
 
@@ -160,7 +193,7 @@ def test_write_pattern_csv_overwrites_in_place(tmp_path, extra):
     path = tmp_path / "pattern.csv"
     path.write_text("x" * (len(want) + extra))
     cli.write_pattern_csv(path, "abc", theta, phi, values, 0.5j)
-    assert path.read_text() == want
+    _assert_same_text(path.read_text(), want)
 
 
 def test_write_pattern_csv_memory_is_one_block(tmp_path):
@@ -208,4 +241,4 @@ def test_simulate_writes_the_template_bytes(tmp_path, design, perturb):
         for kind, values, look_value in (("designed", designed, sim.designed_look),
                                          ("measured", measured, sim.measured_look)):
             text = (tmp_path / f"{name}_{kind}_400Hz.csv").read_text()
-            assert text == pattern_csv(cfg_hash, dirs, values, look_value), (name, kind)
+            _assert_same_text(text, pattern_csv(cfg_hash, dirs, values, look_value), name, kind)
