@@ -642,15 +642,21 @@ def main(argv=None, standalone_mode=True) -> int:
     return 0
 
 
-def _caps_deg(call, *args):
-    """call(*args), with a rank-deficient cap layout named by the geometry's
-    field caps_deg rather than the library's cap_dirs."""
+# library ArrayGeometry field -> the geometry spec's field that sets it
+_GEOMETRY_FIELDS = {"cap_dirs": "geometry.caps_deg", "alpha": "geometry.alpha"}
+
+
+def _geometry_field(call, *args):
+    """call(*args), with a numerical failure of the geometry (a rank-deficient
+    cap layout, a vanishing cap gain) named by the geometry's field rather
+    than the library's."""
     try:
         return call(*args)
     except ArithmeticError as exc:
-        if not str(exc).startswith("cap_dirs: "):
+        field, _, rest = str(exc).partition(": ")
+        if field not in _GEOMETRY_FIELDS:
             raise
-        raise ArithmeticError(str(exc).replace("cap_dirs", "geometry.caps_deg", 1)) from exc
+        raise ArithmeticError(f"{_GEOMETRY_FIELDS[field]}: {rest}") from exc
 
 
 @_command("design", _GEOMETRY,
@@ -676,7 +682,7 @@ def cmd_design(geometry, method, order, freq, look, sidelobe, near_field, radius
     nf_radius = radius if near_field else None
     fs = np.asarray(freqs)
     ks = 2 * np.pi * fs / C
-    sw = _caps_deg(designs.sweep, geom, method, order, ks, look_rad, sidelobe, nf_radius)
+    sw = _geometry_field(designs.sweep, geom, method, order, ks, look_rad, sidelobe, nf_radius)
     rows = len(freqs)
     layouts = (
         JsonLayout("modal_weights", cfg_hash, {
@@ -731,7 +737,7 @@ def cmd_synthesize(steered_file, geometry, out):
     """Compute per-loudspeaker weights from steered coefficients."""
     geom, geom_doc = load_geometry(geometry)
     w_nm, order, f, source = read_steered(steered_file)
-    w = synthesis.unit_weights(w_nm, _caps_deg(synthesis.build_transform, geom, order))
+    w = synthesis.unit_weights(w_nm, _geometry_field(synthesis.build_transform, geom, order))
     cfg = {"command": "synthesize", "geometry": geom_doc, "source": source}
     layout = unit_layout(_config_hash(cfg), f, w)
     _make_out(out)

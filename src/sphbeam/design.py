@@ -64,12 +64,12 @@ def dolph_chebyshev_weights(order, sidelobe_db):
         raise ValueError("order: Dolph-Chebyshev design requires order >= 1")
     if not 0 < sidelobe_db < np.inf:
         raise ValueError("sidelobe level must be a finite positive number of dB")
-    nodes, qw = np.polynomial.legendre.leggauss(4 * order + 8)
+    nodes, qw = sphmath.leggauss(4 * order + 8)
     # a level near float range overflows R, T_2N or B(0) to inf, and the residual to NaN
     with np.errstate(over="ignore", invalid="ignore"):
         ratio = np.float64(10.0) ** (sidelobe_db / 20.0)
         x0 = np.cosh(np.arccosh(ratio) / (2 * order))
-        target = np.polynomial.Chebyshev.basis(2 * order)(x0 * np.sqrt((1.0 + nodes) / 2.0))
+        target = sphmath.chebyshev_t(2 * order, x0 * np.sqrt((1.0 + nodes) / 2.0))
         n = np.arange(order + 1)
         p, _ = sphmath.legendre(n, nodes)
         d = 2.0 * np.pi * p.T @ (qw * target)

@@ -173,4 +173,4 @@ def beam_pattern_modal(d, theta_gc):
     """
     d = np.asarray(d, dtype=complex)
     x = np.cos(np.asarray(theta_gc, dtype=float))
-    return np.polynomial.legendre.legval(x, d * (2 * np.arange(d.size) + 1) / (4 * np.pi))
+    return sphmath.legval(x, d * (2 * np.arange(d.size) + 1) / (4 * np.pi))

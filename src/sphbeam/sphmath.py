@@ -1,12 +1,16 @@
 """Spherical-harmonic math kernels, in numpy alone.
 
-Legendre polynomials with their derivatives, orthonormal complex
-spherical harmonics (Condon-Shortley phase), the spherical Hankel
-function of the first kind with its derivative, and the number of
-coefficients (N+1)^2 packed as q = n^2 + n + m.
+Legendre polynomials with their derivatives, Legendre series,
+Gauss-Legendre quadrature, Chebyshev polynomials T_n, orthonormal
+complex spherical harmonics (Condon-Shortley phase), the spherical
+Hankel function of the first kind with its derivative, and the number
+of coefficients (N+1)^2 packed as q = n^2 + n + m.
 
-P_n and P'_n are one table from numpy.polynomial.legendre.  Two
-recurrences carry the other special functions:
+The Legendre and Chebyshev kernels repeat the arithmetic of numpy's
+legvander and legder, legval, leggauss and chebval operation for
+operation, so their results are bit-identical to numpy's without
+importing its polynomial package.  Two recurrences carry the other
+special functions:
 
 - Y_n^m: the fully normalised associated-Legendre recurrence of
   S. A. Holmes and W. E. Featherstone, J. Geodesy 76 (2002) 279-299,
@@ -20,6 +24,9 @@ import numpy as np
 __all__ = [
     "num_coeffs",
     "legendre",
+    "legval",
+    "leggauss",
+    "chebyshev_t",
     "sh_matrix",
     "sph_hankel1",
 ]
@@ -34,8 +41,11 @@ def legendre(n, x):
     """Legendre polynomial P_n(x) and its derivative P'_n(x).
 
     Returns (value, derivative), broadcast over integer n >= 0 and x in
-    [-1, 1] with shape x.shape + n.shape.  One legvander table holds
-    P_0..P_max(n); legder maps it to the derivatives.
+    [-1, 1] with shape x.shape + n.shape.  One table from legvander's
+    recurrence holds P_0..P_max(n); a matrix whose column j holds P'_j
+    in the basis P_0, P_1, ... (legder's result, in closed form: entry
+    (i, j) is 2i+1 where j - i is odd and positive) maps it to the
+    derivatives.
     """
     n = np.asarray(n)
     if not np.issubdtype(n.dtype, np.integer) or np.any(n < 0):
@@ -43,11 +53,76 @@ def legendre(n, x):
     x = np.asarray(x, dtype=float)
     if np.any(np.abs(x) > 1.0):
         raise ValueError("argument of legendre must lie in [-1, 1]")
-    leg = np.polynomial.legendre
-    p = leg.legvander(x, int(np.max(n, initial=0))).reshape(x.shape + (-1,))
-    to_der = leg.legder(np.eye(p.shape[-1]))  # column j: P'_j in P_0, P_1, ...
+    deg = int(np.max(n, initial=0))
+    xv = np.atleast_1d(x) + 0.0  # as in legvander: -0.0 becomes 0.0
+    v = np.empty((deg + 1,) + xv.shape)
+    v[0] = xv * 0 + 1
+    if deg > 0:
+        v[1] = xv
+        for i in range(2, deg + 1):
+            v[i] = (v[i - 1] * xv * (2 * i - 1) - v[i - 2] * (i - 1)) / i
+    p = np.moveaxis(v, 0, -1).reshape(x.shape + (-1,))
+    i, j = np.ogrid[: max(deg, 1), : deg + 1]
+    to_der = (2 * i + 1.0) * ((j > i) & ((j - i) % 2 == 1))
     dp = p[..., : to_der.shape[0]] @ to_der
     return p[..., n], dp[..., n]
+
+
+def legval(x, c):
+    """The Legendre series sum_n c_n P_n(x), by numpy legval's Clenshaw pass.
+
+    An ndarray x gets one trailing axis of c per axis of its own, so the
+    result has shape c.shape[1:] + x.shape.
+    """
+    c = np.asarray(c)
+    if isinstance(x, np.ndarray):
+        c = c.reshape(c.shape + (1,) * x.ndim)
+    c0, c1 = (c[0], 0) if len(c) == 1 else (c[-2], c[-1])
+    for nd in range(len(c) - 1, 1, -1):
+        c0, c1 = c[nd - 2] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
+def leggauss(deg):
+    """Gauss-Legendre nodes x and weights w of degree ``deg`` >= 1, as
+    numpy's leggauss forms them: the eigenvalues of legcompanion's
+    symmetric tridiagonal matrix, one Newton step, weights from the
+    max-scaled P_deg' and P_{deg-1}, symmetrised and scaled to sum to 2."""
+    if deg < 1:
+        raise ValueError("deg must be a positive integer")
+    c = np.zeros(deg + 1)
+    c[-1] = 1.0
+    if deg == 1:
+        m = np.array([[-0.0]])  # legcompanion's 1 x 1 branch: -c[0] / c[1]
+    else:  # legcompanion also subtracts c[:-1] / c[-1] * ... = 0.0 from the last column
+        scl = 1.0 / np.sqrt(2 * np.arange(deg) + 1)
+        m = np.zeros((deg, deg))
+        m.flat[1 :: deg + 1] = m.flat[deg :: deg + 1] = np.arange(1, deg) * scl[:-1] * scl[1:]
+    x = np.linalg.eigvalsh(m)
+    j = np.arange(deg)
+    dy = legval(x, c)
+    df = legval(x, (2 * j + 1.0) * ((deg - j) % 2))  # P_deg' in P_0..P_{deg-1}
+    x -= dy / df
+    fm = legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
+    return x, w
+
+
+def chebyshev_t(n, x):
+    """Chebyshev polynomial T_n(x), n >= 0, of float x, as numpy's
+    Chebyshev.basis(n)(x) evaluates it: the domain map 0.0 + 1.0 * x,
+    then chebval's Clenshaw pass on the basis vector."""
+    x = 0.0 + 1.0 * np.asarray(x, dtype=float)
+    x2 = 2 * x
+    c0, c1 = (1.0, 0) if n == 0 else (0.0, 1.0)
+    for _ in range(n - 1):
+        c0, c1 = 0.0 - c1, c0 + c1 * x2
+    return c0 + c1 * x
 
 
 def sh_matrix(order, theta, phi):

@@ -91,7 +91,7 @@ def gaussian_grid(order, radius):
     if order < 0 or not 0 < radius < np.inf:
         raise ValueError("order must be >= 0 and radius finite and positive")
     try:
-        x, wx = np.polynomial.legendre.leggauss(order + 1)
+        x, wx = sphmath.leggauss(order + 1)
         theta = np.arccos(x)
         nphi = 2 * (order + 1)
         phi = 2 * np.pi * np.arange(nphi) / nphi

@@ -40,6 +40,32 @@ def sph_bessel_j(n, x):
     return sp.spherical_jn(n, x), sp.spherical_jn(n, x, derivative=True)
 
 
+def legendre_numpy(n, x):
+    """sphmath.legendre through numpy.polynomial: one legvander table, and
+    legder applied to the identity for the derivatives."""
+    n, x = np.asarray(n), np.asarray(x, dtype=float)
+    leg = np.polynomial.legendre
+    p = leg.legvander(x, int(np.max(n, initial=0))).reshape(x.shape + (-1,))
+    to_der = leg.legder(np.eye(p.shape[-1]))  # column j: P'_j in P_0, P_1, ...
+    dp = p[..., : to_der.shape[0]] @ to_der
+    return p[..., n], dp[..., n]
+
+
+def chebyshev_t_numpy(n, x):
+    """sphmath.chebyshev_t through numpy.polynomial's Chebyshev class."""
+    return np.polynomial.Chebyshev.basis(n)(x)
+
+
+# the sphmath kernels that repeat numpy.polynomial's arithmetic, by name, and
+# the numpy.polynomial route each must equal bit for bit
+NUMPY_KERNELS = {
+    "legendre": legendre_numpy,
+    "legval": np.polynomial.legendre.legval,
+    "leggauss": np.polynomial.legendre.leggauss,
+    "chebyshev_t": chebyshev_t_numpy,
+}
+
+
 def hypercardioid_pattern(order, theta_gc):
     """Closed-form maximum-directivity pattern.
 

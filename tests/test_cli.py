@@ -17,9 +17,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from oracles import config_hash
+from oracles import NUMPY_KERNELS, config_hash
 
-from sphbeam import cli, synthesis
+from sphbeam import cli, sphmath, synthesis
 from sphbeam.cli import JsonLayout, main, write_json
 from sphbeam.radiation import dodecahedron
 
@@ -196,6 +196,27 @@ class TestDesign:
             json.loads(written.read_text(), parse_constant=_reject_constant)
         assert json.loads((out / "metrics_400Hz.json").read_text())["unit_weight_norm"] > 0
 
+    @pytest.mark.parametrize("command", ["design", "synthesize"])
+    @pytest.mark.parametrize("alpha, code", [("1e-300", 3), ("1e-170", 3), ("1e-3", 0)])
+    def test_vanishing_cap_gain_exits_3_naming_alpha(self, runner, tmp_path, command, alpha,
+                                                      code):
+        # at 1e-170 and below sin(alpha)^2 underflows, so g_n is 0 and G^{-1} w_nm not finite
+        _design(runner, tmp_path)
+        args = {"design": ["design", "--method", "max-wng", "--order", "2", "--freq", "400"],
+                "synthesize": ["synthesize", str(tmp_path / "steered_weights_400Hz.json")]}
+        out = tmp_path / "out"
+        result = runner.invoke(main, [*args[command], "--geometry", f"dodecahedron:alpha={alpha}",
+                                      "--out", str(out)])
+        assert result.exit_code == code, result.output
+        if code:
+            lines = result.stderr.strip().splitlines()
+            assert len(lines) == 1 and "numerical failure: geometry.alpha: " in lines[0], lines
+            assert not out.exists()
+        else:
+            unit = json.loads((out / "unit_weights_400Hz.json").read_text(),
+                              parse_constant=_reject_constant)
+            assert len(unit["w"]) == 12
+
 
 class TestSteerSynthesize:
     def test_steer_then_synthesize(self, runner, tmp_path):
@@ -354,21 +375,78 @@ def test_cli_import_leaves_out_click():
                     reason="this interpreter has no built-in SHA-256, so hashlib is the fallback")
 def test_cli_runs_without_openssl(tmp_path):
     # hashlib's _hashlib maps OpenSSL's libcrypto, and numpy.random maps it too
-    # (through secrets and hmac); a design and an unperturbed simulate need neither
+    # (through secrets and hmac); numpy.polynomial is a lazy import that sphmath's
+    # own Legendre and Chebyshev kernels replace.  A design, synthesize, grid and
+    # an unperturbed simulate need none of them.
     out = str(tmp_path)
     script = f"""
 import sys
 from sphbeam.cli import main
 main(["design", "--method", "max-wng", "--order", "2", "--freq", "400,1000", "--look", "90,0",
       "--out", {out!r}], standalone_mode=False)
+main(["design", "--method", "dolph-chebyshev", "--sidelobe", "25", "--order", "2",
+      "--freq", "700", "--out", {out!r} + "/dc"], standalone_mode=False)
+main(["synthesize", {out!r} + "/steered_weights_400Hz.json", "--out", {out!r} + "/syn"],
+     standalone_mode=False)
+main(["grid", "--analysis-order", "10", "--radius", "0.57", "--out", {out!r}],
+     standalone_mode=False)
 main(["simulate", {out!r} + "/modal_weights_400Hz.json", {out!r} + "/unit_weights_400Hz.json",
       "--look", "90,0", "--out", {out!r}], standalone_mode=False)
-print(sorted({{"_hashlib", "numpy.random"}} & set(sys.modules)))
+print(sorted({{"_hashlib", "numpy.random", "numpy.polynomial"}} & set(sys.modules)))
 """
     result = _python("-c", script)
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "balloon_measured_400Hz.csv").exists()
+    assert (tmp_path / "dc" / "modal_weights_700Hz.json").exists()
+    assert (tmp_path / "syn" / "unit_weights_400Hz.json").exists()
     assert result.stdout.splitlines()[-1] == "[]"
+
+
+def _kernel_chain(runner, out):
+    """design for every method, far and near field, at N = 1 and 2; grid at
+    N_a = 0 and 10; simulate at N_a = 10 and 16: every run writes under out."""
+    for method, extra in (("max-di", []), ("max-wng", []),
+                          ("dolph-chebyshev", ["--sidelobe", "25"])):
+        for order in ("1", "2"):
+            for field in ([], ["--near-field", "--radius", "0.57"]):
+                args = ["design", "--method", method, "--order", order, "--freq", "400,1000",
+                        "--look", "60,30", *extra, *field,
+                        "--out", str(out / f"{method}-{order}-{len(field)}")]
+                assert runner.invoke(main, args, catch_exceptions=False).exit_code == 0
+    design = out / "max-wng-2-3"
+    runs = [["grid", "--analysis-order", a, "--radius", "0.57", "--out", str(out / f"grid{a}")]
+            for a in ("0", "10")]
+    runs += [["simulate", str(design / "modal_weights_400Hz.json"),
+              str(design / "unit_weights_400Hz.json"), "--look", "60,30", "--analysis-order", a,
+              "--out", str(out / f"sim{a}")] for a in ("10", "16")]
+    for args in runs:
+        assert runner.invoke(main, args, catch_exceptions=False).exit_code == 0
+
+
+def test_kernels_write_the_bytes_of_numpy_polynomial(runner, monkeypatch, tmp_path):
+    """Every output file of the chain is byte-identical with each sphmath
+    Legendre or Chebyshev kernel replaced by its numpy.polynomial route."""
+    _kernel_chain(runner, tmp_path / "shipped")
+    calls = dict.fromkeys(NUMPY_KERNELS, 0)
+
+    def counted(name):
+        def kernel(*args):
+            calls[name] += 1
+            return NUMPY_KERNELS[name](*args)
+        return kernel
+
+    for name in NUMPY_KERNELS:
+        monkeypatch.setattr(sphmath, name, counted(name))
+    _kernel_chain(runner, tmp_path / "numpy")
+    assert all(calls.values()), calls
+    shipped = sorted(p.relative_to(tmp_path / "shipped")
+                     for p in (tmp_path / "shipped").rglob("*") if p.is_file())
+    assert len(shipped) == 12 * 2 * 4 + 2 + 2 * 5  # 4 files per design frequency, 5 per simulate
+    assert shipped == sorted(p.relative_to(tmp_path / "numpy")
+                             for p in (tmp_path / "numpy").rglob("*") if p.is_file())
+    for rel in shipped:
+        got, want = (tmp_path / "shipped" / rel).read_bytes(), (tmp_path / "numpy" / rel).read_bytes()
+        assert got == want, rel
 
 
 def test_config_hash_matches_hashlib_oracle(runner, monkeypatch, tmp_path):

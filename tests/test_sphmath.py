@@ -4,7 +4,7 @@ import scipy.special as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import sh_index, sh_unpack, sph_bessel_j
+from oracles import NUMPY_KERNELS, sh_index, sh_unpack, sph_bessel_j
 
 from sphbeam import sphmath
 
@@ -78,6 +78,74 @@ class TestLegendre:
         for n in (-1, 1.5, np.array([0, -2])):
             with pytest.raises(ValueError, match="order"):
                 sphmath.legendre(n, 0.3)
+
+
+def _assert_bit_identical(got, want):
+    """got equals want bit for bit: the same type, shape, dtype, values and
+    sign bits (so -0.0 differs from 0.0), for real and imaginary parts."""
+    assert type(got) is type(want)
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
+
+
+# scalars, 0-d arrays and nd arrays, with both signed zeros and both ends
+_LEGENDRE_X = [0.0, -0.0, 1.0, -1.0, 0.3, np.asarray(-0.0), np.asarray(0.7),
+               np.linspace(-1.0, 1.0, 41), np.array([[0.1, -0.0], [1.0, -1.0]]),
+               np.cos(np.linspace(0.0, np.pi, 181))]
+
+
+class TestNumpyKernels:
+    """The Legendre and Chebyshev kernels against numpy.polynomial, bit for bit."""
+
+    @pytest.mark.parametrize("x", _LEGENDRE_X, ids=repr)
+    def test_legendre_matches_legvander_and_legder(self, x):
+        for deg in range(60):
+            for n in (deg, np.arange(deg + 1), np.array([[deg, 0]])):
+                got, want = sphmath.legendre(n, x), NUMPY_KERNELS["legendre"](n, x)
+                _assert_bit_identical(got[0], want[0])
+                _assert_bit_identical(got[1], want[1])
+
+    @pytest.mark.parametrize("deg", [*range(1, 40), 127, 256, 401])
+    def test_leggauss(self, deg):
+        # degree 1 takes legcompanion's 1 x 1 branch
+        for got, want in zip(sphmath.leggauss(deg), NUMPY_KERNELS["leggauss"](deg)):
+            _assert_bit_identical(got, want)
+
+    def test_leggauss_rejects_degree_0(self):
+        with pytest.raises(ValueError, match="deg"):
+            sphmath.leggauss(0)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 9, 48])
+    @pytest.mark.parametrize("x", [0.3, -0.0, np.float64(-0.6), np.asarray(0.5),
+                                   np.asarray(-0.0), np.linspace(-1.0, 1.0, 7),
+                                   np.array([[-0.0, 0.2, 1.0], [-1.0, 0.0, 0.9]])], ids=repr)
+    def test_legval(self, size, x):
+        rng = np.random.default_rng(size)
+        c = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        c[rng.random(size) < 0.3] = -0.0  # signed zero terms
+        for coeffs in (c, c.real.copy()):
+            _assert_bit_identical(sphmath.legval(x, coeffs), NUMPY_KERNELS["legval"](x, coeffs))
+
+    @pytest.mark.parametrize("order", range(1, 21))
+    def test_chebyshev_t_on_the_dolph_chebyshev_nodes(self, order):
+        # T_2N at x0 cos(Theta/2) on the Gauss-Legendre nodes, as the design forms it,
+        # and beyond [-1, 1] with both signed zeros
+        nodes, _ = sphmath.leggauss(4 * order + 8)
+        for sidelobe_db in (10.0, 25.0, 60.0):
+            x0 = np.cosh(np.arccosh(10.0 ** (sidelobe_db / 20.0)) / (2 * order))
+            for x in (x0 * np.sqrt((1.0 + nodes) / 2.0), np.linspace(-1.5, 1.5, 31),
+                      np.array([-0.0, 0.0]), -0.0, np.asarray(0.4)):
+                _assert_bit_identical(sphmath.chebyshev_t(2 * order, x),
+                                      NUMPY_KERNELS["chebyshev_t"](2 * order, x))
+
+    def test_chebyshev_t_low_degrees(self):
+        # odd degrees vanish at x = 0, where Clenshaw's signed zeros show
+        x = np.array([-2.0, -1.0, -0.5, -0.0, 0.0, 0.25, 1.0, 2.0])
+        for n in range(8):
+            _assert_bit_identical(sphmath.chebyshev_t(n, x), NUMPY_KERNELS["chebyshev_t"](n, x))
 
 
 def _ynm(n, m, theta, phi):
