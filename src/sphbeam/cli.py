@@ -782,8 +782,8 @@ def cmd_grid(analysis_order, radius, out):
     cfg = {"command": "grid", "analysis_order": analysis_order, "radius_m": radius}
     layout = JsonLayout("sampling_grid", _config_hash(cfg), {
         "analysis_order": analysis_order, "radius_m": radius, "num_points": grid.num_points,
-        "theta_deg": np.rad2deg(grid.directions[:, 0]),
-        "phi_deg": np.rad2deg(grid.directions[:, 1]), "weights_sr": grid.weights,
+        "theta_deg": np.repeat(np.rad2deg(grid.theta), grid.phi.size),
+        "phi_deg": np.tile(np.rad2deg(grid.phi), grid.theta.size), "weights_sr": grid.weights,
     })
     _make_out(out)
     write_json(out / f"grid_N{analysis_order}.json", layout)
@@ -816,7 +816,8 @@ def cmd_simulate(modal_file, unit_file, geometry, analysis_order, radius, look, 
            "look_deg": np.rad2deg(look_rad).tolist(), "perturb": perturbation}
     cfg_hash = _config_hash(cfg)
     tag = f"{f:g}Hz"
-    sim = virtualmeas.simulate(geom, d, w, k, look_rad, analysis_order, radius, perturbation)
+    sim = _geometry_field(virtualmeas.simulate, geom, d, w, k, look_rad, analysis_order, radius,
+                          perturbation)
     report = JsonLayout("simulation_report", cfg_hash, {
         "frequency_hz": f, "analysis_order": analysis_order,
         "radius_m": radius, "sim_order": sim.sim_order,

@@ -133,5 +133,10 @@ def sweep(geom, method, order, k, look, sidelobe_db=None, near_field_radius=None
                         ("unit_weight_norm", norm)):
         ok = np.all(np.isfinite(value).reshape(k.shape + (-1,)), axis=-1)
         if not np.all(ok):
-            raise ArithmeticError(f"{name} is not finite at k = {k[~ok].flat[0]:.6g} 1/m")
+            at = f"is not finite at k = {k[~ok].flat[0]:.6g} 1/m"
+            tiny_gain = np.abs(transform.g_diag).min() ** 2 < np.finfo(float).tiny
+            if name in ("w", "unit_weight_norm") and tiny_gain:
+                raise ArithmeticError(f"alpha: 1/g_n^2 overflows at alpha = {geom.alpha:g} rad, "
+                                      f"so {name} {at}")
+            raise ArithmeticError(f"{name} {at}")
     return Sweep(d=d, w_nm=w_nm, w=w, report=rep, unit_weight_norm=norm)

@@ -152,14 +152,12 @@ def radial_far(n, k, r0):
     return 1j * RHO0 * C * (-1j) ** (n + 1) / (k * dhn0)
 
 
-def great_circle_angle(look, dirs):
-    """Angle Theta between the look direction and each direction in dirs.
+def great_circle_angle(a, b):
+    """Angle Theta between directions a = (t0, p0) and b = (t, p), pairs that broadcast.
 
     cos Theta = cos t0 cos t + cos(p0 - p) sin t0 sin t.
     """
-    t0, p0 = look
-    dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-    t, p = dirs[:, 0], dirs[:, 1]
+    (t0, p0), (t, p) = a, b
     ct = np.cos(t0) * np.cos(t) + np.cos(p0 - p) * np.sin(t0) * np.sin(t)
     return np.arccos(np.clip(ct, -1.0, 1.0))
 

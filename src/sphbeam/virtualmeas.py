@@ -8,6 +8,10 @@ that chain for one design at one frequency.  Near-field compensated
 steering (defined in :mod:`synthesis`, re-exported here) accounts for the
 finite analysis radius.
 
+Every direction set (the Gaussian grid, balloon, cross-section and the look
+as a 1 x 1 grid) is a theta x phi product, with values in meshgrid "ij" order;
+one table pair (:func:`_sh_tables`) serves both SFT analysis and synthesis.
+
 The transfer matrix is evaluated to an order well above the analysis
 order, so the uncontrollable high-order cap harmonics are present in the
 virtual measurement just as they are in a physical one.  Each cap is an
@@ -48,7 +52,7 @@ BALLOON_STEP_DEG = 2.0
 
 @dataclass(frozen=True)
 class SamplingGrid:
-    """Directions and quadrature weights on a sphere of radius r.
+    """A theta x phi product grid on a sphere of radius r, with node weights.
 
     Gaussian scheme: exact integration of spherical-harmonic products up
     to the grid order; sum of weights is 4 pi.
@@ -56,12 +60,13 @@ class SamplingGrid:
 
     order: int
     radius: float
-    directions: np.ndarray  # (M, 2) theta, phi
-    weights: np.ndarray  # (M,)
+    theta: np.ndarray  # (T,) polar angles
+    phi: np.ndarray  # (P,) azimuths
+    weights: np.ndarray  # (T * P,)
 
     @property
     def num_points(self):
-        return self.directions.shape[0]
+        return self.weights.size
 
 
 @dataclass(frozen=True)
@@ -95,18 +100,11 @@ def gaussian_grid(order, radius):
         theta = np.arccos(x)
         nphi = 2 * (order + 1)
         phi = 2 * np.pi * np.arange(nphi) / nphi
-        dirs = _product_dirs(theta, phi)
         weights = np.repeat(wx, nphi) * (np.pi / (order + 1))
     except MemoryError as exc:  # leggauss alone takes (order + 1)^2 floats
         raise ArithmeticError(f"analysis_order: a Gaussian grid of order {order} does not "
                               f"fit in memory") from exc
-    return SamplingGrid(order=order, radius=radius, directions=dirs, weights=weights)
-
-
-def _product_dirs(theta, phi):
-    """The (T * P, 2) directions of the theta x phi grid, in meshgrid "ij" order."""
-    tt, pp = np.meshgrid(theta, phi, indexing="ij")
-    return np.column_stack([tt.ravel(), pp.ravel()])
+    return SamplingGrid(order=order, radius=radius, theta=theta, phi=phi, weights=weights)
 
 
 def transfer_matrix(geom, grid, k):
@@ -125,9 +123,12 @@ def transfer_matrix(geom, grid, k):
     sim_order = grid.order + SIM_ORDER_MARGIN
     orders = np.arange(sim_order + 1)
     rg = radial_near(orders, k, grid.radius, geom.r0) * cap_gain(orders, geom.alpha)
-    # mic directions as (M, 1) columns against the L caps: gamma is (M, L)
-    h = beam_pattern_modal(rg, great_circle_angle(grid.directions.T[..., None], geom.cap_dirs))
+    # the T x P microphones against the L caps: gamma is (T, P, L)
+    gamma = great_circle_angle((grid.theta[:, None, None], grid.phi[:, None]), geom.cap_dirs.T)
+    h = beam_pattern_modal(rg, gamma).reshape(grid.num_points, geom.num_caps)
     c = np.abs(rg) * (2 * orders + 1)
+    if not c.max() > 0:
+        raise ArithmeticError(f"alpha: every cap gain g_n vanishes at alpha = {geom.alpha:g} rad")
     return TransferMatrix(values=h, sim_order=sim_order, sim_tail=float(c[-3:].max() / c.max()))
 
 
@@ -156,6 +157,13 @@ def perturb_transfer(transfer, gain_db=0.0, phase_deg=0.0, noise=0.0, seed=0):
     return replace(transfer, values=h)
 
 
+def _sh_tables(order, theta, phi):
+    """Y_n^m(theta, 0) as a (T, Q) and e^{im phi} as a (Q, P) table, q = n^2 + n + m:
+    Y_n^m(theta, phi) = Y_n^m(theta, 0) e^{im phi} on the theta x phi grid."""
+    m = np.concatenate([np.arange(-n, n + 1) for n in range(order + 1)])  # m of column q
+    return sphmath.sh_matrix(order, theta, 0.0), np.exp(1j * np.outer(m, phi))
+
+
 def discrete_sft(samples, grid, order):
     """Discrete spherical Fourier transform on a Gaussian grid.
 
@@ -167,8 +175,9 @@ def discrete_sft(samples, grid, order):
     samples = np.asarray(samples)
     if samples.shape != (grid.num_points,):
         raise ValueError("one sample per grid point required")
-    ymat = sphmath.sh_matrix(order, grid.directions[:, 0], grid.directions[:, 1])
-    return ymat.conj().T @ (grid.weights * samples)
+    ytheta, eimphi = _sh_tables(order, grid.theta, grid.phi)
+    weighted = (grid.weights * samples).reshape(grid.theta.size, grid.phi.size)
+    return np.einsum("tq,qp,tp->q", ytheta.conj(), eimphi.conj(), weighted)
 
 
 def virtual_measure(w, transfer):
@@ -180,35 +189,19 @@ def virtual_measure(w, transfer):
     return transfer.values @ wv
 
 
-def measured_pattern(pnm, dirs):
-    """Order-limited beam pattern of measured coefficients at ``dirs``.
+def measured_pattern(pnm, theta, phi):
+    """Order-limited beam pattern of measured coefficients on the theta x phi
+    product grid of T polar angles ``theta`` and P azimuths ``phi``.
 
     Synthesizes the packed spherical Fourier coefficients ``pnm`` (from
-    :func:`discrete_sft`) at directions of shape (M, 2): the measured
-    counterpart of the designed pattern, free of the uncontrolled
+    :func:`discrete_sft`) as (T * P,) values in meshgrid "ij" order: the
+    measured counterpart of the designed pattern, free of the uncontrolled
     harmonics above order sqrt(pnm.size) - 1 (up to quadrature aliasing).
     The overall complex scale of the result is that of the pressure samples.
     """
-    dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-    return sphmath.sh_matrix(math.isqrt(pnm.size) - 1, dirs[:, 0], dirs[:, 1]) @ pnm
-
-
-def _product_pattern(pnm, theta, phi):
-    """:func:`measured_pattern` on the theta x phi product grid, (T * P,) in
-    meshgrid "ij" order.
-
-    Y_n^m(theta, phi) = Y_n^m(theta, 0) e^{im phi} for every signed m, so
-    a table of Y_n^m(theta, 0) over the T polar angles and one of
-    e^{im phi} over the P azimuths replace the (T * P, Q) matrix.  The sum
-    runs in another order than the scattered route's, so the two agree to
-    round-off, not bit for bit.
-    """
-    order = math.isqrt(pnm.size) - 1
-    m = np.concatenate([np.arange(-n, n + 1) for n in range(order + 1)])  # m of column q
-    eimphi = np.exp(1j * np.outer(np.arange(-order, order + 1), phi))
-    ytheta = sphmath.sh_matrix(order, theta, 0.0) * pnm
+    ytheta, eimphi = _sh_tables(math.isqrt(pnm.size) - 1, theta, phi)
     # einsum, not @: a first level-3 BLAS call raises the process's peak memory
-    return np.einsum("tq,qp->tp", ytheta, eimphi[m + order]).ravel()
+    return np.einsum("tq,qp->tp", ytheta * pnm, eimphi).ravel()
 
 
 def pattern_error(measured, reference, weights):
@@ -268,6 +261,12 @@ def _pattern_grids():
             ("cross_section", np.array([np.pi / 2]), np.deg2rad(np.arange(0.0, 360.0, 1.0))))
 
 
+def _patterns(d, look, pnm, theta, phi):
+    """Designed and measured patterns on the theta x phi grid, (T * P,) each."""
+    designed = beam_pattern_modal(d, great_circle_angle(look, (theta[:, None], phi)))
+    return designed.ravel(), measured_pattern(pnm, theta, phi)
+
+
 def simulate(geom, d, w, k, look, analysis_order, radius, perturbation=None):
     """Virtually measure the unit weights w of modal design d at wavenumber k.
 
@@ -289,20 +288,16 @@ def simulate(geom, d, w, k, look, analysis_order, radius, perturbation=None):
         if perturbation and any(perturbation[key] for key in ("gain_db", "phase_deg", "noise")):
             transfer = perturb_transfer(transfer, **perturbation)
         measured_nm = discrete_sft(virtual_measure(w, transfer), grid, d.size - 1)
-        designed = beam_pattern_modal(d, great_circle_angle(look, grid.directions))
+        designed, measured = _patterns(d, look, measured_nm, grid.theta, grid.phi)
         if not np.all(np.isfinite(designed)):
             raise ArithmeticError("d: the designed pattern is not finite")
-        err = pattern_error(measured_pattern(measured_nm, grid.directions), designed,
-                            grid.weights)
-        patterns = {}
-        for name, theta, phi in _pattern_grids():
-            gc = great_circle_angle(look, _product_dirs(theta, phi))
-            patterns[name] = (theta, phi, beam_pattern_modal(d, gc),
-                              _product_pattern(measured_nm, theta, phi))
+        err = pattern_error(measured, designed, grid.weights)
         sim = Simulation(
             sim_order=transfer.sim_order, sim_tail=transfer.sim_tail, pattern_error=err,
             designed_look=beam_pattern_modal(d, 0.0),
-            measured_look=measured_pattern(measured_nm, [look])[0], patterns=patterns)
+            measured_look=measured_pattern(measured_nm, [look[0]], [look[1]])[0],
+            patterns={name: (theta, phi, *_patterns(d, look, measured_nm, theta, phi))
+                      for name, theta, phi in _pattern_grids()})
     for name, (_, _, designed, measured) in sim.patterns.items():
         for kind, values, look_value in (("designed", designed, sim.designed_look),
                                          ("measured", measured, sim.measured_look)):

@@ -101,6 +101,27 @@ def cap_gain_quadrature(order, alpha):
     return 2 * np.pi**2 * width * (qw @ sp.eval_legendre(np.arange(order + 1), x[:, None]))
 
 
+def grid_dirs(grid):
+    """The (T * P, 2) [theta, phi] directions of a SamplingGrid's nodes, in
+    the meshgrid "ij" order of its weights."""
+    return np.column_stack([np.repeat(grid.theta, grid.phi.size),
+                            np.tile(grid.phi, grid.theta.size)])
+
+
+def measured_pattern_scattered(pnm, dirs):
+    """virtualmeas.measured_pattern at scattered (M, 2) directions: one row
+    of sh_matrix(N, theta_j, phi_j) per direction, times pnm."""
+    dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
+    return sphmath.sh_matrix(int(np.sqrt(np.size(pnm))) - 1, dirs[:, 0], dirs[:, 1]) @ pnm
+
+
+def discrete_sft_scattered(samples, grid, order):
+    """virtualmeas.discrete_sft as Y^H (a * s), with Y the sh_matrix over
+    every node of the grid."""
+    dirs = grid_dirs(grid)
+    return sphmath.sh_matrix(order, dirs[:, 0], dirs[:, 1]).conj().T @ (grid.weights * samples)
+
+
 def cap_ymat(geom, order):
     """Y = conjugated spherical harmonics up to ``order`` at the cap
     directions, of shape ((N+1)^2, L): column l holds [Y_n^m(theta_l, phi_l)]*."""

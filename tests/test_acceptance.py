@@ -9,6 +9,7 @@ from oracles import (
     beam_pattern_field,
     cap_ymat,
     directivity_factor_integral,
+    grid_dirs,
     sph_bessel_j,
     velocity_coeffs,
     wng_coefficients,
@@ -88,7 +89,7 @@ def test_criterion_3_modal_integral_equivalence():
         d = rng.standard_normal(order + 1) + 1j * rng.standard_normal(order + 1)
         look = (rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi))
         grid = gaussian_grid(2 * order + 2, 1.0)
-        vals = beam_pattern_modal(d, great_circle_angle(look, grid.directions))
+        vals = beam_pattern_modal(d, great_circle_angle(look, grid_dirs(grid).T))
         q_int = directivity_factor_integral(beam_pattern_modal(d, 0.0), vals, grid.weights)
         worst_q = max(worst_q, abs(q_int - directivity_factor(d)) / directivity_factor(d))
         sw = steer(d, look, k, R0)
@@ -140,8 +141,8 @@ def test_criterion_6_end_to_end_replication():
         sw = near_field_steer(d, look, k, RADIUS, R0)
         w = unit_weights(sw, transform)
         samples = virtual_measure(w, transfer_matrix(GEOM, grid, k))
-        measured = measured_pattern(discrete_sft(samples, grid, 2), grid.directions)
-        designed = beam_pattern_modal(d, great_circle_angle(look, grid.directions))
+        measured = measured_pattern(discrete_sft(samples, grid, 2), grid.theta, grid.phi)
+        designed = beam_pattern_modal(d, great_circle_angle(look, grid_dirs(grid).T))
         errs[f] = pattern_error(measured, designed, grid.weights)
     elapsed = time.perf_counter() - start
     _check(6, f"virtual-measured vs designed pattern errors {errs[400.0]:.1e} (400 Hz), "

@@ -1,8 +1,10 @@
-"""Every public name and every name the benchmark traces resolves.
+"""Every public name and every name the benchmark traces resolves, and no
+module reaches into another's private names.
 
 A deleted or renamed function fails here, naming the attribute, instead of
 only in a traced benchmark run."""
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -38,3 +40,43 @@ def test_traced_names_resolve(monkeypatch):
     missing = [f"{modname}.{name}" for modname, name in _traced(monkeypatch)
                if not callable(getattr(importlib.import_module(modname), name, None))]
     assert not missing, f"bench/shim.py TRACED names missing functions: {missing}"
+
+
+def _private_cross_module_uses(source):
+    """(line, name) of every underscore name that the module source imports
+    from a sphbeam module, or reads as an attribute of a sphbeam module it
+    imported (``from . import mod`` ... ``mod._name``); dunders excepted."""
+    tree = ast.parse(source)
+    modules, uses = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "sphbeam"
+                                                 or (node.module or "").startswith("sphbeam.")):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    uses.append((node.lineno, alias.name))
+                if node.module in (None, "sphbeam"):  # a module: from . import name
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")
+                and not node.attr.endswith("__")):
+            uses.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return uses
+
+
+def test_no_private_cross_module_imports():
+    found = [f"{path.name}:{line}: {name}"
+             for path in sorted(Path(sphbeam.__file__).parent.glob("*.py"))
+             for line, name in _private_cross_module_uses(path.read_text())]
+    assert not found, f"private names used across sphbeam modules: {found}"
+
+
+@pytest.mark.parametrize("source, count", [
+    ("from .virtualmeas import _sh_tables, simulate", 1),
+    ("from sphbeam.cli import _write", 1),
+    ("from . import virtualmeas as vm\nvm._pattern_grids()", 1),
+    ("from . import sphmath\nsphmath.sh_matrix\nsphmath.__name__", 0),
+    ("from _sha2 import sha256\nfrom .radiation import C", 0),
+])
+def test_private_cross_module_check_finds_its_cases(source, count):
+    assert len(_private_cross_module_uses(source)) == count

@@ -217,6 +217,26 @@ class TestDesign:
                               parse_constant=_reject_constant)
             assert len(unit["w"]) == 12
 
+    @pytest.mark.parametrize("alpha, freq, code", [
+        ("1e-150", "400", 3), ("1e-80", "400", 3), ("1e-78", "400", 0), ("0.3", "1e-7", 0)])
+    def test_overflowing_unit_weight_norm_of_a_tiny_cap_names_alpha(self, runner, tmp_path,
+                                                                     alpha, freq, code):
+        # g_n has a finite reciprocal, but 1/g_n^2 overflows and with it ||w||^2; at
+        # alpha = 1e-78 ||w||^2 stays finite, and the default cap at 1e-7 Hz designs
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "design", "--method", "max-wng", "--order", "2", "--freq", freq, "--look", "90,0",
+            "--near-field", "--geometry", f"dodecahedron:alpha={alpha}", "--out", str(out)])
+        assert result.exit_code == code, result.output
+        if code:
+            lines = result.stderr.strip().splitlines()
+            assert len(lines) == 1 and "numerical failure: geometry.alpha: " in lines[0], lines
+            assert not out.exists()
+        else:
+            metrics = json.loads((out / f"metrics_{float(freq):g}Hz.json").read_text(),
+                                 parse_constant=_reject_constant)
+            assert 0 < metrics["unit_weight_norm"] < np.inf
+
 
 class TestSteerSynthesize:
     def test_steer_then_synthesize(self, runner, tmp_path):
@@ -447,6 +467,27 @@ def test_kernels_write_the_bytes_of_numpy_polynomial(runner, monkeypatch, tmp_pa
     for rel in shipped:
         got, want = (tmp_path / "shipped" / rel).read_bytes(), (tmp_path / "numpy" / rel).read_bytes()
         assert got == want, rel
+
+
+def test_simulate_builds_sh_tables_over_polar_angles_only(runner, monkeypatch, tmp_path):
+    """simulate --analysis-order 30 calls sh_matrix over the 31 Gaussian polar
+    nodes, the balloon's 91 polar angles and the one polar angle of the
+    cross-section and of the look, never over the 2 * 31^2 = 1922 nodes."""
+    _design(runner, tmp_path)
+    points = []
+    sh_matrix = sphmath.sh_matrix
+
+    def counted(order, theta, phi):
+        points.append(np.size(theta))
+        return sh_matrix(order, theta, phi)
+
+    monkeypatch.setattr(sphmath, "sh_matrix", counted)
+    result = runner.invoke(main, [
+        "simulate", str(tmp_path / "modal_weights_400Hz.json"),
+        str(tmp_path / "unit_weights_400Hz.json"), "--look", "90,0", "--analysis-order", "30",
+        "--out", str(tmp_path / "sim")], catch_exceptions=False)
+    assert result.exit_code == 0, result.output
+    assert sorted(set(points)) == [1, 31, 91], points
 
 
 def test_config_hash_matches_hashlib_oracle(runner, monkeypatch, tmp_path):
@@ -756,6 +797,38 @@ class TestBoundary:
         assert len(result.stderr.strip().splitlines()) == 1, result.stderr
         assert field in result.stderr
         assert "RuntimeWarning" not in result.stderr
+
+    @pytest.mark.parametrize("alpha, perturb, field", [
+        ("1e-300", "", "geometry.alpha"), ("1e-300", "noise=1e-4", "geometry.alpha"),
+        ("1e-150", "", "pattern_error")])
+    def test_simulate_with_a_tiny_cap_exits_3_naming_the_cause(self, runner, tmp_path, alpha,
+                                                               perturb, field):
+        # at 1e-300 every g_n is 0, so the caps radiate nothing, noise or not; at 1e-150
+        # they radiate, and the measured pattern of weights made for alpha = 0.3 underflows
+        _design(runner, tmp_path)
+        out = tmp_path / "sim"
+        result = runner.invoke(main, [
+            "simulate", str(tmp_path / "modal_weights_400Hz.json"),
+            str(tmp_path / "unit_weights_400Hz.json"), "--look", "90,0",
+            "--geometry", f"dodecahedron:alpha={alpha}", "--perturb", perturb, "--out", str(out)])
+        assert result.exit_code == 3, result.output
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and f"numerical failure: {field}: " in lines[0], lines
+        assert not out.exists()
+
+    def test_simulate_with_unit_weights_for_a_tiny_cap_measures(self, runner, tmp_path):
+        # weights synthesized for the same tiny cap make up for its gains
+        _design(runner, tmp_path)
+        tiny = ["--geometry", "dodecahedron:alpha=1e-150"]
+        assert runner.invoke(main, ["synthesize", str(tmp_path / "steered_weights_400Hz.json"),
+                                    *tiny, "--out", str(tmp_path / "tiny")]).exit_code == 0
+        result = runner.invoke(main, [
+            "simulate", str(tmp_path / "modal_weights_400Hz.json"),
+            str(tmp_path / "tiny" / "unit_weights_400Hz.json"), "--look", "90,0", *tiny,
+            "--out", str(tmp_path / "sim")])
+        assert result.exit_code == 0, result.output
+        rep = json.loads((tmp_path / "sim" / "simulation_400Hz.json").read_text())
+        assert rep["pattern_error"] < 1e-10
 
     def test_simulate_at_a_huge_radius_still_measures(self, runner, tmp_path):
         # the pressures are tiny but their squares are normal floats

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import directivity_factor_integral, wng_coefficients
+from oracles import directivity_factor_integral, grid_dirs, wng_coefficients
 
 from sphbeam.design import max_wng_weights
 from sphbeam.metrics import (
@@ -19,7 +19,7 @@ R0 = 0.15
 def _integral_q(d, look=(0.6, 1.9)):
     order = len(d) - 1
     grid = gaussian_grid(2 * order + 2, 1.0)
-    vals = beam_pattern_modal(d, great_circle_angle(look, grid.directions))
+    vals = beam_pattern_modal(d, great_circle_angle(look, grid_dirs(grid).T))
     return directivity_factor_integral(beam_pattern_modal(d, 0.0), vals, grid.weights)
 
 
@@ -59,7 +59,7 @@ class TestDirectivityIntegral:
     def test_scale_invariance(self):
         grid = gaussian_grid(6, 1.0)
         d = np.array([1.0, 0.5, 0.25])
-        vals = beam_pattern_modal(d, grid.directions[:, 0])
+        vals = beam_pattern_modal(d, grid_dirs(grid)[:, 0])
         q1 = directivity_factor_integral(beam_pattern_modal(d, 0.0), vals, grid.weights)
         q5 = directivity_factor_integral(5 * beam_pattern_modal(d, 0.0), 5 * vals, grid.weights)
         assert q5 == pytest.approx(q1, rel=1e-12)

@@ -189,20 +189,20 @@ class TestPressureField:
         ref = (
             np.exp(1j * K400 * r)
             / r
-            * beam_pattern_modal(d, great_circle_angle(look, self.dirs))
+            * beam_pattern_modal(d, great_circle_angle(look, self.dirs.T))
         )
         assert np.linalg.norm(p - ref) / np.linalg.norm(ref) < 0.05
 
 
 class TestGreatCircleAngle:
     def test_same_direction(self):
-        assert great_circle_angle((0.0, 0.0), [[0.0, 2.3]])[0] == 0.0
+        assert great_circle_angle((0.0, 0.0), (0.0, 2.3)) == 0.0
 
     def test_antipode(self):
-        assert great_circle_angle((0.0, 0.0), [[np.pi, 0.0]])[0] == pytest.approx(np.pi)
+        assert great_circle_angle((0.0, 0.0), (np.pi, 0.0)) == pytest.approx(np.pi)
 
     def test_orthogonal(self):
-        ang = great_circle_angle((np.pi / 2, 0.0), [[np.pi / 2, np.pi / 2]])[0]
+        ang = great_circle_angle((np.pi / 2, 0.0), (np.pi / 2, np.pi / 2))
         assert ang == pytest.approx(np.pi / 2, abs=1e-12)
 
 
@@ -238,7 +238,7 @@ class TestBeamPattern:
             look = (rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi))
             sw = steer(d, look, K400, GEOM.r0)
             full = beam_pattern_field(sw, K400, GEOM.r0, dirs)
-            modal = beam_pattern_modal(d, great_circle_angle(look, dirs))
+            modal = beam_pattern_modal(d, great_circle_angle(look, dirs.T))
             assert np.max(np.abs(full - modal)) < 1e-9
 
     def test_axis_symmetry(self):

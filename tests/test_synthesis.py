@@ -30,7 +30,7 @@ class TestSteer:
         look = (1.2, 5.0)
         sw = steer(d, look, K400, GEOM.r0)
         full = beam_pattern_field(sw, K400, GEOM.r0, dirs)
-        modal = beam_pattern_modal(d, great_circle_angle(look, dirs))
+        modal = beam_pattern_modal(d, great_circle_angle(look, dirs.T))
         assert np.max(np.abs(full - modal)) < 1e-9
 
     def test_steering_independence(self):
@@ -162,5 +162,5 @@ class TestEndToEnd:
         w_nm = velocity_coeffs(GEOM, w, 2)
         dirs = np.column_stack([rng.uniform(0, np.pi, 30), rng.uniform(0, 2 * np.pi, 30)])
         full = beam_pattern_field(w_nm, k, GEOM.r0, dirs)
-        modal = beam_pattern_modal(d, great_circle_angle(look, dirs))
+        modal = beam_pattern_modal(d, great_circle_angle(look, dirs.T))
         assert np.max(np.abs(full - modal)) < 1e-8

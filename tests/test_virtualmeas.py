@@ -2,9 +2,16 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import pressure_field, sh_index, velocity_coeffs
+from oracles import (
+    discrete_sft_scattered,
+    grid_dirs,
+    measured_pattern_scattered,
+    pressure_field,
+    sh_index,
+    velocity_coeffs,
+)
 
-from sphbeam import sphmath, virtualmeas
+from sphbeam import sphmath
 from sphbeam.design import max_directivity_weights, max_wng_weights
 from sphbeam.radiation import (
     C,
@@ -16,6 +23,7 @@ from sphbeam.radiation import (
 )
 from sphbeam.synthesis import build_transform, steer, unit_weights
 from sphbeam.virtualmeas import (
+    SamplingGrid,
     discrete_sft,
     gaussian_grid,
     measured_pattern,
@@ -60,9 +68,8 @@ class TestDiscreteSft:
     grid = gaussian_grid(6, RADIUS)
 
     def test_single_harmonic(self):
-        samples = sphmath.sh_matrix(2, self.grid.directions[:, 0], self.grid.directions[:, 1])[
-            :, sh_index(2, 1)
-        ]
+        dirs = grid_dirs(self.grid)
+        samples = sphmath.sh_matrix(2, dirs[:, 0], dirs[:, 1])[:, sh_index(2, 1)]
         coeffs = discrete_sft(samples, self.grid, 2)
         expected = np.zeros(9)
         expected[sh_index(2, 1)] = 1.0
@@ -84,7 +91,8 @@ class TestDiscreteSft:
     def test_analysis_synthesis_identity(self):
         rng = np.random.default_rng(9)
         coeffs = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        ymat = sphmath.sh_matrix(3, self.grid.directions[:, 0], self.grid.directions[:, 1])
+        dirs = grid_dirs(self.grid)
+        ymat = sphmath.sh_matrix(3, dirs[:, 0], dirs[:, 1])
         back = discrete_sft(ymat @ coeffs, self.grid, 3)
         assert np.max(np.abs(back - coeffs)) < 1e-10
 
@@ -106,7 +114,7 @@ class TestTransferMatrix:
         v = np.zeros(12, dtype=complex)
         v[5] = 1.0
         u = velocity_coeffs(GEOM, v, order=h.sim_order)
-        direct = pressure_field(u, k, RADIUS, grid.directions, GEOM)
+        direct = pressure_field(u, k, RADIUS, grid_dirs(grid), GEOM)
         assert np.max(np.abs(h.values[:, 5] - direct)) < 1e-12
 
     def test_columns_match_sh_route_at_simulate_deep_size(self, monkeypatch):
@@ -129,7 +137,7 @@ class TestTransferMatrix:
             assert h.sim_order == 45
             for col in range(GEOM.num_caps):
                 u = velocity_coeffs(GEOM, np.eye(GEOM.num_caps)[col], order=45)
-                direct = pressure_field(u, k, RADIUS, grid.directions, GEOM)
+                direct = pressure_field(u, k, RADIUS, grid_dirs(grid), GEOM)
                 assert np.max(np.abs(h.values[:, col] - direct)) < 1e-12 * np.max(
                     np.abs(h.values[:, col]))
 
@@ -159,7 +167,7 @@ class TestTransferMatrix:
         rng = np.random.default_rng(10)
         w = rng.standard_normal(12) + 1j * rng.standard_normal(12)
         u = velocity_coeffs(GEOM, w, order=h.sim_order)
-        direct = pressure_field(u, k, RADIUS, grid.directions, GEOM)
+        direct = pressure_field(u, k, RADIUS, grid_dirs(grid), GEOM)
         assert np.max(np.abs(h.values @ w - direct)) < 1e-12
 
     def test_grid_inside_source_rejected(self):
@@ -198,8 +206,8 @@ class TestNearFieldSteer:
         k = freq_to_k(400.0)
         sw = near_field_steer(d, LOOK, k, RADIUS, GEOM.r0)
         grid = gaussian_grid(5, RADIUS)
-        p = pressure_field(sw, k, RADIUS, grid.directions, GEOM)
-        ref = beam_pattern_modal(d, great_circle_angle(LOOK, grid.directions))
+        p = pressure_field(sw, k, RADIUS, grid_dirs(grid), GEOM)
+        ref = beam_pattern_modal(d, great_circle_angle(LOOK, grid_dirs(grid).T))
         scaled = RADIUS * np.exp(-1j * k * RADIUS) * p
         assert np.max(np.abs(scaled - ref)) < 1e-8
 
@@ -214,7 +222,7 @@ class TestVirtualMeasure:
         w = unit_weights(sw, build_transform(GEOM, order))
         h = transfer_matrix(GEOM, self.grid, k)
         samples = virtual_measure(w, h)
-        designed = beam_pattern_modal(d, great_circle_angle(LOOK, self.grid.directions))
+        designed = beam_pattern_modal(d, great_circle_angle(LOOK, grid_dirs(self.grid).T))
         return samples, designed, order
 
     def test_zero_weights(self):
@@ -230,14 +238,15 @@ class TestVirtualMeasure:
         h = transfer_matrix(GEOM, grid, k)
         u = velocity_coeffs(GEOM, w, order=h.sim_order)
         assert np.max(
-            np.abs(virtual_measure(w, h) - pressure_field(u, k, RADIUS, grid.directions, GEOM))
+            np.abs(virtual_measure(w, h) - pressure_field(u, k, RADIUS, grid_dirs(grid), GEOM))
         ) < 1e-12
 
     def test_max_wng_400hz_matches_design(self):
         samples, designed, order = self._pipeline(
             400.0, lambda n, k: max_wng_weights(n, k, GEOM.r0)
         )
-        measured = measured_pattern(discrete_sft(samples, self.grid, order), self.grid.directions)
+        measured = measured_pattern(discrete_sft(samples, self.grid, order), self.grid.theta,
+                                    self.grid.phi)
         err = pattern_error(measured, designed, self.grid.weights)
         assert err < 1e-6
 
@@ -245,8 +254,8 @@ class TestVirtualMeasure:
         errs = []
         for f in (400.0, 1000.0, 1400.0, 1800.0, 2200.0):
             samples, designed, order = self._pipeline(f, lambda n, k: max_directivity_weights(n))
-            measured = measured_pattern(discrete_sft(samples, self.grid, order),
-                                        self.grid.directions)
+            measured = measured_pattern(discrete_sft(samples, self.grid, order), self.grid.theta,
+                                        self.grid.phi)
             errs.append(pattern_error(measured, designed, self.grid.weights))
         assert errs[0] < 1e-3
         assert all(np.diff(errs[1:]) > 0)
@@ -266,24 +275,23 @@ class TestVirtualMeasure:
         if perturbation:
             h = perturb_transfer(h, **perturbation)
         pnm = discrete_sft(virtual_measure(w, h), self.grid, 2)
-        designed = beam_pattern_modal(d, great_circle_angle(LOOK, self.grid.directions))
-        err = pattern_error(measured_pattern(pnm, self.grid.directions), designed,
-                            self.grid.weights)
+
+        def designed_on(theta, phi):
+            return beam_pattern_modal(d, great_circle_angle(LOOK, (theta[:, None], phi))).ravel()
+
+        err = pattern_error(measured_pattern(pnm, self.grid.theta, self.grid.phi),
+                            designed_on(self.grid.theta, self.grid.phi), self.grid.weights)
 
         sim = simulate(GEOM, d, w, k, LOOK, 10, RADIUS, perturbation)
         assert (sim.sim_order, sim.sim_tail, sim.pattern_error) == (h.sim_order, h.sim_tail, err)
         assert sim.designed_look == beam_pattern_modal(d, 0.0)
-        assert sim.measured_look == measured_pattern(pnm, [LOOK])[0]
+        assert sim.measured_look == measured_pattern(pnm, [LOOK[0]], [LOOK[1]])[0]
         assert {name: (theta.shape, phi.shape)
                 for name, (theta, phi, _, _) in sim.patterns.items()} == {
             "balloon": ((91,), (180,)), "cross_section": ((1,), (360,))}
         for theta, phi, designed, measured in sim.patterns.values():
-            tt, pp = np.meshgrid(theta, phi, indexing="ij")
-            dirs = np.column_stack([tt.ravel(), pp.ravel()])
-            assert np.array_equal(designed, beam_pattern_modal(d, great_circle_angle(LOOK, dirs)))
-            # the product route sums in another order than measured_pattern's
-            scattered = measured_pattern(pnm, dirs)
-            assert np.max(np.abs(measured - scattered)) <= 1e-13 * np.max(np.abs(scattered))
+            assert np.array_equal(designed, designed_on(theta, phi))
+            assert np.array_equal(measured, measured_pattern(pnm, theta, phi))
 
     def test_kr_sanity(self):
         assert freq_to_k(400.0) * 0.15 == pytest.approx(1.10, abs=0.01)
@@ -293,36 +301,87 @@ class TestVirtualMeasure:
 
 
 class TestProductPattern:
+    """The transform pair on theta x phi product grids against the scattered
+    oracles, which build one sh_matrix row per node."""
+
+    @staticmethod
+    def _random(order, seed):
+        rng = np.random.default_rng(seed)
+        q = (order + 1) ** 2
+        return rng, rng.standard_normal(q) + 1j * rng.standard_normal(q)
+
     @pytest.mark.parametrize("order", range(5))
     @pytest.mark.parametrize("num_theta", [1, 7])
     def test_equals_the_scattered_route(self, order, num_theta):
         """Y_n^m(theta, 0) e^{im phi} over theta x phi equals sh_matrix at
         every meshgrid direction, poles and the ends of phi included."""
-        rng = np.random.default_rng(10 * order + num_theta)
-        pnm = rng.standard_normal((order + 1) ** 2) + 1j * rng.standard_normal((order + 1) ** 2)
+        rng, pnm = self._random(order, 10 * order + num_theta)
         theta = (np.array([1.1]) if num_theta == 1
                  else np.concatenate([[0.0, np.pi], rng.uniform(0.0, np.pi, num_theta - 2)]))
         phi = np.concatenate([[0.0, 2 * np.pi - 1e-9], rng.uniform(0.0, 2 * np.pi, 9)])
-        pattern = virtualmeas._product_pattern(pnm, theta, phi)
-        want = sphmath.sh_matrix(order, np.repeat(theta, phi.size), np.tile(phi, theta.size)) @ pnm
+        pattern = measured_pattern(pnm, theta, phi)
+        want = measured_pattern_scattered(pnm, np.column_stack(
+            [np.repeat(theta, phi.size), np.tile(phi, theta.size)]))
         assert pattern.shape == (theta.size * phi.size,)
         assert np.max(np.abs(pattern - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("order", range(5))
+    @pytest.mark.parametrize("look", [(1.1, 4.0), (0.0, 0.0), (np.pi, 2 * np.pi - 1e-9)])
+    def test_one_by_one_grid_is_the_look(self, order, look):
+        _, pnm = self._random(order, order)
+        value = measured_pattern(pnm, [look[0]], [look[1]])
+        want = measured_pattern_scattered(pnm, [look])
+        assert value.shape == (1,)
+        assert abs(value[0] - want[0]) <= 1e-13 * np.max(np.abs(pnm))
+
+    @pytest.mark.parametrize("order", range(5))
+    def test_discrete_sft_equals_the_scattered_route(self, order):
+        """On a product grid with both poles and both ends of phi, on a
+        1 x 1 grid and on a Gaussian grid, the analysis equals Y^H (a * s)
+        over every node."""
+        rng, _ = self._random(order, 20 + order)
+        grids = [SamplingGrid(order=4, radius=1.0,
+                              theta=np.concatenate([[0.0, np.pi], rng.uniform(0.0, np.pi, 5)]),
+                              phi=np.concatenate([[0.0, 2 * np.pi - 1e-9],
+                                                  rng.uniform(0.0, 2 * np.pi, 9)]),
+                              weights=rng.uniform(0.1, 1.0, 7 * 11)),
+                 SamplingGrid(order=4, radius=1.0, theta=np.array([0.7]), phi=np.array([5.9]),
+                              weights=np.array([4 * np.pi])),
+                 gaussian_grid(order, 1.0)]
+        for grid in grids:
+            samples = (rng.standard_normal(grid.num_points)
+                       + 1j * rng.standard_normal(grid.num_points))
+            got = discrete_sft(samples, grid, order)
+            want = discrete_sft_scattered(samples, grid, order)
+            assert got.shape == ((order + 1) ** 2,)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("analysis_order", [0, 1, 4, 10])
+    def test_gaussian_grid_round_trip(self, analysis_order):
+        """discrete_sft inverts measured_pattern on a Gaussian grid for every
+        order N <= N_a."""
+        grid = gaussian_grid(analysis_order, RADIUS)
+        for order in range(analysis_order + 1):
+            _, pnm = self._random(order, 100 * analysis_order + order)
+            back = discrete_sft(measured_pattern(pnm, grid.theta, grid.phi), grid, order)
+            assert np.max(np.abs(back - pnm)) <= 1e-12 * np.max(np.abs(pnm))
 
 
 class TestPatternError:
     grid = gaussian_grid(4, 1.0)
 
     def test_identical_patterns(self):
-        vals = np.cos(self.grid.directions[:, 0]) + 1j
+        vals = np.cos(grid_dirs(self.grid)[:, 0]) + 1j
         assert pattern_error(vals, vals, self.grid.weights) == pytest.approx(0.0, abs=1e-14)
 
     def test_scale_absorbed(self):
-        vals = np.cos(self.grid.directions[:, 0]) + 0.5j
+        vals = np.cos(grid_dirs(self.grid)[:, 0]) + 0.5j
         assert pattern_error(2 * vals, vals, self.grid.weights) == pytest.approx(0.0, abs=1e-14)
 
     def test_orthogonal_perturbation(self):
         # reference Y00, perturbation Y10: orthonormal under the quadrature
-        ymat = sphmath.sh_matrix(1, self.grid.directions[:, 0], self.grid.directions[:, 1])
+        dirs = grid_dirs(self.grid)
+        ymat = sphmath.sh_matrix(1, dirs[:, 0], dirs[:, 1])
         ref = ymat[:, 0]
         eps = 1e-3
         measured = ref + eps * ymat[:, 2]
@@ -333,7 +392,7 @@ class TestPatternError:
 
     def test_measured_scale_absorbed(self):
         rng = np.random.default_rng(4)
-        ref = np.cos(self.grid.directions[:, 0]) + 0.5j
+        ref = np.cos(grid_dirs(self.grid)[:, 0]) + 0.5j
         measured = ref + 0.1 * rng.standard_normal(self.grid.num_points)
         assert pattern_error(3 * measured, ref, self.grid.weights) == pytest.approx(
             pattern_error(measured, ref, self.grid.weights), rel=1e-12)
