@@ -165,50 +165,44 @@ def parse_perturb(text: str) -> dict:
 
 class JsonLayout:
     """One kind of JSON file: ``{"kind": kind, "config_hash": cfg_hash,
-    **payload}`` laid out once as ``json.dumps(doc, sort_keys=True,
-    indent=2)`` lays it out, as a ``%`` template filled per row.
+    **payload}`` laid out once by ``json.dumps(skeleton, sort_keys=True,
+    indent=2)`` as a ``%`` template filled per row.
 
     Float or complex ndarrays in ``payload`` vary per row: with ``rows``
     given their first axis indexes the rows, without it there is one row.
-    Each of their numbers is a ``%r`` slot (a complex one an ``[re, im]``
-    pair), filled from row i of the ``values`` matrix; ``float.__repr__``
-    is what ``json.dumps`` writes for a finite float.  Other values are
-    constants.  Raises ArithmeticError naming the kind and field when a
-    number is not finite.
+    In the skeleton each of their numbers is a slot sentinel (a complex one
+    an ``[re, im]`` pair of them), which the template turns into ``%r``,
+    filled from row i of the ``values`` matrix; ``float.__repr__`` is what
+    ``json.dumps`` writes for a finite float.  Other values are constants.
+    Raises ArithmeticError naming the kind and field when a number is not
+    finite.
     """
 
     def __init__(self, kind: str, cfg_hash: str, payload: dict, rows: int | None = None):
         self.kind = kind
         self._lead = () if rows is None else (rows,)
         self._columns = []  # (field, (rows, slots) float array) in slot order
-        doc = {"kind": kind, "config_hash": cfg_hash, **payload}
-        self.template = self._render(doc, "", kind) + "\n"
+        skeleton = self._skeleton({"kind": kind, "config_hash": cfg_hash, **payload}, kind)
+        text = json.dumps(skeleton, sort_keys=True, indent=2).replace("%", "%%")
+        self.template = text.replace(f" {json.dumps(_SLOT)}", " %r") + "\n"
         matrix = np.hstack([np.empty((rows or 1, 0)), *(c for _, c in self._columns)])
         if not np.all(np.isfinite(matrix)):
             bad = next(f for f, c in self._columns if not np.all(np.isfinite(c)))
             raise ArithmeticError(f"{bad}: non-finite value in output")
         self.values = matrix
 
-    def _render(self, value, indent: str, field: str) -> str:
-        inner = indent + "  "
+    def _skeleton(self, value, field: str):
+        """value with each ndarray replaced by its slots; dict keys are
+        walked sorted, as json.dumps writes them, so columns are in slot order."""
         if isinstance(value, np.ndarray):
-            value = self._slots(value, field)
+            return self._slots(value, field)
         if isinstance(value, dict):
-            items = [f"{_json_const(key)}: {self._render(v, inner, f'{field}.{key}')}"
-                     for key, v in sorted(value.items())]
-            brackets = "{}"
-        elif isinstance(value, (list, tuple)):
-            items = [self._render(v, inner, field) for v in value]
-            brackets = "[]"
-        elif value is _SLOT:
-            return "%r"
-        else:
-            if isinstance(value, float) and not np.isfinite(value):
-                raise ArithmeticError(f"{field}: non-finite value in output")
-            return _json_const(value)
-        if not items:
-            return brackets
-        return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+            return {key: self._skeleton(value[key], f"{field}.{key}") for key in sorted(value)}
+        if isinstance(value, (list, tuple)):
+            return [self._skeleton(v, field) for v in value]
+        if isinstance(value, float) and not np.isfinite(value):
+            raise ArithmeticError(f"{field}: non-finite value in output")
+        return value
 
     def _slots(self, array: np.ndarray, field: str):
         """Record an array's numbers as columns; return its slot skeleton."""
@@ -220,11 +214,10 @@ class JsonLayout:
         return skeleton
 
 
-_SLOT = object()
-
-
-def _json_const(value) -> str:
-    return json.dumps(value).replace("%", "%%")
+# json.dumps writes this lone surrogate as "\udfff".  After a space (the indent or
+# ": ") that token opens a string, and only a string equal to U+DFFF encodes to it;
+# no payload string (kind names, hex hashes, --method choices) is one.
+_SLOT = "\udfff"
 
 
 def _pairs(value, field: str, pair: str) -> np.ndarray:
@@ -625,12 +618,23 @@ def _command(name, *arguments):
 def main(argv=None, standalone_mode=True) -> int:
     """Run the command line argv (default sys.argv[1:]) and return 0.  Bad
     input exits 2 and a numerical failure 3, each after one line ``Error:
-    <message>`` on stderr; with standalone_mode false the error is raised."""
+    <message>`` on stderr; with standalone_mode false the error is raised.
+
+    A library ArithmeticError naming a geometry field (``cap_dirs:`` for a
+    rank-deficient cap layout, ``alpha:`` for a vanishing cap gain) is
+    renamed for the spec's field, ``geometry.caps_deg`` or
+    ``geometry.alpha``, and raised from the library's error."""
     try:
         args = vars(_PARSER.parse_args(argv))
         # an overflow is reported once, by the check that rejects its result
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            args.pop("command")(**args)
+            try:
+                args.pop("command")(**args)
+            except ArithmeticError as exc:
+                field, _, rest = str(exc).partition(": ")
+                if field not in _GEOMETRY_FIELDS:
+                    raise
+                raise ArithmeticError(f"{_GEOMETRY_FIELDS[field]}: {rest}") from exc
     except (ArithmeticError, ValueError, KeyError) as exc:
         if not standalone_mode:
             raise
@@ -644,19 +648,6 @@ def main(argv=None, standalone_mode=True) -> int:
 
 # library ArrayGeometry field -> the geometry spec's field that sets it
 _GEOMETRY_FIELDS = {"cap_dirs": "geometry.caps_deg", "alpha": "geometry.alpha"}
-
-
-def _geometry_field(call, *args):
-    """call(*args), with a numerical failure of the geometry (a rank-deficient
-    cap layout, a vanishing cap gain) named by the geometry's field rather
-    than the library's."""
-    try:
-        return call(*args)
-    except ArithmeticError as exc:
-        field, _, rest = str(exc).partition(": ")
-        if field not in _GEOMETRY_FIELDS:
-            raise
-        raise ArithmeticError(f"{_GEOMETRY_FIELDS[field]}: {rest}") from exc
 
 
 @_command("design", _GEOMETRY,
@@ -682,7 +673,7 @@ def cmd_design(geometry, method, order, freq, look, sidelobe, near_field, radius
     nf_radius = radius if near_field else None
     fs = np.asarray(freqs)
     ks = 2 * np.pi * fs / C
-    sw = _geometry_field(designs.sweep, geom, method, order, ks, look_rad, sidelobe, nf_radius)
+    sw = designs.sweep(geom, method, order, ks, look_rad, sidelobe, nf_radius)
     rows = len(freqs)
     layouts = (
         JsonLayout("modal_weights", cfg_hash, {
@@ -737,7 +728,7 @@ def cmd_synthesize(steered_file, geometry, out):
     """Compute per-loudspeaker weights from steered coefficients."""
     geom, geom_doc = load_geometry(geometry)
     w_nm, order, f, source = read_steered(steered_file)
-    w = synthesis.unit_weights(w_nm, _geometry_field(synthesis.build_transform, geom, order))
+    w = synthesis.unit_weights(w_nm, synthesis.build_transform(geom, order))
     cfg = {"command": "synthesize", "geometry": geom_doc, "source": source}
     layout = unit_layout(_config_hash(cfg), f, w)
     _make_out(out)
@@ -816,8 +807,7 @@ def cmd_simulate(modal_file, unit_file, geometry, analysis_order, radius, look, 
            "look_deg": np.rad2deg(look_rad).tolist(), "perturb": perturbation}
     cfg_hash = _config_hash(cfg)
     tag = f"{f:g}Hz"
-    sim = _geometry_field(virtualmeas.simulate, geom, d, w, k, look_rad, analysis_order, radius,
-                          perturbation)
+    sim = virtualmeas.simulate(geom, d, w, k, look_rad, analysis_order, radius, perturbation)
     report = JsonLayout("simulation_report", cfg_hash, {
         "frequency_hz": f, "analysis_order": analysis_order,
         "radius_m": radius, "sim_order": sim.sim_order,

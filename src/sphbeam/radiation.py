@@ -89,13 +89,23 @@ def cap_gain(n, alpha):
     g_n = 4 pi^2 sin^2(a) P'_n(cos a) / (n(n+1)): the same value as
     4 pi^2 / (2n+1) [P_{n-1} - P_{n+1}](cos a), without that difference's
     cancellation as a -> 0.
+
+    Raises ArithmeticError naming ``alpha`` when a g_n has no finite
+    reciprocal, as for a vanishing aperture (alpha below about 1.7e-155
+    rad): the minimum-norm synthesis divides by it.
     """
     if not 0 < alpha < np.pi:
         raise ValueError("alpha must lie in (0, pi)")
     n = np.asarray(n)
     _, dp = sphmath.legendre(n, np.cos(alpha))
     g = 4 * np.pi**2 * np.sin(alpha) ** 2 * dp / np.where(n == 0, 1, n * (n + 1))
-    return np.where(n == 0, 8 * np.pi**2 * np.sin(alpha / 2) ** 2, g)[()]
+    g = np.where(n == 0, 8 * np.pi**2 * np.sin(alpha / 2) ** 2, g)
+    with np.errstate(divide="ignore", over="ignore"):
+        vanishing = np.count_nonzero(~np.isfinite(1 / g))
+    if vanishing:
+        raise ArithmeticError(f"alpha: the cap gain g_n has no finite reciprocal for "
+                              f"{vanishing} of {g.size} orders at alpha = {alpha:g} rad")
+    return g[()]
 
 
 def _per_k(k, n):

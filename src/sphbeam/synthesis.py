@@ -86,10 +86,10 @@ def build_transform(geom, order):
     """Build the G and Y matrices of the cap-to-coefficient transform.
 
     Requires (N+1)^2 <= L; reports rank deficiency of Y, which occurs
-    for poorly spread cap layouts, and a cap gain g_n (n <= N) whose
-    reciprocal is not finite, which occurs for a vanishing aperture
-    alpha.  Y^+ comes from the SVD of the rank check, conj(Y) = u s vh,
-    as numpy.linalg.pinv forms it: vh^T diag(1/s) u^T.
+    for poorly spread cap layouts.  A cap gain g_n (n <= N) without a
+    finite reciprocal is reported by cap_gain.  Y^+ comes from the SVD of
+    the rank check, conj(Y) = u s vh, as numpy.linalg.pinv forms it:
+    vh^T diag(1/s) u^T.
     """
     ncoef = sphmath.num_coeffs(order)
     if ncoef > geom.num_caps:
@@ -106,11 +106,6 @@ def build_transform(geom, order):
         )
     n = np.arange(order + 1)
     g = cap_gain(n, geom.alpha)
-    with np.errstate(divide="ignore", over="ignore"):
-        vanishing = ~np.isfinite(1 / g)  # G^{-1} would overflow
-    if np.any(vanishing):
-        raise ArithmeticError(f"alpha: the cap gain g_n vanishes in float arithmetic for "
-                              f"n = {n[vanishing].tolist()} at alpha = {geom.alpha:g} rad")
     return TransformMatrices(ypinv=vh.T @ ((1 / s)[:, None] * u.T),
                              g_diag=np.repeat(g, 2 * n + 1))
 

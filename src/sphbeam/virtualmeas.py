@@ -118,7 +118,8 @@ def transfer_matrix(geom, grid, k):
         H[j, l] = sum_n c_n P_n(cos gamma_jl),
         c_n = radial_near(n) g_n (2n+1) / (4 pi),
 
-    with gamma_jl the angle between microphone j and cap l.
+    with gamma_jl the angle between microphone j and cap l.  A g_n with
+    no finite reciprocal raises cap_gain's ArithmeticError naming ``alpha``.
     """
     sim_order = grid.order + SIM_ORDER_MARGIN
     orders = np.arange(sim_order + 1)
@@ -127,8 +128,6 @@ def transfer_matrix(geom, grid, k):
     gamma = great_circle_angle((grid.theta[:, None, None], grid.phi[:, None]), geom.cap_dirs.T)
     h = beam_pattern_modal(rg, gamma).reshape(grid.num_points, geom.num_caps)
     c = np.abs(rg) * (2 * orders + 1)
-    if not c.max() > 0:
-        raise ArithmeticError(f"alpha: every cap gain g_n vanishes at alpha = {geom.alpha:g} rad")
     return TransferMatrix(values=h, sim_order=sim_order, sim_tail=float(c[-3:].max() / c.max()))
 
 

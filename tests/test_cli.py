@@ -574,8 +574,17 @@ class TestBoundary:
         (["design", "--meth", "max-di", "--order", "2", "--freq", "400"], "--method"),
         # the rejected value is echoed clipped
         (["grid", "--analysis-order", "2", "--radius", "9" * 400], "--radius"),
+        # values that do not parse
+        (["design", "--method", "max-di", "--order", "2.5", "--freq", "400"], "--order"),
+        (["design", "--method", "max-di", "--order", "abc", "--freq", "400"], "--order"),
+        (["grid", "--analysis-order", "x", "--radius", "0.57"], "--analysis-order"),
+        (["grid", "--analysis-order", "2", "--radius", "abc"], "--radius"),
+        (["design", "--method", "dolph-chebyshev", "--order", "2", "--freq", "400",
+          "--sidelobe", "abc"], "--sidelobe"),
     ], ids=["negative-order", "unknown-method", "missing-method", "unknown-option",
-            "missing-modal-file", "nan-radius", "abbreviated-option", "400-digit-radius"])
+            "missing-modal-file", "nan-radius", "abbreviated-option", "400-digit-radius",
+            "fractional-order", "word-order", "word-analysis-order", "word-radius",
+            "word-sidelobe"])
     def test_bad_option_exits_2_on_one_line(self, runner, tmp_path, args, name):
         out = tmp_path / "out"
         result = runner.invoke(main, [*args, "--out", str(out)])
@@ -585,6 +594,39 @@ class TestBoundary:
         assert name in lines[0] and len(lines[0]) < 200
         assert result.stdout == ""
         assert not out.exists()
+
+    def test_short_writes_leave_the_same_bytes(self, tmp_path, monkeypatch):
+        """With os.write taking at most 7 bytes a call, a JSON file and a
+        pattern CSV of three blocks written over longer files equal the files
+        of unshortened writes."""
+        layout = JsonLayout("unit_weights", "abc", {"frequency_hz": 400.0, "num_caps": 2,
+                                                    "w": np.array([1.5 + 2j, -0.0 - 1e-320j])})
+        theta, phi = np.deg2rad([0.0, 90.0, 180.0]), np.deg2rad([0.0, 45.0, 90.0, 270.0])
+        values = np.arange(12) * (1.0 + 0.5j) + 0.25
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", 5)  # 12 rows: blocks of 5, 5 and 2
+
+        def write(directory):
+            write_json(directory / "w.json", layout)
+            cli.write_pattern_csv(directory / "p.csv", "abc", theta, phi, values, 1.0)
+
+        whole, short = tmp_path / "whole", tmp_path / "short"
+        whole.mkdir()
+        short.mkdir()
+        write(whole)
+        for name in ("w.json", "p.csv"):
+            (short / name).write_bytes(b"x" * ((whole / name).stat().st_size + 100))
+        calls, os_write = [], os.write
+
+        def short_write(fd, data):
+            calls.append(len(data))
+            return os_write(fd, data[:7])
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "write", short_write)
+            write(short)
+        for name in ("w.json", "p.csv"):
+            assert (short / name).read_bytes() == (whole / name).read_bytes(), name
+        assert sum(size > 7 for size in calls) >= 5  # the JSON, the CSV header and 3 blocks
 
     @pytest.mark.parametrize("extra", [100, 0], ids=["longer", "equal-length"])
     def test_write_json_overwrites_in_place(self, tmp_path, extra):
@@ -829,6 +871,20 @@ class TestBoundary:
         assert result.exit_code == 0, result.output
         rep = json.loads((tmp_path / "sim" / "simulation_400Hz.json").read_text())
         assert rep["pattern_error"] < 1e-10
+
+    def test_tiny_cap_raises_the_geometry_field_without_standalone_mode(self, runner,
+                                                                         tmp_path):
+        # main's caller gets the renamed error, raised from the library's
+        _design(runner, tmp_path)
+        out = tmp_path / "sim"
+        with pytest.raises(ArithmeticError, match=r"^geometry\.alpha: ") as info:
+            main(["simulate", str(tmp_path / "modal_weights_400Hz.json"),
+                  str(tmp_path / "unit_weights_400Hz.json"), "--look", "90,0",
+                  "--geometry", "dodecahedron:alpha=1e-300", "--out", str(out)],
+                 standalone_mode=False)
+        assert isinstance(info.value.__cause__, ArithmeticError)
+        assert str(info.value.__cause__).startswith("alpha: ")
+        assert not out.exists()
 
     def test_simulate_at_a_huge_radius_still_measures(self, runner, tmp_path):
         # the pressures are tiny but their squares are normal floats

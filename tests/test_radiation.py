@@ -56,6 +56,16 @@ class TestCapGain:
         for n in range(5):
             assert abs(cap_gain(n, 1e-6)) < 1e-9
 
+    @pytest.mark.parametrize("alpha", [1e-300, 1e-170, 1e-160])
+    def test_gain_without_a_finite_reciprocal_raises_naming_alpha(self, alpha):
+        # g_n is 0 below about 2e-162 rad and subnormal up to about 1.7e-155 rad
+        with pytest.raises(ArithmeticError, match=r"^alpha: "):
+            cap_gain(np.arange(3), alpha)
+
+    def test_tiny_gains_with_finite_reciprocals_are_returned(self):
+        g = cap_gain(np.arange(46), 1e-150)
+        assert np.all(np.isfinite(g)) and np.all(np.isfinite(1 / g))
+
     @pytest.mark.parametrize("alpha", [1e-9, 1e-7, 1e-3, 0.3, 1.2, 1.5])
     def test_matches_quadrature_to_order_45(self, alpha):
         # covers the sign changes of g_n near n = 23 and n = 44 at alpha = 0.3,

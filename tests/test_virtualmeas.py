@@ -148,6 +148,11 @@ class TestTransferMatrix:
         assert all(np.diff(tails) > 0)
         assert 0 < tails[0] and tails[-1] < 1
 
+    def test_vanishing_cap_gain_raises_naming_alpha(self):
+        with pytest.raises(ArithmeticError, match=r"^alpha: "):
+            transfer_matrix(dodecahedron(r0=0.15, alpha=1e-300), gaussian_grid(3, RADIUS),
+                            freq_to_k(400.0))
+
     def test_sim_tail_covers_a_vanishing_last_term(self):
         # g_44 nearly vanishes for alpha = 0.3, so at sim order 44 (analysis
         # order 29) the last series term alone understates the tail
