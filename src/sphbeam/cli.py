@@ -409,7 +409,7 @@ def write_pattern_csv(path: Path, cfg_hash: str, theta, phi, values, look_value)
 
 
 _PATTERN_FORMATS = ("%.6f", "%.6f", "%.12e", "%.12e", "%.12e", "%.6f")
-_BLOCK_ROWS = 4096  # rows rendered at a time: a word grid of about 0.5 MB
+_BLOCK_ROWS = 2048  # rows rendered at a time: a word grid of about 0.25 MB
 _TIE_MARGIN = 2.0**-51  # relative: twice the error of a value scaled with two roundings
 
 

@@ -72,15 +72,33 @@ def legval(x, c):
     """The Legendre series sum_n c_n P_n(x), by numpy legval's Clenshaw pass.
 
     An ndarray x gets one trailing axis of c per axis of its own, so the
-    result has shape c.shape[1:] + x.shape.
+    result has shape c.shape[1:] + x.shape; a scalar or 0-d x with 1-D c
+    gives a numpy scalar.
+
+    The pass runs in place, in three arrays of the result's shape
+    allocated once: each step applies numpy's operations in numpy's
+    operand order (c1 * x, times (2nd-1)/nd, c0 plus that; c_{nd-2} minus
+    c1 times (nd-1)/nd), each into an ``out=`` array.  The first step
+    reads c0 and c1 from c in c's own dtype, as numpy does, so for real x
+    the result is numpy's bit for bit.  (At a complex scalar x numpy sums
+    a 1-D series in scalar arithmetic, whose complex product can differ
+    in the last bit from the array loop's.)
     """
     c = np.asarray(c)
     if isinstance(x, np.ndarray):
         c = c.reshape(c.shape + (1,) * x.ndim)
+    shape, dtype = np.broadcast_shapes(c.shape[1:], np.shape(x)), np.result_type(c, x)
+    # c0 lives in c0_out after the first step, and c1 alternates between t and u
+    c0_out, t, u = (np.empty(shape, dtype) for _ in range(3))
     c0, c1 = (c[0], 0) if len(c) == 1 else (c[-2], c[-1])
     for nd in range(len(c) - 1, 1, -1):
-        c0, c1 = c[nd - 2] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
-    return c0 + c1 * x
+        np.multiply(c1, x, out=t)
+        np.multiply(t, (2 * nd - 1) / nd, out=t)
+        np.add(c0, t, out=t)
+        c0 = np.subtract(c[nd - 2], np.multiply(c1, (nd - 1) / nd, out=c0_out), out=c0_out)
+        c1, t, u = t, u, t
+    np.multiply(c1, x, out=t)
+    return np.add(c0, t, out=t)[()]
 
 
 def leggauss(deg):

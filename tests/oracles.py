@@ -40,6 +40,16 @@ def sph_bessel_j(n, x):
     return sp.spherical_jn(n, x), sp.spherical_jn(n, x, derivative=True)
 
 
+def rigid_sphere_mic_radial(n, kr0):
+    """Radial function of a microphone on a rigid sphere, from scipy:
+    b_n^mic(k r0) = 4 pi i^n [j_n - (j'_n / h'_n) h_n](k r0), with
+    h_n = j_n + i y_n."""
+    jn, djn = sph_bessel_j(n, kr0)
+    hn = jn + 1j * sp.spherical_yn(n, kr0)
+    dhn = djn + 1j * sp.spherical_yn(n, kr0, derivative=True)
+    return 4 * np.pi * 1j ** np.asarray(n) * (jn - djn / dhn * hn)
+
+
 def legendre_numpy(n, x):
     """sphmath.legendre through numpy.polynomial: one legvander table, and
     legder applied to the identity for the derivatives."""

@@ -10,6 +10,7 @@ from oracles import (
     cap_ymat,
     directivity_factor_integral,
     grid_dirs,
+    rigid_sphere_mic_radial,
     sph_bessel_j,
     velocity_coeffs,
     wng_coefficients,
@@ -31,6 +32,7 @@ from sphbeam.radiation import (
     beam_pattern_modal,
     dodecahedron,
     great_circle_angle,
+    radial_far,
 )
 from sphbeam.synthesis import build_transform, steer, unit_weights
 from sphbeam.virtualmeas import (
@@ -217,3 +219,41 @@ def test_criterion_9_synthesis_round_trip():
     )
     _check(9, f"G Y w reconstructs w_nm (residual {resid:.1e}) and w is minimum-norm",
            resid < 1e-9 and min_norm)
+
+
+def _mic_wng(d, b_mic):
+    """The white-noise gain of modal weights d for a rigid-sphere microphone array."""
+    a = 2 * np.arange(len(d)) + 1
+    return abs(np.sum(d * a)) ** 2 / np.sum(np.abs(d) ** 2 / np.abs(b_mic[: len(d)]) ** 2 * a)
+
+
+def test_criterion_10_loudspeaker_array_like_rigid_sphere_microphones():
+    """The paper's central claim: b_n(k r0) of the cap array is the rigid-sphere
+    microphone's b_n^mic times one factor per k, with the parity (-1)^n (a
+    loudspeaker radiates towards its look, a microphone receives from its own),
+    so the microphone-array designs carry over unchanged."""
+    start = time.perf_counter()
+    n = np.arange(8)
+    spread = phase_err = wng_weights_err = wng_ratio_err = 0.0
+    for kr0 in (0.1, 0.55, 1.1, 2.75, 8.0):
+        k = kr0 / R0
+        b_mic = rigid_sphere_mic_radial(n, kr0)
+        ratio = radial_far(n, k, R0) / b_mic
+        mags = np.abs(ratio)
+        spread = max(spread, np.ptp(mags) / mags.mean())
+        phase_err = max(phase_err, np.max(np.abs(np.angle(ratio) - (-1.0) ** (n + 1) * np.pi / 2)))
+        for order in range(8):
+            b2 = np.abs(b_mic[: order + 1]) ** 2
+            d_mic = 4 * np.pi * b2 / np.sum(b2 * (2 * n[: order + 1] + 1))
+            d_wng = max_wng_weights(order, k, R0)
+            wng_weights_err = max(wng_weights_err, np.max(np.abs(d_wng - d_mic) / d_mic))
+            for d in (d_wng, max_directivity_weights(order),
+                      *([dolph_chebyshev_weights(order, 25.0)] if order else [])):
+                wng_ratio_err = max(wng_ratio_err,
+                                    abs(wng(d, k, R0) / _mic_wng(d, b_mic) / mags[0] ** 2 - 1))
+    elapsed = time.perf_counter() - start
+    _check(10, f"b_n / b_n^mic has one magnitude (spread {spread:.1e}) and phase -+pi/2 "
+               f"(error {phase_err:.1e}) for n<=7; max-WNG weights equal the microphone's "
+               f"({wng_weights_err:.1e}) and WNG differs by |b_0 / b_0^mic|^2 "
+               f"({wng_ratio_err:.1e}) ({elapsed:.2f}s)",
+           max(spread, phase_err, wng_weights_err, wng_ratio_err) <= 1e-13 and elapsed < 1.0)

@@ -396,8 +396,9 @@ def test_cli_import_leaves_out_click():
 def test_cli_runs_without_openssl(tmp_path):
     # hashlib's _hashlib maps OpenSSL's libcrypto, and numpy.random maps it too
     # (through secrets and hmac); numpy.polynomial is a lazy import that sphmath's
-    # own Legendre and Chebyshev kernels replace.  A design, synthesize, grid and
-    # an unperturbed simulate need none of them.
+    # own Legendre and Chebyshev kernels replace; np.unique imports numpy.ma, which
+    # raised a 300-frequency design's VmHWM by 4.4 MB.  A design, synthesize, grid
+    # and an unperturbed simulate need none of them.
     out = str(tmp_path)
     script = f"""
 import sys
@@ -412,7 +413,7 @@ main(["grid", "--analysis-order", "10", "--radius", "0.57", "--out", {out!r}],
      standalone_mode=False)
 main(["simulate", {out!r} + "/modal_weights_400Hz.json", {out!r} + "/unit_weights_400Hz.json",
       "--look", "90,0", "--out", {out!r}], standalone_mode=False)
-print(sorted({{"_hashlib", "numpy.random", "numpy.polynomial"}} & set(sys.modules)))
+print(sorted({{"_hashlib", "numpy.random", "numpy.polynomial", "numpy.ma"}} & set(sys.modules)))
 """
     result = _python("-c", script)
     assert result.returncode == 0, result.stderr

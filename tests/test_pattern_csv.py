@@ -143,10 +143,15 @@ def test_rows_do_not_rely_on_the_last_bits_of_log10(monkeypatch, shift):
     _assert_rendered(rng.uniform(0.0, 180.0, values.shape[1]), [90.0], values)
 
 
+# azimuths of a 9-row polar grid spanning about 2.5 blocks, so that two block
+# edges fall inside a run of azimuths
+_PHI_ACROSS_BLOCKS = 5 * cli._BLOCK_ROWS // 18 + 1
+
+
 def test_rows_across_blocks_match_the_template():
-    """9 x 911 rows: block edges fall inside a run of azimuths."""
+    """9 x _PHI_ACROSS_BLOCKS rows: block edges fall inside a run of azimuths."""
     rng = np.random.default_rng(5)
-    theta, phi = rng.uniform(0.0, 180.0, 9), rng.uniform(0.0, 360.0, 911)
+    theta, phi = rng.uniform(0.0, 180.0, 9), rng.uniform(0.0, 360.0, _PHI_ACROSS_BLOCKS)
     theta[4] = phi[500] = np.nan
     assert 2 * cli._BLOCK_ROWS < theta.size * phi.size < 3 * cli._BLOCK_ROWS
     values = rng.standard_normal((4, theta.size * phi.size))
@@ -187,7 +192,7 @@ def _balloon(theta_size, phi_size, seed=11):
 def test_write_pattern_csv_overwrites_in_place(tmp_path, extra):
     """A pattern of three blocks written over an existing file leaves
     exactly its own bytes."""
-    theta, phi, values = _balloon(9, 911)
+    theta, phi, values = _balloon(9, _PHI_ACROSS_BLOCKS)
     assert 2 * cli._BLOCK_ROWS < values.size < 3 * cli._BLOCK_ROWS
     want = pattern_csv("abc", _meshgrid_dirs(theta, phi), values, 0.5j)
     path = tmp_path / "pattern.csv"
@@ -196,22 +201,33 @@ def test_write_pattern_csv_overwrites_in_place(tmp_path, extra):
     _assert_same_text(path.read_text(), want)
 
 
+def _write_peak(path, theta_size, phi_size):
+    """The traced peak memory of writing a balloon of theta_size x phi_size,
+    first-use tables warmed by a first write."""
+    theta, phi, values = _balloon(theta_size, phi_size)
+    cli.write_pattern_csv(path, "abc", theta, phi, values, 1.0)
+    tracemalloc.start()
+    try:
+        cli.write_pattern_csv(path, "abc", theta, phi, values, 1.0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_write_pattern_csv_memory_is_one_block(tmp_path):
-    """The file is streamed block by block: writing a 181 x 360 balloon (16
-    blocks) takes at most 1.1 times the peak memory of a 91 x 180 one (4
+    """The file is streamed block by block: writing a 181 x 360 balloon (32
+    blocks) takes at most 1.1 times the peak memory of a 91 x 180 one (8
     blocks), where a file rendered whole would take about 4 times."""
-    path = tmp_path / "pattern.csv"
-    peaks = []
-    for theta_size, phi_size in ((91, 180), (181, 360)):
-        theta, phi, values = _balloon(theta_size, phi_size)
-        cli.write_pattern_csv(path, "abc", theta, phi, values, 1.0)  # first-use tables
-        tracemalloc.start()
-        try:
-            cli.write_pattern_csv(path, "abc", theta, phi, values, 1.0)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    peaks = [_write_peak(tmp_path / "pattern.csv", *size) for size in ((91, 180), (181, 360))]
     assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+def test_write_pattern_csv_peak_memory(tmp_path):
+    """A 91 x 180 balloon is written within 1.3 MB of traced memory: one
+    block's word grid of about 0.25 MB and its copies (about 1.0 MB measured,
+    2.0 MB with blocks of 4096 rows)."""
+    peak = _write_peak(tmp_path / "pattern.csv", 91, 180)
+    assert peak <= 1.3e6, peak
 
 
 @pytest.mark.parametrize("design, perturb", [

@@ -96,6 +96,15 @@ _LEGENDRE_X = [0.0, -0.0, 1.0, -1.0, 0.3, np.asarray(-0.0), np.asarray(0.7),
                np.linspace(-1.0, 1.0, 41), np.array([[0.1, -0.0], [1.0, -1.0]]),
                np.cos(np.linspace(0.0, np.pi, 181))]
 
+# cos of (T, P, L) angles, as transfer_matrix sums its series over, with both
+# signed zeros and both ends
+_SIMULATE_X = np.cos(np.random.default_rng(0).uniform(0.0, np.pi, (5, 7, 12)))
+_SIMULATE_X[0, :4, 0] = [-0.0, 0.0, 1.0, -1.0]
+
+
+def _legval_id(x):
+    return f"shape{x.shape}" if np.ndim(x) > 2 else repr(x)
+
 
 class TestNumpyKernels:
     """The Legendre and Chebyshev kernels against numpy.polynomial, bit for bit."""
@@ -118,11 +127,13 @@ class TestNumpyKernels:
         with pytest.raises(ValueError, match="deg"):
             sphmath.leggauss(0)
 
-    @pytest.mark.parametrize("size", [1, 2, 3, 4, 9, 48])
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 9, 46, 48])
     @pytest.mark.parametrize("x", [0.3, -0.0, np.float64(-0.6), np.asarray(0.5),
                                    np.asarray(-0.0), np.linspace(-1.0, 1.0, 7),
-                                   np.array([[-0.0, 0.2, 1.0], [-1.0, 0.0, 0.9]])], ids=repr)
+                                   np.array([[-0.0, 0.2, 1.0], [-1.0, 0.0, 0.9]]),
+                                   _SIMULATE_X], ids=_legval_id)
     def test_legval(self, size, x):
+        # 46 terms and a (T, P, L) x: transfer_matrix's series at analysis order 30
         rng = np.random.default_rng(size)
         c = rng.standard_normal(size) + 1j * rng.standard_normal(size)
         c[rng.random(size) < 0.3] = -0.0  # signed zero terms

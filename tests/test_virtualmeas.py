@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -140,6 +141,20 @@ class TestTransferMatrix:
                 direct = pressure_field(u, k, RADIUS, grid_dirs(grid), GEOM)
                 assert np.max(np.abs(h.values[:, col] - direct)) < 1e-12 * np.max(
                     np.abs(h.values[:, col]))
+
+    def test_peak_memory_at_simulate_deep_size(self):
+        # the 46-term series on the (T, P, L) = (31, 62, 12) angles runs in three
+        # arrays of that shape, 0.37 MB each (1.5-1.6 MB measured; 1.9-2.0 MB with
+        # a fresh array per Clenshaw step)
+        grid, k = gaussian_grid(30, RADIUS), freq_to_k(1000.0)
+        transfer_matrix(GEOM, grid, k)  # first-use tables
+        tracemalloc.start()
+        try:
+            transfer_matrix(GEOM, grid, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.7e6, peak
 
     def test_sim_tail_rises_with_frequency(self):
         grid = gaussian_grid(10, RADIUS)
