@@ -12,11 +12,11 @@ blocks of rows by write_pattern_csv, so a file is never held whole).
 Identical inputs produce bit-identical outputs; every file carries the
 config hash: the first 16 hex digits of the SHA-256 of the command's config,
 as ``json.dumps(cfg, sort_keys=True)`` writes it, computed with CPython's
-built-in SHA-256 so that the CLI does not load OpenSSL (``simulate
---perturb`` still does, through numpy.random).  An existing output file is
-overwritten in place and cut to length.  Results are computed and checked
-before any file is opened, but an I/O error can leave a pattern CSV partly
-written.
+built-in SHA-256 so that the CLI does not load OpenSSL (nor does
+``simulate --perturb``, which draws from ``random.Random(seed)``, not
+numpy.random).  An existing output file is overwritten in place and cut
+to length.  Results are computed and checked before any file is opened,
+but an I/O error can leave a pattern CSV partly written.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -170,7 +170,7 @@ class JsonLayout:
 
     Float or complex ndarrays in ``payload`` vary per row: with ``rows``
     given their first axis indexes the rows, without it there is one row.
-    In the skeleton each of their numbers is a slot sentinel (a complex one
+    In the skeleton each of their numbers is a slot, a NaN (a complex one
     an ``[re, im]`` pair of them), which the template turns into ``%r``,
     filled from row i of the ``values`` matrix; ``float.__repr__`` is what
     ``json.dumps`` writes for a finite float.  Other values are constants.
@@ -184,7 +184,7 @@ class JsonLayout:
         self._columns = []  # (field, (rows, slots) float array) in slot order
         skeleton = self._skeleton({"kind": kind, "config_hash": cfg_hash, **payload}, kind)
         text = json.dumps(skeleton, sort_keys=True, indent=2).replace("%", "%%")
-        self.template = text.replace(f" {json.dumps(_SLOT)}", " %r") + "\n"
+        self.template = text.replace(" NaN,\n", " %r,\n").replace(" NaN\n", " %r\n") + "\n"
         matrix = np.hstack([np.empty((rows or 1, 0)), *(c for _, c in self._columns)])
         if not np.all(np.isfinite(matrix)):
             bad = next(f for f, c in self._columns if not np.all(np.isfinite(c)))
@@ -214,10 +214,11 @@ class JsonLayout:
         return skeleton
 
 
-# json.dumps writes this lone surrogate as "\udfff".  After a space (the indent or
-# ": ") that token opens a string, and only a string equal to U+DFFF encodes to it;
-# no payload string (kind names, hex hashes, --method choices) is one.
-_SLOT = "\udfff"
+# json.dumps writes this float as the bare token NaN, which the template matches
+# between a space (the indent or ": ") and a line end.  No string or key can end
+# a line there, since JSON escapes a newline inside one, and _skeleton rejects a
+# non-finite constant, so every such token is a slot.
+_SLOT = float("nan")
 
 
 def _pairs(value, field: str, pair: str) -> np.ndarray:

@@ -23,6 +23,7 @@ as ``sim_tail``.
 """
 
 import math
+import random
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -134,26 +135,46 @@ def transfer_matrix(geom, grid, k):
 def perturb_transfer(transfer, gain_db=0.0, phase_deg=0.0, noise=0.0, seed=0):
     """Apply per-unit gain/phase errors and additive microphone noise.
 
-    Emulates transducer mismatch and measurement noise; gain errors are
-    normally distributed in dB, phase errors in degrees, and ``noise``
-    is the standard deviation of complex additive noise per entry.
-    Raises ArithmeticError, naming the field, when a perturbed entry is
-    not finite.
+    Emulates transducer mismatch and measurement noise: each unit's gain is
+    10^(gain_db z / 20) and its phase error deg2rad(phase_deg z), and each
+    entry gains noise (z1 + i z2), every z a standard normal deviate drawn,
+    in that order, from ``random.Random(seed)`` by :func:`_complex_normals`.
+    Identical arguments give identical bytes.  Raises ArithmeticError,
+    naming the field, when a drawn phase error reaches 2^55 rad (its float
+    spacing exceeds a full turn, so it has no value modulo 2 pi), when a
+    perturbed entry is not finite, or when every gain underflows to 0.
     """
-    rng = np.random.default_rng(seed)
+    rnd = random.Random(seed)
     num_caps = transfer.values.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        gains = 10.0 ** (rng.normal(0.0, gain_db, num_caps) / 20.0)
-        phases = np.deg2rad(rng.normal(0.0, phase_deg, num_caps))
+        # one value per unit: its real part sets the gain, its imaginary part the phase
+        unit = _complex_normals(rnd, num_caps)
+        gains = 10.0 ** (gain_db * unit.real / 20.0)
+        phases = np.deg2rad(phase_deg * unit.imag)
+        if not np.all(np.abs(phases) < _PHASE_LIMIT):
+            raise ArithmeticError("perturb.phase_deg: a drawn phase error reaches 2^55 rad, "
+                                  "where it has no value modulo 2 pi")
         h = transfer.values * (gains * np.exp(1j * phases))
-        if not np.all(np.isfinite(h)):
-            field = "gain_db" if np.all(np.isfinite(phases)) else "phase_deg"
-            raise ArithmeticError(f"perturb.{field}: perturbed transfer matrix is not finite")
+        if not (np.all(np.isfinite(h)) and np.any(h)):  # a gain overflows, or every one underflows
+            raise ArithmeticError("perturb.gain_db: perturbed transfer matrix is not finite "
+                                  "or is all zero")
         if noise > 0.0:
-            h = h + noise * (rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape))
+            h = h + noise * _complex_normals(rnd, h.size).reshape(h.shape)
             if not np.all(np.isfinite(h)):
                 raise ArithmeticError("perturb.noise: perturbed transfer matrix is not finite")
     return replace(transfer, values=h)
+
+
+_PHASE_LIMIT = 2.0**55  # rad; from here on adjacent floats lie more than 2 pi apart
+
+
+def _complex_normals(rnd, size):
+    """size deviates z1 + i z2, z1 and z2 independent standard normals, from
+    the random.Random rnd: Box-Muller on uniforms u = (k + 1) 2^-53 in (0, 1],
+    k the top 53 bits of each little-endian 64-bit word of rnd.randbytes."""
+    k = np.frombuffer(rnd.randbytes(16 * size), "<u8") >> 11
+    u1, u2 = ((k + 1) * 2.0**-53).reshape(2, size)
+    return np.sqrt(-2.0 * np.log(u1)) * np.exp(2j * np.pi * u2)
 
 
 def _sh_tables(order, theta, phi):

@@ -8,12 +8,13 @@ library computes its special functions in numpy alone.
 
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import scipy.special as sp
 
 from sphbeam import sphmath
-from sphbeam.radiation import radial_far, radial_near
+from sphbeam.radiation import ArrayGeometry, dodecahedron, radial_far, radial_near
 
 
 def sh_index(n, m):
@@ -74,6 +75,22 @@ NUMPY_KERNELS = {
     "leggauss": np.polynomial.legendre.leggauss,
     "chebyshev_t": chebyshev_t_numpy,
 }
+
+
+def icosahedral_32(r0, alpha):
+    """A second reference layout, 32 caps: dodecahedron's 12 directions and the
+    20 normalised sums of their mutually adjacent triples (the face centres of
+    the icosahedron those 12 span, so the vertices of the dual dodecahedron)."""
+    theta, phi = dodecahedron(r0, alpha).cap_dirs.T
+    v = np.column_stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
+    cos = v @ v.T
+    adjacent = np.isclose(cos, np.max(cos[~np.eye(12, dtype=bool)]))  # nearest neighbours
+    faces = [v[i] + v[j] + v[k] for i in range(12) for j in range(i + 1, 12)
+             for k in range(j + 1, 12) if adjacent[i, j] and adjacent[j, k] and adjacent[i, k]]
+    u = np.vstack([v, faces / np.linalg.norm(faces, axis=1, keepdims=True)])
+    dirs = np.column_stack([np.arccos(np.clip(u[:, 2], -1, 1)),
+                            np.mod(np.arctan2(u[:, 1], u[:, 0]), 2 * np.pi)])
+    return ArrayGeometry(r0=r0, alpha=alpha, cap_dirs=dirs)
 
 
 def hypercardioid_pattern(order, theta_gc):
@@ -239,3 +256,17 @@ def config_hash(cfg):
     """The 16-hex config_hash of a command's config, by hashlib's (OpenSSL's)
     SHA-256 of the config as json.dumps(cfg, sort_keys=True) writes it."""
     return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def perturb_transfer_numpy(transfer, gain_db=0.0, phase_deg=0.0, noise=0.0, seed=0):
+    """virtualmeas.perturb_transfer's formulas with numpy.random's normal
+    deviates from np.random.default_rng(seed): gains 10^(gain_db z / 20),
+    phase errors deg2rad(phase_deg z) and noise (z1 + i z2) per entry."""
+    rng = np.random.default_rng(seed)
+    num_caps = transfer.values.shape[1]
+    gains = 10.0 ** (gain_db * rng.standard_normal(num_caps) / 20.0)
+    phases = np.deg2rad(phase_deg * rng.standard_normal(num_caps))
+    h = transfer.values * (gains * np.exp(1j * phases))
+    if noise > 0.0:
+        h = h + noise * (rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape))
+    return replace(transfer, values=h)

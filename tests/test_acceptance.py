@@ -4,12 +4,14 @@ line (run with ``pytest -s tests/test_acceptance.py`` to see them)."""
 import time
 
 import numpy as np
+import pytest
 
 from oracles import (
     beam_pattern_field,
     cap_ymat,
     directivity_factor_integral,
     grid_dirs,
+    icosahedral_32,
     rigid_sphere_mic_radial,
     sph_bessel_j,
     velocity_coeffs,
@@ -48,6 +50,8 @@ from sphbeam.virtualmeas import (
 R0 = 0.15
 RADIUS = 0.57
 GEOM = dodecahedron(r0=R0, alpha=0.3)
+# the second reference array: 32 caps carry orders N <= 4, since (N + 1)^2 <= 32
+GEOM32 = icosahedral_32(r0=R0, alpha=0.2)
 
 
 def _check(num, description, condition):
@@ -219,6 +223,72 @@ def test_criterion_9_synthesis_round_trip():
     )
     _check(9, f"G Y w reconstructs w_nm (residual {resid:.1e}) and w is minimum-norm",
            resid < 1e-9 and min_norm)
+
+
+@pytest.mark.parametrize("order", [3, 4])
+def test_criterion_6_end_to_end_on_32_caps(order):
+    """Criterion 6 on the 32-cap layout, sampled on an order-12 Gaussian grid."""
+    start = time.perf_counter()
+    look = (np.pi / 2, 0.0)
+    grid = gaussian_grid(12, RADIUS)
+    transform = build_transform(GEOM32, order)
+    errs = []
+    for f, factory in ((400.0, lambda k: max_wng_weights(order, k, R0)),
+                       (1000.0, lambda k: max_directivity_weights(order)),
+                       (1000.0, lambda k: dolph_chebyshev_weights(order, 25.0))):
+        k = 2 * np.pi * f / C
+        d = factory(k)
+        w = unit_weights(near_field_steer(d, look, k, RADIUS, R0), transform)
+        samples = virtual_measure(w, transfer_matrix(GEOM32, grid, k))
+        measured = measured_pattern(discrete_sft(samples, grid, order), grid.theta, grid.phi)
+        designed = beam_pattern_modal(d, great_circle_angle(look, grid_dirs(grid).T))
+        errs.append(pattern_error(measured, designed, grid.weights))
+    elapsed = time.perf_counter() - start
+    _check(6, f"32 caps, N={order}: max-WNG (400 Hz), max-DI and Dolph-Chebyshev (1 kHz) "
+              f"pattern errors up to {max(errs):.1e} < 1e-3 ({elapsed:.2f}s)",
+           max(errs) < 1e-3 and elapsed < 10.0)
+
+
+@pytest.mark.parametrize("order", [3, 4])
+def test_criterion_7_steering_independence_on_32_caps(order):
+    """Criterion 7 through the 32-cap synthesis: the pattern that the caps'
+    velocities radiate at order N has one B(Theta) profile for every look."""
+    rng = np.random.default_rng(770 + order)
+    k = 1.1 / R0
+    transform = build_transform(GEOM32, order)
+    d = rng.standard_normal(order + 1) + 1j * rng.standard_normal(order + 1)
+    theta_gc = np.linspace(0, np.pi, 25)
+    ref = beam_pattern_modal(d, theta_gc)
+    worst = 0.0
+    for _ in range(20):
+        look = (rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi))
+        w = unit_weights(steer(d, look, k, R0), transform)
+        vals = beam_pattern_field(velocity_coeffs(GEOM32, w, order), k, R0,
+                                  _dirs_at_angles(look, theta_gc, rng))
+        worst = max(worst, np.max(np.abs(vals - ref)))
+    _check(7, f"32 caps, N={order}: 20 random look directions give identical B(Theta) "
+              f"profiles (max deviation {worst:.1e})", worst < 1e-8)
+
+
+@pytest.mark.parametrize("order", [3, 4])
+def test_criterion_9_synthesis_round_trip_on_32_caps(order):
+    size = (order + 1) ** 2
+    transform = build_transform(GEOM32, order)
+    rng = np.random.default_rng(990 + order)
+    d = rng.standard_normal(order + 1) + 1j * rng.standard_normal(order + 1)
+    sw = steer(d, (0.8, 2.5), 1.1 / R0, R0)
+    w = unit_weights(sw, transform)
+    resid = np.max(np.abs(velocity_coeffs(GEOM32, w, order) - sw))
+    _, _, vh = np.linalg.svd(cap_ymat(GEOM32, order))
+    null = vh[size:].conj().T  # 32 - (N + 1)^2 columns
+    min_norm = all(
+        np.sum(np.abs(w + null @ (rng.standard_normal(32 - size)
+                                  + 1j * rng.standard_normal(32 - size))) ** 2)
+        >= np.sum(np.abs(w) ** 2) - 1e-12
+        for _ in range(50)
+    )
+    _check(9, f"32 caps, N={order}: G Y w reconstructs w_nm (residual {resid:.1e}) and w is "
+              f"minimum-norm", resid < 1e-9 and min_norm)
 
 
 def _mic_wng(d, b_mic):

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from oracles import NUMPY_KERNELS, config_hash
+from oracles import NUMPY_KERNELS, config_hash, icosahedral_32
 
 from sphbeam import cli, sphmath, synthesis
 from sphbeam.cli import JsonLayout, main, write_json
@@ -398,7 +398,7 @@ def test_cli_runs_without_openssl(tmp_path):
     # (through secrets and hmac); numpy.polynomial is a lazy import that sphmath's
     # own Legendre and Chebyshev kernels replace; np.unique imports numpy.ma, which
     # raised a 300-frequency design's VmHWM by 4.4 MB.  A design, synthesize, grid
-    # and an unperturbed simulate need none of them.
+    # and a simulate, plain or perturbed, need none of them.
     out = str(tmp_path)
     script = f"""
 import sys
@@ -413,6 +413,9 @@ main(["grid", "--analysis-order", "10", "--radius", "0.57", "--out", {out!r}],
      standalone_mode=False)
 main(["simulate", {out!r} + "/modal_weights_400Hz.json", {out!r} + "/unit_weights_400Hz.json",
       "--look", "90,0", "--out", {out!r}], standalone_mode=False)
+main(["simulate", {out!r} + "/modal_weights_400Hz.json", {out!r} + "/unit_weights_400Hz.json",
+      "--look", "90,0", "--perturb", "gain_db=1,phase_deg=5,noise=1e-3,seed=3",
+      "--out", {out!r} + "/perturbed"], standalone_mode=False)
 print(sorted({{"_hashlib", "numpy.random", "numpy.polynomial", "numpy.ma"}} & set(sys.modules)))
 """
     result = _python("-c", script)
@@ -420,6 +423,7 @@ print(sorted({{"_hashlib", "numpy.random", "numpy.polynomial", "numpy.ma"}} & se
     assert (tmp_path / "balloon_measured_400Hz.csv").exists()
     assert (tmp_path / "dc" / "modal_weights_700Hz.json").exists()
     assert (tmp_path / "syn" / "unit_weights_400Hz.json").exists()
+    assert (tmp_path / "perturbed" / "simulation_400Hz.json").exists()
     assert result.stdout.splitlines()[-1] == "[]"
 
 
@@ -489,6 +493,42 @@ def test_simulate_builds_sh_tables_over_polar_angles_only(runner, monkeypatch, t
         "--out", str(tmp_path / "sim")], catch_exceptions=False)
     assert result.exit_code == 0, result.output
     assert sorted(set(points)) == [1, 31, 91], points
+
+
+def test_32_cap_chain_at_order_4(runner, tmp_path):
+    """The second reference array from a geometry file: all three designs at
+    N = 4, near-field, then simulate at analysis order 12, plain and perturbed
+    (the perturbation drawn for 32 caps); N = 5 needs 36 > 32 caps."""
+    geom = tmp_path / "icosahedral_32.json"
+    geom.write_text(json.dumps({"r0": 0.15, "alpha": 0.2, "caps_deg": np.rad2deg(
+        icosahedral_32(0.15, 0.2).cap_dirs).tolist()}))
+    for method, extra in (("max-di", []), ("max-wng", []),
+                          ("dolph-chebyshev", ["--sidelobe", "25"])):
+        out = tmp_path / method
+        result = runner.invoke(main, [
+            "design", "--method", method, "--order", "4", "--freq", "300,1000", *extra,
+            "--look", "90,0", "--near-field", "--radius", "0.57", "--geometry", str(geom),
+            "--out", str(out)], catch_exceptions=False)
+        assert result.exit_code == 0, result.output
+        assert len(json.loads((out / "unit_weights_1000Hz.json").read_text())["w"]) == 32
+        errors = []
+        for perturb in ("", "gain_db=1,phase_deg=5,noise=1e-3,seed=3"):
+            sim = out / f"sim{len(perturb)}"
+            result = runner.invoke(main, [
+                "simulate", str(out / "modal_weights_1000Hz.json"),
+                str(out / "unit_weights_1000Hz.json"), "--look", "90,0",
+                "--analysis-order", "12", "--geometry", str(geom), "--perturb", perturb,
+                "--out", str(sim)], catch_exceptions=False)
+            assert result.exit_code == 0, result.output
+            errors.append(json.loads((sim / "simulation_1000Hz.json").read_text())["pattern_error"])
+        assert errors[0] < 1e-10 and 1e-3 < errors[1] < 1, errors
+    result = runner.invoke(main, [
+        "design", "--method", "max-wng", "--order", "5", "--freq", "300", "--look", "90,0",
+        "--geometry", str(geom), "--out", str(tmp_path / "order5")])
+    assert result.exit_code == 2, result.output
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and "order" in lines[0], lines
+    assert not (tmp_path / "order5").exists()
 
 
 def test_config_hash_matches_hashlib_oracle(runner, monkeypatch, tmp_path):
@@ -825,10 +865,15 @@ class TestBoundary:
         assert "RuntimeWarning" not in result.stderr
         assert not list(out.glob("*.csv"))
 
+    # a phase error of 1e306 rad is finite but has no value modulo 2 pi: every seed
+    # exits 3, not just those whose draw happens to overflow
     @pytest.mark.parametrize("perturb, field", [
         ("gain_db=1e308", "perturb.gain_db"),
         ("phase_deg=1e308", "perturb.phase_deg"),
         ("noise=1e308", "perturb.noise"),
+        *((f"{name}=1e308,seed={seed}", f"perturb.{name}")
+          for name in ("gain_db", "phase_deg", "noise") for seed in (1, 2, 3, 4)),
+        ("gain_db=1e308,seed=3777", "perturb.gain_db"),  # every gain underflows to 0
     ])
     def test_perturbation_overflow_exits_3_on_one_line(self, runner, tmp_path, perturb, field):
         _design(runner, tmp_path)

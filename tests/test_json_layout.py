@@ -64,6 +64,17 @@ def test_rows_match_json_dumps(rows, data):
         assert layout.template % tuple(values) == expected
 
 
+@pytest.mark.parametrize("kind, cfg_hash, payload", [
+    ("", "\udfff", {}),  # a hypothesis find: U+DFFF was once the slot sentinel
+    ("NaN", " NaN", {"NaN": ["NaN\n", " NaN,\n"], " NaN": np.array([[1.5, -0.0]])}),
+])
+def test_strings_like_a_slot_stay_constants(kind, cfg_hash, payload):
+    layout = JsonLayout(kind, cfg_hash, payload)
+    doc = {"kind": kind, "config_hash": cfg_hash, **_row(payload, None)}
+    expected = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    assert layout.template % tuple(layout.values[0].tolist()) == expected
+
+
 def test_write_json_writes_the_filled_row(tmp_path):
     w = np.array([[1.5 - 0.0j, -0.0 + 2j], [3.0 + 4j, 5e-324 - 1j]])
     layout = JsonLayout("unit_weights", "%s", {"frequency_hz": np.array([400.0, 733.3]),

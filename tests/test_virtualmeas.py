@@ -1,12 +1,15 @@
+import math
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+import scipy.special as sp
 from oracles import (
     discrete_sft_scattered,
     grid_dirs,
     measured_pattern_scattered,
+    perturb_transfer_numpy,
     pressure_field,
     sh_index,
     velocity_coeffs,
@@ -25,6 +28,7 @@ from sphbeam.radiation import (
 from sphbeam.synthesis import build_transform, steer, unit_weights
 from sphbeam.virtualmeas import (
     SamplingGrid,
+    TransferMatrix,
     discrete_sft,
     gaussian_grid,
     measured_pattern,
@@ -202,6 +206,64 @@ class TestTransferMatrix:
         p2 = perturb_transfer(h, gain_db=0.5, phase_deg=2.0, noise=1e-4, seed=7)
         assert np.array_equal(p1.values, p2.values)
         assert not np.array_equal(p1.values, h.values)
+
+
+class TestPerturbation:
+    """perturb_transfer's normal deviates, against numpy.random's as the oracle."""
+
+    UNIT = TransferMatrix(values=np.ones((2, 10_000), complex), sim_order=0, sim_tail=0.0)
+
+    def test_seeds_differ(self):
+        p0, p1 = (perturb_transfer(self.UNIT, 1.0, 5.0, 1e-3, seed) for seed in (0, 1))
+        assert not np.any(p0.values == p1.values)
+
+    @staticmethod
+    def _assert_standard_normal(z):
+        """Mean 0 and sd 1 within 4 standard errors, and a Kolmogorov-Smirnov
+        distance to the normal CDF below its 0.1 % critical value."""
+        n = z.size
+        assert abs(z.mean()) < 4 / math.sqrt(n)
+        assert abs(z.std() - 1) < 4 / math.sqrt(2 * n)
+        cdf = sp.ndtr(np.sort(z))
+        steps = np.arange(n + 1) / n
+        assert max(np.max(steps[1:] - cdf), np.max(cdf - steps[:-1])) < 1.95 / math.sqrt(n)
+
+    @pytest.mark.parametrize("perturb", [perturb_transfer, perturb_transfer_numpy],
+                             ids=["random", "numpy-oracle"])
+    def test_errors_have_the_requested_spread(self, perturb):
+        gain_db, phase_deg, noise = 1.0, 5.0, 1e-3
+        h = perturb(self.UNIT, gain_db=gain_db, phase_deg=phase_deg, seed=5).values
+        assert np.array_equal(h[0], h[1])  # one gain and one phase per unit
+        self._assert_standard_normal(20 * np.log10(np.abs(h[0])) / gain_db)
+        self._assert_standard_normal(np.rad2deg(np.angle(h[0])) / phase_deg)
+        e = perturb(self.UNIT, noise=noise, seed=6).values - 1
+        self._assert_standard_normal(e.real.ravel() / noise)
+        self._assert_standard_normal(e.imag.ravel() / noise)
+        assert abs(np.corrcoef(e.real.ravel(), e.imag.ravel())[0, 1]) < 4 / math.sqrt(e.size)
+
+    def test_pattern_error_matches_numpy_draws(self):
+        # the README's perturbed example over 300 seeds: the same formulas fed
+        # numpy.random's deviates give the same mean pattern_error
+        grid = gaussian_grid(10, RADIUS)
+        k = freq_to_k(400.0)
+        d = max_wng_weights(2, k, GEOM.r0)
+        w = unit_weights(near_field_steer(d, LOOK, k, RADIUS, GEOM.r0), build_transform(GEOM, 2))
+        h = transfer_matrix(GEOM, grid, k)
+        designed = beam_pattern_modal(d, great_circle_angle(LOOK, (grid.theta[:, None],
+                                                                   grid.phi))).ravel()
+
+        def error(perturbed):
+            pnm = discrete_sft(virtual_measure(w, perturbed), grid, 2)
+            return pattern_error(measured_pattern(pnm, grid.theta, grid.phi), designed,
+                                 grid.weights)
+
+        means, variances = [], []
+        for perturb in (perturb_transfer, perturb_transfer_numpy):
+            errs = np.array([error(perturb(h, gain_db=1.0, phase_deg=5.0, noise=1e-3, seed=seed))
+                             for seed in range(300)])
+            means.append(errs.mean())
+            variances.append(errs.var(ddof=1) / errs.size)
+        assert abs(means[0] - means[1]) < 4 * math.sqrt(sum(variances))
 
 
 class TestNearFieldSteer:
