@@ -15,8 +15,11 @@ as ``json.dumps(cfg, sort_keys=True)`` writes it, computed with CPython's
 built-in SHA-256 so that the CLI does not load OpenSSL (nor does
 ``simulate --perturb``, which draws from ``random.Random(seed)``, not
 numpy.random).  An existing output file is overwritten in place and cut
-to length.  Results are computed and checked before any file is opened,
-but an I/O error can leave a pattern CSV partly written.
+to length.  Each command parses its input, computes and checks its results
+in the library, and only then writes: _write, the one writer, makes the
+output directory on the first write that finds it missing, so a command
+that fails makes no directory and no file.  An I/O error can leave a
+pattern CSV partly written.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -242,7 +245,10 @@ def _l2c(pairs, field: str) -> np.ndarray:
 
 def _write(path, chunks):
     """Overwrite the file at path with the byte strings of chunks, in place,
-    cut to length: the only place an output file is opened.
+    cut to length: the only place an output file is opened or the output
+    directory made.  A missing directory is made, parents included, when
+    the first open finds none; since every command checks its results
+    before its first write, a failing command makes no directory.
 
     Each chunk is written as the iterable yields it, so a file need not be
     held in memory whole.  The open does not truncate: on ext4, truncating
@@ -252,7 +258,11 @@ def _write(path, chunks):
     becomes a ValueError naming ``out`` and the path.
     """
     try:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        except FileNotFoundError:
+            os.makedirs(Path(path).parent, exist_ok=True)
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
         try:
             size = 0
             for chunk in chunks:
@@ -265,19 +275,7 @@ def _write(path, chunks):
         finally:
             os.close(fd)
     except OSError as exc:
-        raise _unwritable(path, exc) from exc
-
-
-def _unwritable(path, exc: OSError) -> ValueError:
-    return ValueError(f"out: cannot write {path}: {exc.strerror}")
-
-
-def _make_out(out: Path):
-    """Create the output directory, or ValueError naming ``out``."""
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise _unwritable(out, exc) from exc
+        raise ValueError(f"out: cannot write {path}: {exc.strerror}") from exc
 
 
 def write_json(path, layout: JsonLayout, row: int = 0):
@@ -684,25 +682,15 @@ def cmd_design(geometry, method, order, freq, look, sidelobe, near_field, radius
         steered_layout(cfg_hash, fs, ks, cfg["look_deg"], nf_radius, order, sw.w_nm, rows),
         unit_layout(cfg_hash, fs, sw.w, rows),
         JsonLayout("metrics", cfg_hash,
-                   _report_doc(sw.report, fs, ks, geom.r0, sw.unit_weight_norm), rows),
+                   {"frequency_hz": fs, "k_per_m": ks, "r0_m": geom.r0, **sw.report}, rows),
     )
-    _make_out(out)
-
     tags = [f"{f:g}Hz" for f in freqs]
     for i, tag in enumerate(tags):
         for layout in layouts:
             write_json(f"{out}/{layout.kind}_{tag}.json", layout, i)
-    rep = sw.report
-    lines = zip(tags, rep.q.tolist(), rep.di_db.tolist(), rep.wng.tolist(), rep.wng_db.tolist())
+    lines = zip(tags, *(sw.report[key].tolist() for key in ("q", "di_db", "wng", "wng_db")))
     print("\n".join(f"{tag}: Q={q:.6g} DI={di_db:.4f} dB WNG={wng:.6g} ({wng_db:.4f} dB)"
                     for tag, q, di_db, wng, wng_db in lines))
-
-
-def _report_doc(rep, f, k, r0, unit_weight_norm):
-    return {
-        "frequency_hz": f, "q": rep.q, "di_db": rep.di_db, "wng": rep.wng,
-        "wng_db": rep.wng_db, "k_per_m": k, "r0_m": r0, "unit_weight_norm": unit_weight_norm,
-    }
 
 
 @_command("steer", ("weights_file", dict(type=Path)), _GEOMETRY,
@@ -719,7 +707,6 @@ def cmd_steer(weights_file, geometry, look, near_field, radius, out):
            "look_deg": np.rad2deg(look_rad).tolist(), "near_field": near_field, "radius_m": radius}
     layout = steered_layout(_config_hash(cfg), f, k, cfg["look_deg"], nf_radius, d.size - 1,
                             w_nm)
-    _make_out(out)
     write_json(out / f"steered_weights_{f:g}Hz.json", layout)
     print(f"steered order-{d.size - 1} weights to look {look} deg")
 
@@ -732,7 +719,6 @@ def cmd_synthesize(steered_file, geometry, out):
     w = synthesis.unit_weights(w_nm, synthesis.build_transform(geom, order))
     cfg = {"command": "synthesize", "geometry": geom_doc, "source": source}
     layout = unit_layout(_config_hash(cfg), f, w)
-    _make_out(out)
     write_json(out / f"unit_weights_{f:g}Hz.json", layout)
     print(f"synthesized {geom.num_caps} unit weights")
 
@@ -745,24 +731,22 @@ def cmd_metrics(weights_file, geometry, out, fmt):
     geom, geom_doc = load_geometry(geometry)
     d, k, f, source = read_modal(weights_file, geom.r0)
     rep = metricsmod.report(d, k, geom.r0)
-    bad = [name for name, value in vars(rep).items() if not np.isfinite(value)]
+    bad = [name for name, value in rep.items() if not np.isfinite(value)]
     if bad:
         raise ArithmeticError(f"d: these modal weights give a non-finite {bad[0]} "
                               f"at k_per_m = {k:g}")
     cfg = {"command": "metrics", "geometry": geom_doc, "source": source}
     cfg_hash = _config_hash(cfg)
     path = out / f"metrics_{f:g}Hz.{fmt}"
-    doc = _report_doc(rep, f, k, geom.r0, None)
+    doc = {"frequency_hz": f, "k_per_m": k, "r0_m": geom.r0, **rep, "unit_weight_norm": None}
     if fmt == "json":
-        write = partial(write_json, path, JsonLayout("metrics", cfg_hash, doc))
+        write_json(path, JsonLayout("metrics", cfg_hash, doc))
     else:
         keys = sorted(doc)
         lines = [f"# config_hash: {cfg_hash}", ",".join(keys),
                  ",".join("" if doc[k] is None else f"{doc[k]:.12g}" for k in keys)]
-        write = partial(_write, path, (("\n".join(lines) + "\n").encode(),))
-    _make_out(out)
-    write()
-    print(f"Q={rep.q:.6g} DI={rep.di_db:.4f} dB WNG={rep.wng:.6g}")
+        _write(path, (("\n".join(lines) + "\n").encode(),))
+    print(f"Q={rep['q']:.6g} DI={rep['di_db']:.4f} dB WNG={rep['wng']:.6g}")
 
 
 @_command("grid", ("--analysis-order", dict(type=_natural, required=True)),
@@ -777,7 +761,6 @@ def cmd_grid(analysis_order, radius, out):
         "theta_deg": np.repeat(np.rad2deg(grid.theta), grid.phi.size),
         "phi_deg": np.tile(np.rad2deg(grid.phi), grid.theta.size), "weights_sr": grid.weights,
     })
-    _make_out(out)
     write_json(out / f"grid_N{analysis_order}.json", layout)
     print(f"wrote {grid.num_points}-point Gaussian grid of order {analysis_order}")
 
@@ -815,7 +798,6 @@ def cmd_simulate(modal_file, unit_file, geometry, analysis_order, radius, look, 
         "sim_tail": sim.sim_tail, "pattern_error": sim.pattern_error,
     })
 
-    _make_out(out)
     for name, (theta, phi, designed, measured) in sim.patterns.items():
         write_pattern_csv(out / f"{name}_designed_{tag}.csv", cfg_hash, theta, phi, designed,
                           sim.designed_look)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics, sphmath, synthesis
-from .metrics import MetricReport
 from .radiation import radial_far
 
 __all__ = [
@@ -90,15 +89,14 @@ class Sweep:
     axis of shape k.shape on every field:
 
     d (..., N+1) modal weights; w_nm (..., (N+1)^2) steered coefficients;
-    w (..., L) unit weights; report a MetricReport
-    whose fields have shape k.shape; unit_weight_norm (...,) ||w||^2.
+    w (..., L) unit weights; report the metrics file's fields, those of
+    metrics.report and unit_weight_norm ||w||^2, each of shape k.shape.
     """
 
     d: np.ndarray
     w_nm: np.ndarray
     w: np.ndarray
-    report: MetricReport
-    unit_weight_norm: np.ndarray
+    report: dict
 
 
 def sweep(geom, method, order, k, look, sidelobe_db=None, near_field_radius=None):
@@ -127,10 +125,8 @@ def sweep(geom, method, order, k, look, sidelobe_db=None, near_field_radius=None
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         w_nm = synthesis.steer(d, look, k, geom.r0, near_field_radius)
         w = synthesis.unit_weights(w_nm, transform)
-        rep = metrics.report(d, k, geom.r0)
-        norm = np.sum(np.abs(w) ** 2, axis=-1)
-    for name, value in (("d", d), ("w_nm", w_nm), ("w", w), *vars(rep).items(),
-                        ("unit_weight_norm", norm)):
+        rep = {**metrics.report(d, k, geom.r0), "unit_weight_norm": np.sum(np.abs(w) ** 2, axis=-1)}
+    for name, value in (("d", d), ("w_nm", w_nm), ("w", w), *rep.items()):
         ok = np.all(np.isfinite(value).reshape(k.shape + (-1,)), axis=-1)
         if not np.all(ok):
             at = f"is not finite at k = {k[~ok].flat[0]:.6g} 1/m"
@@ -139,4 +135,4 @@ def sweep(geom, method, order, k, look, sidelobe_db=None, near_field_radius=None
                 raise ArithmeticError(f"alpha: 1/g_n^2 overflows at alpha = {geom.alpha:g} rad, "
                                       f"so {name} {at}")
             raise ArithmeticError(f"{name} {at}")
-    return Sweep(d=d, w_nm=w_nm, w=w, report=rep, unit_weight_norm=norm)
+    return Sweep(d=d, w_nm=w_nm, w=w, report=rep)

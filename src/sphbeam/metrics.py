@@ -4,30 +4,16 @@ Directivity factor Q and white-noise gain (WNG) in the modal closed
 forms.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .radiation import radial_far
 
 __all__ = [
-    "MetricReport",
     "directivity_factor",
     "directivity_index",
     "wng",
     "report",
 ]
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    """Directivity factor/index and WNG of a design: floats at one
-    frequency, arrays of shape k.shape over a frequency axis."""
-
-    q: float | np.ndarray
-    di_db: float | np.ndarray
-    wng: float | np.ndarray
-    wng_db: float | np.ndarray
 
 
 def _dvec(d):
@@ -72,12 +58,14 @@ def wng(d, k, r0):
 
 
 def report(d, k, r0):
-    """Assemble a :class:`MetricReport` for modal weights at wavenumber k.
+    """The metrics file's fields for modal weights at wavenumber k: a dict
+    of the directivity factor ``q`` and index ``di_db``, and the white-noise
+    gain ``wng`` and ``wng_db``.
 
     d of shape (..., N+1) broadcasts against k: one d for every k, or one
-    row per k.  The fields have the broadcast shape, k.shape for a k array
-    and floats for a scalar k and a 1-d d.
+    row per k.  The values have the broadcast shape, k.shape for a k array
+    and Python floats for a scalar k and a 1-d d.
     """
     w = wng(d, k, r0)
     q = _float(np.broadcast_to(directivity_factor(d), np.shape(w)))
-    return MetricReport(q=q, di_db=directivity_index(q), wng=w, wng_db=directivity_index(w))
+    return {"q": q, "di_db": directivity_index(q), "wng": w, "wng_db": directivity_index(w)}

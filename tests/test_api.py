@@ -1,5 +1,6 @@
-"""Every public name and every name the benchmark traces resolves, and no
-module reaches into another's private names.
+"""Every public name and every name the benchmark traces resolves, no
+module reaches into another's private names, and in the CLI only _write
+creates files or directories.
 
 A deleted or renamed function fails here, naming the attribute, instead of
 only in a traced benchmark run."""
@@ -80,3 +81,46 @@ def test_no_private_cross_module_imports():
 ])
 def test_private_cross_module_check_finds_its_cases(source, count):
     assert len(_private_cross_module_uses(source)) == count
+
+
+# calls that create a file or a directory: open() and these attributes of any object
+_CREATING_ATTRS = ("open", "makedirs", "mkdir", "write_text", "write_bytes")
+
+
+def _file_creations(source):
+    """(line, call) of every call in the module source that can create a
+    file or a directory, outside the module-level function ``_write``."""
+    tree = ast.parse(source)
+    inside = {id(node) for top in tree.body
+              if isinstance(top, ast.FunctionDef) and top.name == "_write"
+              for node in ast.walk(top)}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in inside:
+            continue
+        if isinstance(node.func, ast.Name) and node.func.id == "open":
+            found.append((node.lineno, "open"))
+        elif isinstance(node.func, ast.Attribute) and node.func.attr in _CREATING_ATTRS:
+            found.append((node.lineno, f".{node.func.attr}"))
+    return found
+
+
+def test_only_write_creates_files_in_the_cli():
+    path = Path(sphbeam.__file__).parent / "cli.py"
+    found = [f"cli.py:{line}: {call}" for line, call in _file_creations(path.read_text())]
+    assert not found, f"files or directories created outside cli._write: {found}"
+
+
+@pytest.mark.parametrize("source, count", [
+    ("with open(path, 'w') as f:\n    f.write('x')", 1),
+    ("fd = os.open(path, os.O_WRONLY | os.O_CREAT)", 1),
+    ("os.makedirs(out, exist_ok=True)", 1),
+    ("def _make_out(out):\n    out.mkdir(parents=True, exist_ok=True)", 1),
+    ("Path(out).write_text('x')\nPath(out).write_bytes(b'x')", 2),
+    ("def cmd(out):\n    def _write(path):\n        open(path, 'w')", 1),  # not module level
+    ("def _write(path, chunks):\n    try:\n        fd = os.open(path, os.O_CREAT)\n"
+     "    except FileNotFoundError:\n        os.makedirs(Path(path).parent)", 0),
+    ("Path(path).read_text()\nos.write(fd, b'x')\njson.dumps(doc)\nos.fstat(fd)", 0),
+])
+def test_file_creation_check_finds_its_cases(source, count):
+    assert len(_file_creations(source)) == count

@@ -75,6 +75,8 @@ _CAPS_DEG = np.rad2deg(dodecahedron(0.15, 0.3).cap_dirs).tolist()
 _LAYOUTS = {
     "four_caps.json": [[0, 0], [90, 0], [90, 120], [90, 240]],  # too few caps for order 2
     "meridian_caps.json": [[15 * i, 0] for i in range(12)],  # Y rank deficient at order 2
+    # 32 caps, where the default dodecahedron has 12
+    "icosahedral_32.json": np.rad2deg(icosahedral_32(0.15, 0.3).cap_dirs).tolist(),
 }
 
 
@@ -120,6 +122,17 @@ class TestDesign:
         _design(runner, tmp_path)
         for stem in ("modal_weights", "steered_weights", "unit_weights", "metrics"):
             assert (tmp_path / f"{stem}_400Hz.json").exists()
+
+    def test_makes_a_missing_output_directory(self, runner, tmp_path):
+        # three new levels hold the bytes of a design into an existing directory
+        existing, new = tmp_path / "existing", tmp_path / "a" / "b" / "c"
+        existing.mkdir()
+        _design(runner, existing)
+        _design(runner, new)
+        files = sorted(path.name for path in existing.iterdir())
+        assert len(files) == 4 and sorted(path.name for path in new.iterdir()) == files
+        for name in files:
+            assert (new / name).read_bytes() == (existing / name).read_bytes(), name
 
     def test_metrics_content(self, runner, tmp_path):
         _design(runner, tmp_path)
@@ -298,6 +311,20 @@ class TestMetricsCommand:
             ], catch_exceptions=False)
             assert result.exit_code == 0
             assert (out / f"metrics_400Hz.{fmt}").exists()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_makes_a_missing_output_directory(self, runner, tmp_path, fmt):
+        _design(runner, tmp_path)
+        existing, texts = tmp_path / "existing", []
+        existing.mkdir()
+        for out in (existing, tmp_path / "new" / "dir"):
+            result = runner.invoke(main, [
+                "metrics", str(tmp_path / "modal_weights_400Hz.json"),
+                "--out", str(out), "--format", fmt,
+            ], catch_exceptions=False)
+            assert result.exit_code == 0, result.output
+            texts.append((out / f"metrics_400Hz.{fmt}").read_bytes())
+        assert texts[1] == texts[0]
 
 
 class TestGridCommand:
@@ -718,6 +745,8 @@ class TestBoundary:
          "config error: order: (N+1)^2 = 9 coefficients exceed L = 4 caps"),
         # 2 pi f overflows before the division by c
         (["--method", "max-di", "--order", "2", "--freq", "1e308"], "config error: freq: "),
+        (["--method", "max-di", "--order", "2", "--freq", "400", "--look", "180.5,0"],
+         "config error: look.theta: "),
     ])
     def test_design_rejects_bad_numbers(self, runner, tmp_path, args, field):
         out = tmp_path / "out"
@@ -751,6 +780,28 @@ class TestBoundary:
         assert result.exit_code == 2, result.output
         assert field in result.output
         assert "Traceback" not in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("unit_design, message", [
+        (["--freq", "500"], "frequency_hz: the modal file is for 400.0 Hz, "
+                            "the unit file for 500.0 Hz"),
+        # a 32-cap design's unit weights cannot drive the 12-cap dodecahedron
+        (["--freq", "400", "--geometry", "icosahedral_32.json"],
+         "w: expected 12 unit weights, one per cap"),
+    ], ids=["another-frequency", "another-cap-count"])
+    def test_simulate_rejects_a_mismatched_unit_file(self, runner, tmp_path, unit_design,
+                                                     message):
+        _design(runner, tmp_path)
+        unit_dir, out = tmp_path / "unit", tmp_path / "out"
+        result = runner.invoke(main, ["design", "--method", "max-wng", "--order", "2",
+                                      *_with_layouts(unit_design, tmp_path),
+                                      "--out", str(unit_dir)])
+        assert result.exit_code == 0, result.output
+        unit_file = next(unit_dir.glob("unit_weights_*.json"))
+        result = runner.invoke(main, ["simulate", str(tmp_path / "modal_weights_400Hz.json"),
+                                      str(unit_file), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert f"config error: {message}" in result.output
         assert not out.exists()
 
     def test_hankel_overflow_exits_3_on_one_line(self, tmp_path):

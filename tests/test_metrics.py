@@ -116,7 +116,7 @@ class TestReport:
     def test_fields(self):
         k = 1.1 / R0
         rep = report(np.ones(3), k, R0)
-        assert rep.q == pytest.approx(9.0)
-        assert rep.di_db == pytest.approx(10 * np.log10(9.0))
-        assert rep.wng_db == pytest.approx(10 * np.log10(rep.wng))
-        assert rep.q > 0 and rep.wng > 0
+        assert rep["q"] == pytest.approx(9.0)
+        assert rep["di_db"] == pytest.approx(10 * np.log10(9.0))
+        assert rep["wng_db"] == pytest.approx(10 * np.log10(rep["wng"]))
+        assert rep["q"] > 0 and rep["wng"] > 0

@@ -42,6 +42,19 @@ class TestGeometry:
         with pytest.raises(ValueError):
             ArrayGeometry(r0=0.1, alpha=2.0, cap_dirs=[[0.0, 0.0]])
 
+    @pytest.mark.parametrize("cap_dirs, message", [
+        ([], r"cap_dirs: must have shape \(L, 2\) with L >= 1"),
+        ([[0.0, 0.0, 0.0]], r"cap_dirs: must have shape \(L, 2\) with L >= 1"),
+        ([[[0.0, 0.0]]], r"cap_dirs: must have shape \(L, 2\) with L >= 1"),
+        ([[0.0, np.nan]], "cap_dirs: must be finite"),
+        ([[0.0, 0.0], [np.inf, 0.0]], "cap_dirs: must be finite"),
+        ([[-0.1, 0.0]], r"cap_dirs: polar angles must lie in \[0, pi\]"),
+        ([[np.pi + 1e-12, 0.0]], r"cap_dirs: polar angles must lie in \[0, pi\]"),
+    ], ids=["empty", "three-columns", "three-axes", "nan", "inf", "below-0", "above-pi"])
+    def test_invalid_cap_dirs(self, cap_dirs, message):
+        with pytest.raises(ValueError, match=message):
+            ArrayGeometry(r0=0.1, alpha=0.3, cap_dirs=cap_dirs)
+
 
 class TestCapGain:
     def test_monopole(self):

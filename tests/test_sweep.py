@@ -72,15 +72,14 @@ class TestBroadcastOverK:
         batch = report(d, K, R0)
         rows = [report(d[i] if per_k else d, k, R0) for i, k in enumerate(K)]
         for field in ("q", "di_db", "wng", "wng_db"):
-            assert_rows(getattr(batch, field)[:, None],
-                        [[getattr(row, field)] for row in rows])
+            assert_rows(batch[field][:, None], [[row[field]] for row in rows])
 
     def test_scalar_k_keeps_scalar_shapes(self):
         d = max_wng_weights(2, K[3], R0)
         assert d.shape == (3,)
         assert steer(d, LOOK, K[3], R0).shape == (9,)
         rep = report(d, K[3], R0)
-        assert all(type(getattr(rep, f)) is float for f in ("q", "di_db", "wng", "wng_db"))
+        assert all(type(rep[f]) is float for f in ("q", "di_db", "wng", "wng_db"))
 
 
 class TestSweep:
@@ -101,17 +100,17 @@ class TestSweep:
                 w_nm = near_field_steer(d, LOOK, k, near_field_radius, R0)
             w = unit_weights(w_nm, transform)
             rep = report(d, k, R0)
-            for name, value in (("d", d), ("coeffs", w_nm), ("w", w), ("q", [rep.q]),
-                                ("di_db", [rep.di_db]), ("wng", [rep.wng]),
-                                ("wng_db", [rep.wng_db]),
+            for name, value in (("d", d), ("coeffs", w_nm), ("w", w), ("q", [rep["q"]]),
+                                ("di_db", [rep["di_db"]]), ("wng", [rep["wng"]]),
+                                ("wng_db", [rep["wng_db"]]),
                                 ("norm", [np.sum(np.abs(w) ** 2)])):
                 rows[name].append(value)
         assert_rows(result.d, rows["d"])
         assert_rows(result.w_nm, rows["coeffs"])
         assert_rows(result.w, rows["w"])
         for field in ("q", "di_db", "wng", "wng_db"):
-            assert_rows(getattr(result.report, field)[:, None], rows[field])
-        assert_rows(result.unit_weight_norm[:, None], rows["norm"])
+            assert_rows(result.report[field][:, None], rows[field])
+        assert_rows(result.report["unit_weight_norm"][:, None], rows["norm"])
 
     def test_rejects_unknown_method_and_missing_sidelobe(self):
         with pytest.raises(ValueError, match="method"):
