@@ -816,7 +816,7 @@ class TestBoundary:
     @pytest.mark.parametrize("args, field", [
         (["simulate", "--radius", "1e308"], "radius"),
         (["design", "--near-field", "--radius", "1e308"], "radius"),
-        (["design", "--geometry", "dodecahedron:r0=1e308"], "r0"),
+        (["design", "--geometry", "dodecahedron:r0=1e308"], "geometry.r0"),
         # k r is finite, but the pressures underflow and the squared error would read 0
         (["simulate", "--radius", "1e300"], "pattern_error"),
         # valid cap directions, but all on one meridian: Y has no pseudo-inverse
