@@ -777,18 +777,11 @@ def cmd_simulate(modal_file, unit_file, geometry, analysis_order, radius, look, 
     tag = f"{f:g}Hz"
     sim = virtualmeas.simulate(geom, d, w, k, look_rad, analysis_order, radius, perturbation)
     report = JsonLayout("simulation_report", cfg_hash, {
-        "frequency_hz": f, "analysis_order": analysis_order,
-        "radius_m": radius, "sim_order": sim.sim_order,
-        "sim_tail": sim.sim_tail, "pattern_error": sim.pattern_error,
-    })
-
-    for name, (theta, phi, designed, measured) in sim.patterns.items():
-        write_pattern_csv(out / f"{name}_designed_{tag}.csv", cfg_hash, theta, phi, designed,
-                          sim.designed_look)
-        write_pattern_csv(out / f"{name}_measured_{tag}.csv", cfg_hash, theta, phi, measured,
-                          sim.measured_look)
+        "frequency_hz": f, "analysis_order": analysis_order, "radius_m": radius, **sim.report})
+    for stem, pattern in sim.patterns.items():
+        write_pattern_csv(out / f"{stem}_{tag}.csv", cfg_hash, *pattern)
     write_json(out / f"simulation_{tag}.json", report)
-    print(f"{tag}: pattern_error={sim.pattern_error:.3e}")
+    print(f"{tag}: pattern_error={sim.report['pattern_error']:.3e}")
 
 
 if __name__ == "__main__":

@@ -36,7 +36,8 @@ class ArrayGeometry:
 
     ``cap_dirs`` has shape (L, 2) with polar angle in column 0 and
     azimuth in column 1, both in radians.  ``alpha`` is the aperture
-    angle of each cap.
+    angle of each cap; the caps must not overlap, so 2 alpha may not
+    exceed the smallest angle between two cap centres.
     """
 
     r0: float
@@ -56,6 +57,13 @@ class ArrayGeometry:
             raise ValueError("cap_dirs: must be finite")
         if np.any(self.cap_dirs[:, 0] < 0) or np.any(self.cap_dirs[:, 0] > np.pi):
             raise ValueError("cap_dirs: polar angles must lie in [0, pi]")
+        # one row of the cap-to-cap angles at a time, so memory stays linear in L
+        t, p = self.cap_dirs.T
+        gap = min((great_circle_angle((t[i], p[i]), (t[i + 1:], p[i + 1:])).min()
+                   for i in range(t.size - 1)), default=np.pi)
+        if 2 * self.alpha > gap + 4 * np.spacing(gap):  # touching caps pass
+            raise ValueError(f"alpha: the caps overlap: 2 alpha = {2 * self.alpha:g} rad exceeds "
+                             f"the smallest angle between two cap centres, {gap:g} rad")
 
     @property
     def num_caps(self):

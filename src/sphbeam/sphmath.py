@@ -69,11 +69,9 @@ def legendre(n, x):
 
 
 def legval(x, c):
-    """The Legendre series sum_n c_n P_n(x), by numpy legval's Clenshaw pass.
-
-    An ndarray x gets one trailing axis of c per axis of its own, so the
-    result has shape c.shape[1:] + x.shape; a scalar or 0-d x with 1-D c
-    gives a numpy scalar.
+    """The Legendre series sum_n c_n P_n(x) of the 1-D coefficients c, by
+    numpy legval's Clenshaw pass.  The result has x's shape; a scalar or
+    0-d x gives a numpy scalar.
 
     The pass runs in place, in three arrays of the result's shape
     allocated once: each step applies numpy's operations in numpy's
@@ -85,9 +83,7 @@ def legval(x, c):
     in the last bit from the array loop's.)
     """
     c = np.asarray(c)
-    if isinstance(x, np.ndarray):
-        c = c.reshape(c.shape + (1,) * x.ndim)
-    shape, dtype = np.broadcast_shapes(c.shape[1:], np.shape(x)), np.result_type(c, x)
+    shape, dtype = np.shape(x), np.result_type(c, x)
     # c0 lives in c0_out after the first step, and c1 alternates between t and u
     c0_out, t, u = (np.empty(shape, dtype) for _ in range(3))
     c0, c1 = (c[0], 0) if len(c) == 1 else (c[-2], c[-1])

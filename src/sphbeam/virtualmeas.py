@@ -256,21 +256,21 @@ def pattern_error(measured, reference, weights):
 
 @dataclass(frozen=True)
 class Simulation:
-    """The result of :func:`simulate` at one frequency.
+    """The result of :func:`simulate` at one frequency: what its files hold.
 
-    ``patterns`` maps "balloon" (a BALLOON_STEP_DEG theta x phi grid) and
-    "cross_section" (the plane theta = 90 deg in 1-degree steps) to
-    (theta (T,), phi (P,), designed (T * P,), measured (T * P,)): each grid
-    is the product of its T polar and P azimuthal angles, with the values
-    in meshgrid "ij" order (phi varying fastest).  The look values are
-    each pattern's reference for dB.
+    ``report`` holds the simulation file's computed fields: ``sim_order``,
+    ``sim_tail`` and ``pattern_error``.  ``patterns`` maps each pattern
+    file's stem ("balloon_designed", "balloon_measured",
+    "cross_section_designed", "cross_section_measured") to (theta (T,),
+    phi (P,), values (T * P,), look_value).  The balloon is a
+    BALLOON_STEP_DEG theta x phi grid and the cross-section the plane
+    theta = 90 deg in 1-degree steps; each grid is the product of its T
+    polar and P azimuthal angles, with the values in meshgrid "ij" order
+    (phi varying fastest).  look_value, the pattern's value in the look
+    direction, is its reference for dB.
     """
 
-    sim_order: int
-    sim_tail: float
-    pattern_error: float
-    designed_look: complex
-    measured_look: complex
+    report: dict
     patterns: dict
 
 
@@ -312,17 +312,16 @@ def simulate(geom, d, w, k, look, analysis_order, radius, perturbation=None):
         if not np.all(np.isfinite(designed)):
             raise ArithmeticError("d: the designed pattern is not finite")
         err = pattern_error(measured, designed, grid.weights)
-        sim = Simulation(
-            sim_order=transfer.sim_order, sim_tail=transfer.sim_tail, pattern_error=err,
-            designed_look=beam_pattern_modal(d, 0.0),
-            measured_look=measured_pattern(measured_nm, [look[0]], [look[1]])[0],
-            patterns={name: (theta, phi, *_patterns(d, look, measured_nm, theta, phi))
-                      for name, theta, phi in _pattern_grids()})
-    for name, (_, _, designed, measured) in sim.patterns.items():
-        for kind, values, look_value in (("designed", designed, sim.designed_look),
-                                         ("measured", measured, sim.measured_look)):
-            if not (np.all(np.isfinite(values)) and np.isfinite(look_value)):
-                raise ArithmeticError(f"{name}_{kind}: non-finite pattern values")
-            if look_value == 0:
-                raise ArithmeticError(f"{kind}_look: zero response in the look direction")
-    return sim
+        looks = {"designed": beam_pattern_modal(d, 0.0),
+                 "measured": measured_pattern(measured_nm, [look[0]], [look[1]])[0]}
+        patterns = {f"{name}_{kind}": (theta, phi, values, looks[kind])
+                    for name, theta, phi in _pattern_grids()
+                    for kind, values in zip(looks, _patterns(d, look, measured_nm, theta, phi))}
+    for stem, (_, _, values, look_value) in patterns.items():
+        if not (np.all(np.isfinite(values)) and np.isfinite(look_value)):
+            raise ArithmeticError(f"{stem}: non-finite pattern values")
+        if look_value == 0:
+            raise ArithmeticError(f"{stem.rpartition('_')[2]}_look: zero response in the "
+                                  "look direction")
+    return Simulation(report={"sim_order": transfer.sim_order, "sim_tail": transfer.sim_tail,
+                              "pattern_error": err}, patterns=patterns)

@@ -74,7 +74,9 @@ _CAPS_DEG = np.rad2deg(dodecahedron(0.15, 0.3).cap_dirs).tolist()
 # cap layouts that the tests name by file; _with_layouts writes them
 _LAYOUTS = {
     "four_caps.json": [[0, 0], [90, 0], [90, 120], [90, 240]],  # too few caps for order 2
-    "meridian_caps.json": [[15 * i, 0] for i in range(12)],  # Y rank deficient at order 2
+    # 10 disjoint caps 36 deg apart on the equator: Y rank deficient at order 2
+    "equator_caps.json": [[90, 36 * i] for i in range(10)],
+    "close_caps.json": [[90, 0], [90, 1]],  # 1 deg apart, so caps of alpha = 0.3 rad overlap
     # 32 caps, where the default dodecahedron has 12
     "icosahedral_32.json": np.rad2deg(icosahedral_32(0.15, 0.3).cap_dirs).tolist(),
 }
@@ -354,6 +356,18 @@ class TestSimulate:
         for variant in ("designed", "measured"):
             assert (tmp_path / f"balloon_{variant}_400Hz.csv").exists()
             assert (tmp_path / f"cross_section_{variant}_400Hz.csv").exists()
+        rep = json.loads((tmp_path / "simulation_400Hz.json").read_text())
+        assert rep["pattern_error"] < 1e-3
+
+    def test_caps_just_short_of_touching_measure(self, runner, tmp_path):
+        # the dodecahedron's caps touch at alpha = 0.55357 rad
+        geometry = ["--geometry", "dodecahedron:alpha=0.55"]
+        _design(runner, tmp_path, *geometry)
+        result = runner.invoke(main, [
+            "simulate", str(tmp_path / "modal_weights_400Hz.json"),
+            str(tmp_path / "unit_weights_400Hz.json"), "--look", "90,0", *geometry,
+            "--out", str(tmp_path)], catch_exceptions=False)
+        assert result.exit_code == 0, result.output
         rep = json.loads((tmp_path / "simulation_400Hz.json").read_text())
         assert rep["pattern_error"] < 1e-3
 
@@ -747,6 +761,12 @@ class TestBoundary:
         (["--method", "max-di", "--order", "2", "--freq", "1e308"], "config error: freq: "),
         (["--method", "max-di", "--order", "2", "--freq", "400", "--look", "180.5,0"],
          "config error: look.theta: "),
+        (["--method", "max-di", "--order", "2", "--freq", "400", "--near-field",
+          "--geometry", "dodecahedron:alpha=1.5"], "config error: geometry.alpha: the caps overlap"),
+        (["--method", "max-di", "--order", "2", "--freq", "400",
+          "--geometry", "dodecahedron:alpha=0.56"], "config error: geometry.alpha: the caps overlap"),
+        (["--method", "max-di", "--order", "2", "--freq", "400", "--geometry", "close_caps.json"],
+         "config error: geometry.alpha: the caps overlap"),
     ])
     def test_design_rejects_bad_numbers(self, runner, tmp_path, args, field):
         out = tmp_path / "out"
@@ -769,6 +789,8 @@ class TestBoundary:
         (["simulate", "--radius", "0.1"], "config error: radius: 0.1 "),
         (["simulate", "--analysis-order", "1"], "config error: analysis_order: 1 "),
         (["simulate", "--perturb", "foo=1"], "perturb.foo: unknown field"),
+        (["simulate", "--geometry", "dodecahedron:alpha=1.5"],
+         "config error: geometry.alpha: the caps overlap"),
     ])
     def test_grid_and_simulate_reject_bad_options(self, runner, tmp_path, args, field):
         _design(runner, tmp_path)
@@ -819,9 +841,9 @@ class TestBoundary:
         (["design", "--geometry", "dodecahedron:r0=1e308"], "geometry.r0"),
         # k r is finite, but the pressures underflow and the squared error would read 0
         (["simulate", "--radius", "1e300"], "pattern_error"),
-        # valid cap directions, but all on one meridian: Y has no pseudo-inverse
-        (["design", "--geometry", "meridian_caps.json"], "geometry.caps_deg"),
-        (["synthesize", "--geometry", "meridian_caps.json"], "geometry.caps_deg"),
+        # valid cap directions, but all on one great circle: Y has no pseudo-inverse
+        (["design", "--geometry", "equator_caps.json"], "geometry.caps_deg"),
+        (["synthesize", "--geometry", "equator_caps.json"], "geometry.caps_deg"),
     ], ids=["simulate-radius", "near-field-radius", "geometry-r0", "simulate-radius-underflow",
             "rank-deficient-caps", "rank-deficient-caps-synthesize"])
     def test_radius_overflow_exits_3_naming_it(self, runner, tmp_path, args, field):

@@ -256,18 +256,18 @@ def test_simulate_writes_the_template_bytes(tmp_path, design, perturb):
     sim = virtualmeas.simulate(geom, d, w, k, cli.parse_look(look), order, radius,
                                cli.parse_perturb(perturb))
     cfg_hash = json.loads((tmp_path / "simulation_400Hz.json").read_text())["config_hash"]
+    assert list(sim.patterns) == ["balloon_designed", "balloon_measured",
+                                  "cross_section_designed", "cross_section_measured"]
     inexact = cells = 0
-    for name, (theta, phi, designed, measured) in sim.patterns.items():
-        dirs = _meshgrid_dirs(theta, phi)
-        for kind, values, look_value in (("designed", designed, sim.designed_look),
-                                         ("measured", measured, sim.measured_look)):
-            text = (tmp_path / f"{name}_{kind}_400Hz.csv").read_text()
-            _assert_same_text(text, pattern_csv(cfg_hash, dirs, values, look_value), name, kind)
-            mags = np.abs(values)
-            dbs = 20.0 * np.log10(np.maximum(mags, 1e-300) / abs(look_value))
-            for render, column in ((cli._exponent_words, values.real),
-                                   (cli._exponent_words, values.imag),
-                                   (cli._exponent_words, mags), (cli._fixed_words, dbs)):
-                exact = render(column, np.zeros((column.size, 6), dtype=np.uint32), 0)
-                inexact, cells = inexact + np.count_nonzero(~exact), cells + column.size
+    for stem, (theta, phi, values, look_value) in sim.patterns.items():
+        text = (tmp_path / f"{stem}_400Hz.csv").read_text()
+        _assert_same_text(text, pattern_csv(cfg_hash, _meshgrid_dirs(theta, phi), values,
+                                            look_value), stem)
+        mags = np.abs(values)
+        dbs = 20.0 * np.log10(np.maximum(mags, 1e-300) / abs(look_value))
+        for render, column in ((cli._exponent_words, values.real),
+                               (cli._exponent_words, values.imag),
+                               (cli._exponent_words, mags), (cli._fixed_words, dbs)):
+            exact = render(column, np.zeros((column.size, 6), dtype=np.uint32), 0)
+            inexact, cells = inexact + np.count_nonzero(~exact), cells + column.size
     assert inexact <= 0.01 * cells, (inexact, cells)

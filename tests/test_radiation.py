@@ -5,6 +5,7 @@ import scipy.special as sp
 from oracles import (
     beam_pattern_field,
     cap_gain_quadrature,
+    icosahedral_32,
     pressure_field,
     sh_index,
     sph_bessel_j,
@@ -54,6 +55,35 @@ class TestGeometry:
     def test_invalid_cap_dirs(self, cap_dirs, message):
         with pytest.raises(ValueError, match=message):
             ArrayGeometry(r0=0.1, alpha=0.3, cap_dirs=cap_dirs)
+
+    @pytest.mark.parametrize("layout, limit", [(dodecahedron, 0.55357), (icosahedral_32, 0.32618)],
+                             ids=["dodecahedron", "icosahedral-32"])
+    def test_caps_may_touch_but_not_overlap(self, layout, limit):
+        # the largest disjoint alpha is half the smallest angle between two cap centres
+        t, p = layout(0.15, 0.3).cap_dirs.T
+        gamma = great_circle_angle((t[:, None], p[:, None]), (t, p))
+        touching = gamma[~np.eye(t.size, dtype=bool)].min() / 2
+        assert touching == pytest.approx(limit, abs=1e-5)
+        assert layout(0.15, touching).alpha == touching
+        with pytest.raises(ValueError, match="^alpha: the caps overlap: "):
+            layout(0.15, touching * (1 + 1e-12))
+
+    @pytest.mark.parametrize("cap_dirs, alpha", [
+        ([[0.0, 0.0], [0.6, 0.0]], 0.3),
+        ([[np.pi / 2, 0.0], [np.pi / 2, 0.6]], 0.3),
+        ([[0.0, 0.0]], 1.5),
+    ], ids=["touching-on-a-meridian", "touching-on-the-equator", "one-cap"])
+    def test_disjoint_caps_pass(self, cap_dirs, alpha):
+        assert ArrayGeometry(r0=0.1, alpha=alpha, cap_dirs=cap_dirs).alpha == alpha
+
+    @pytest.mark.parametrize("cap_dirs, alpha", [
+        (dodecahedron(0.15, 0.3).cap_dirs, 1.5),
+        (np.deg2rad([[90.0, 0.0], [90.0, 1.0]]), 0.3),
+        ([[0.1, 0.0], [0.1, 0.0]], 0.3),
+    ], ids=["dodecahedron-alpha-1.5", "one-degree-apart", "identical"])
+    def test_overlapping_caps_raise_naming_alpha(self, cap_dirs, alpha):
+        with pytest.raises(ValueError, match="^alpha: the caps overlap: "):
+            ArrayGeometry(r0=0.15, alpha=alpha, cap_dirs=cap_dirs)
 
 
 class TestCapGain:

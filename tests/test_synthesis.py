@@ -78,8 +78,8 @@ class TestBuildTransform:
         assert np.allclose(t.g_diag, [g0, g1, g1, g1])
 
     def test_rank_deficient_layout_rejected(self):
-        # 4 caps all on one meridian cannot span 4 harmonics
-        caps = [[0.1, 0.0], [0.1, 0.0], [0.1, 0.0], [0.1, 0.0]]
+        # 4 disjoint caps on one meridian cannot span 4 harmonics
+        caps = [[0.1, 0.0], [0.8, 0.0], [1.5, 0.0], [2.2, 0.0]]
         geom = ArrayGeometry(r0=0.15, alpha=0.3, cap_dirs=caps)
         with pytest.raises(ArithmeticError, match="rank deficient"):
             build_transform(geom, 1)

@@ -365,15 +365,19 @@ class TestVirtualMeasure:
                             designed_on(self.grid.theta, self.grid.phi), self.grid.weights)
 
         sim = simulate(GEOM, d, w, k, LOOK, 10, RADIUS, perturbation)
-        assert (sim.sim_order, sim.sim_tail, sim.pattern_error) == (h.sim_order, h.sim_tail, err)
-        assert sim.designed_look == beam_pattern_modal(d, 0.0)
-        assert sim.measured_look == measured_pattern(pnm, [LOOK[0]], [LOOK[1]])[0]
-        assert {name: (theta.shape, phi.shape)
-                for name, (theta, phi, _, _) in sim.patterns.items()} == {
-            "balloon": ((91,), (180,)), "cross_section": ((1,), (360,))}
-        for theta, phi, designed, measured in sim.patterns.values():
-            assert np.array_equal(designed, designed_on(theta, phi))
-            assert np.array_equal(measured, measured_pattern(pnm, theta, phi))
+        assert sim.report == {"sim_order": h.sim_order, "sim_tail": h.sim_tail,
+                              "pattern_error": err}
+        looks = {"designed": beam_pattern_modal(d, 0.0),
+                 "measured": measured_pattern(pnm, [LOOK[0]], [LOOK[1]])[0]}
+        assert {stem: (theta.shape, phi.shape)
+                for stem, (theta, phi, _, _) in sim.patterns.items()} == {
+            "balloon_designed": ((91,), (180,)), "balloon_measured": ((91,), (180,)),
+            "cross_section_designed": ((1,), (360,)), "cross_section_measured": ((1,), (360,))}
+        for stem, (theta, phi, values, look_value) in sim.patterns.items():
+            kind = stem.rpartition("_")[2]
+            assert look_value == looks[kind]
+            assert np.array_equal(values, designed_on(theta, phi) if kind == "designed"
+                                  else measured_pattern(pnm, theta, phi))
 
     def test_kr_sanity(self):
         assert freq_to_k(400.0) * 0.15 == pytest.approx(1.10, abs=0.01)
