@@ -88,10 +88,14 @@ def load_geometry(spec: str) -> tuple[ArrayGeometry, dict]:
     if spec.split(":")[0] == "dodecahedron":
         params = {"r0": DEFAULT_R0, "alpha": DEFAULT_ALPHA}
         if ":" in spec:
+            given = set()
             for item in spec.split(":", 1)[1].split(","):
                 key, _, val = item.partition("=")
                 if key not in params:
                     raise ValueError(f"geometry: unknown dodecahedron parameter {key!r}")
+                if key in given:
+                    raise ValueError(f"geometry.{key}: given more than once")
+                given.add(key)
                 params[key] = _number(val, f"geometry.{key}")
         doc, build = {"builtin": "dodecahedron", **params}, dodecahedron
     else:
@@ -142,10 +146,14 @@ def parse_freqs(text: str) -> list[float]:
 
 def parse_perturb(text: str) -> dict:
     allowed = {"gain_db": 0.0, "phase_deg": 0.0, "noise": 0.0, "seed": 0}
+    given = set()
     for item in filter(None, text.split(",")):
         key, _, val = item.partition("=")
         if key not in allowed:
             raise ValueError(f"perturb.{key}: unknown field")
+        if key in given:
+            raise ValueError(f"perturb.{key}: given more than once")
+        given.add(key)
         try:
             value = int(val) if key == "seed" else float(val)
         except ValueError:
@@ -336,9 +344,9 @@ def _field(data: dict, name: str):
     return value
 
 
-def read_modal(path: Path, r0: float):
-    """Modal weights file designed for a sphere of radius r0 -> (complex
-    (N+1,) d, k_per_m, frequency_hz, config_hash).  d must not be all zero,
+def read_modal(path: Path):
+    """Modal weights file -> (complex (N+1,) d, k_per_m, frequency_hz, the
+    sphere radius r0_m as a float, config_hash).  d must not be all zero,
     and k_per_m must be 2 pi frequency_hz / c to 1e-12 relative."""
     data = read_json(path, "modal_weights")
     d = _l2c(data.get("d"), "d")
@@ -346,16 +354,13 @@ def read_modal(path: Path, r0: float):
         raise ValueError("d: the modal weights are all zero")
     if _field(data, "order") != d.size - 1:
         raise ValueError(f"order: expected len(d) - 1 = {d.size - 1}, got {data['order']}")
-    r0_m = _field(data, "r0_m")
-    if r0_m != r0:
-        raise ValueError(f"r0_m: the modal file is for a sphere of radius {reprlib.repr(r0_m)} m, "
-                         f"the geometry has r0 = {r0!r} m")
+    r0_m = float(_field(data, "r0_m"))
     k, f = _field(data, "k_per_m"), _field(data, "frequency_hz")
     k_f = 2 * np.pi * f / C
     if not abs(k - k_f) <= 1e-12 * k_f < np.inf:
         raise ValueError(f"k_per_m: expected 2 pi frequency_hz / c = {k_f!r} 1/m, "
                          f"got {reprlib.repr(k)}")
-    return d, k, f, _field(data, "config_hash")
+    return d, k, f, r0_m, _field(data, "config_hash")
 
 
 def read_steered(path: Path):
@@ -604,19 +609,20 @@ def main(argv=None, standalone_mode=True) -> int:
     out of range or overflowing k r0, ``alpha:`` out of range or a
     vanishing cap gain, ``cap_dirs:`` for a rank-deficient cap layout) is
     renamed for the spec's field, ``geometry.r0``, ``geometry.alpha`` or
-    ``geometry.caps_deg``, and raised as the same class from the library's
-    error."""
+    ``geometry.caps_deg`` (``r0_m`` in steer and metrics, which read r0 from
+    the modal file), and raised as the same class from the library's error."""
     try:
         args = vars(_PARSER.parse_args(argv))
+        fields = _GEOMETRY_FIELDS if "geometry" in args else {"r0": "r0_m"}
         # an overflow is reported once, by the check that rejects its result
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             try:
                 args.pop("command")(**args)
             except (ArithmeticError, ValueError) as exc:
                 field, _, rest = str(exc).partition(": ")
-                if field not in _GEOMETRY_FIELDS:
+                if field not in fields:
                     raise
-                raise type(exc)(f"{_GEOMETRY_FIELDS[field]}: {rest}") from exc
+                raise type(exc)(f"{fields[field]}: {rest}") from exc
     except (ArithmeticError, ValueError, KeyError) as exc:
         if not standalone_mode:
             raise
@@ -677,17 +683,16 @@ def cmd_design(geometry, method, order, freq, look, sidelobe, near_field, radius
                     for tag, q, di_db, wng, wng_db in lines))
 
 
-@_command("steer", ("weights_file", dict(type=Path)), _GEOMETRY,
+@_command("steer", ("weights_file", dict(type=Path)),
           ("--look", dict(required=True, help="Look direction THETA,PHI in degrees")),
           _NEAR_FIELD, _RADIUS, _OUT)
-def cmd_steer(weights_file, geometry, look, near_field, radius, out):
+def cmd_steer(weights_file, look, near_field, radius, out):
     """Steer modal weights from a design file to a new look direction."""
-    geom, geom_doc = load_geometry(geometry)
     look_rad = parse_look(look)
-    d, k, f, source = read_modal(weights_file, geom.r0)
+    d, k, f, r0, source = read_modal(weights_file)
     nf_radius = radius if near_field else None
-    w_nm = synthesis.steer(d, look_rad, k, geom.r0, nf_radius)
-    cfg = {"command": "steer", "geometry": geom_doc, "source": source,
+    w_nm = synthesis.steer(d, look_rad, k, r0, nf_radius)
+    cfg = {"command": "steer", "source": source,
            "look_deg": np.rad2deg(look_rad).tolist(), "near_field": near_field, "radius_m": radius}
     layout = steered_layout(_config_hash(cfg), f, k, cfg["look_deg"], nf_radius, d.size - 1,
                             w_nm)
@@ -707,22 +712,21 @@ def cmd_synthesize(steered_file, geometry, out):
     print(f"synthesized {geom.num_caps} unit weights")
 
 
-@_command("metrics", ("weights_file", dict(type=Path)), _GEOMETRY, _OUT,
+@_command("metrics", ("weights_file", dict(type=Path)), _OUT,
           ("--format", dict(dest="fmt", choices=["json", "csv"], default="json",
                             help="Output file format" + _DEFAULT)))
-def cmd_metrics(weights_file, geometry, out, fmt):
+def cmd_metrics(weights_file, out, fmt):
     """Directivity factor/index and WNG of a modal weights file."""
-    geom, geom_doc = load_geometry(geometry)
-    d, k, f, source = read_modal(weights_file, geom.r0)
-    rep = metricsmod.report(d, k, geom.r0)
+    d, k, f, r0, source = read_modal(weights_file)
+    rep = metricsmod.report(d, k, r0)
     bad = [name for name, value in rep.items() if not np.isfinite(value)]
     if bad:
         raise ArithmeticError(f"d: these modal weights give a non-finite {bad[0]} "
                               f"at k_per_m = {k:g}")
-    cfg = {"command": "metrics", "geometry": geom_doc, "source": source}
+    cfg = {"command": "metrics", "source": source}
     cfg_hash = _config_hash(cfg)
     path = out / f"metrics_{f:g}Hz.{fmt}"
-    doc = {"frequency_hz": f, "k_per_m": k, "r0_m": geom.r0, **rep, "unit_weight_norm": None}
+    doc = {"frequency_hz": f, "k_per_m": k, "r0_m": r0, **rep, "unit_weight_norm": None}
     if fmt == "json":
         write_json(path, JsonLayout("metrics", cfg_hash, doc))
     else:
@@ -762,7 +766,10 @@ def cmd_simulate(modal_file, unit_file, geometry, analysis_order, radius, look, 
     """Virtually measure a synthesized design at the --look it was steered to,
     and export designed and measured balloon grids and cross-sections."""
     geom, geom_doc = load_geometry(geometry)
-    d, k, f, source = read_modal(modal_file, geom.r0)
+    d, k, f, r0_m, source = read_modal(modal_file)
+    if r0_m != geom.r0:
+        raise ValueError(f"r0_m: the modal file is for a sphere of radius {r0_m!r} m, "
+                         f"the geometry has r0 = {geom.r0!r} m")
     w, unit_f = read_unit(unit_file)
     if f != unit_f:
         raise ValueError(f"frequency_hz: the modal file is for {f!r} Hz, "

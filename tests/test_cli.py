@@ -269,18 +269,35 @@ class TestSteerSynthesize:
         data = json.loads((restee / "unit_weights_400Hz.json").read_text())
         assert len(data["w"]) == 12
 
-    @pytest.mark.parametrize("command", ["steer", "metrics", "simulate"])
+    @pytest.mark.parametrize("command", ["simulate"])
     def test_design_for_another_sphere_exits_2(self, runner, tmp_path, command):
-        # designed at r0 = 0.2 m, read back with the default r0 = 0.15 m
+        # designed at r0 = 0.2 m, measured with the default r0 = 0.15 m
         _design(runner, tmp_path, "--geometry", "dodecahedron:r0=0.2")
-        args = {"steer": ["--look", "45,120"], "metrics": [],
-                "simulate": [str(tmp_path / "unit_weights_400Hz.json")]}[command]
         out = tmp_path / "out"
         result = runner.invoke(main, [command, str(tmp_path / "modal_weights_400Hz.json"),
-                                      *args, "--out", str(out)])
+                                      str(tmp_path / "unit_weights_400Hz.json"),
+                                      "--out", str(out)])
         assert result.exit_code == 2, result.output
         assert "r0_m" in result.output and "0.2" in result.output
         assert not out.exists()
+
+    def test_steer_and_metrics_take_r0_from_the_modal_file(self, runner, tmp_path):
+        """On a design for r0 = 0.2 m, steer to the design's own look and
+        metrics reproduce the design's steered file and metrics bit for bit."""
+        _design(runner, tmp_path, "--geometry", "dodecahedron:r0=0.2,alpha=0.25")
+        modal, out = str(tmp_path / "modal_weights_400Hz.json"), tmp_path / "out"
+        for args in (["steer", modal, "--look", "90,0", "--near-field", "--radius", "0.57"],
+                     ["metrics", modal]):
+            result = runner.invoke(main, [*args, "--out", str(out)], catch_exceptions=False)
+            assert result.exit_code == 0, result.output
+        for stem, keys in (("steered_weights", None),
+                           ("metrics", ("frequency_hz", "k_per_m", "r0_m", "q", "di_db", "wng",
+                                        "wng_db"))):
+            designed, got = (json.loads((path / f"{stem}_400Hz.json").read_text())
+                             for path in (tmp_path, out))
+            for key in keys or designed.keys() - {"config_hash"}:
+                assert got[key] == designed[key], (stem, key)
+        assert designed["r0_m"] == 0.2
 
     def test_near_field_radius_inside_sphere_exits_2(self, runner, tmp_path):
         _design(runner, tmp_path)
@@ -616,9 +633,9 @@ def test_config_hash_matches_hashlib_oracle(runner, monkeypatch, tmp_path):
 @pytest.mark.parametrize("command, options", [
     ("design", ["--geometry", "--method", "--order", "-N", "--freq", "--look", "--sidelobe",
                 "--near-field", "--radius", "--out"]),
-    ("steer", ["weights_file", "--geometry", "--look", "--near-field", "--radius", "--out"]),
+    ("steer", ["weights_file", "--look", "--near-field", "--radius", "--out"]),
     ("synthesize", ["steered_file", "--geometry", "--out"]),
-    ("metrics", ["weights_file", "--geometry", "--out", "--format"]),
+    ("metrics", ["weights_file", "--out", "--format"]),
     ("grid", ["--analysis-order", "--radius", "--out"]),
     ("simulate", ["modal_file", "unit_file", "--geometry", "--analysis-order", "--radius",
                   "--look", "--perturb", "--out"]),
@@ -629,6 +646,8 @@ def test_command_help_lists_its_options(runner, command, options):
     assert result.stderr == ""
     listed = set(re.findall(r"(?<![\w-])-[\w-]+|\b\w+_file\b", result.stdout))
     assert listed >= set(options), result.stdout
+    # steer and metrics read r0 from the modal file, and grid needs none
+    assert ("--geometry" in listed) == ("--geometry" in options), result.stdout
 
 
 class TestBoundary:
@@ -767,6 +786,12 @@ class TestBoundary:
           "--geometry", "dodecahedron:alpha=0.56"], "config error: geometry.alpha: the caps overlap"),
         (["--method", "max-di", "--order", "2", "--freq", "400", "--geometry", "close_caps.json"],
          "config error: geometry.alpha: the caps overlap"),
+        # a repeated parameter is rejected, not overridden by its last value
+        (["--method", "max-di", "--order", "2", "--freq", "400",
+          "--geometry", "dodecahedron:r0=0.2,r0=0.15"], "config error: geometry.r0: "),
+        (["--method", "max-di", "--order", "2", "--freq", "400",
+          "--geometry", "dodecahedron:alpha=0.3,r0=0.2,alpha=0.3"],
+         "config error: geometry.alpha: "),
     ])
     def test_design_rejects_bad_numbers(self, runner, tmp_path, args, field):
         out = tmp_path / "out"
@@ -791,6 +816,9 @@ class TestBoundary:
         (["simulate", "--perturb", "foo=1"], "perturb.foo: unknown field"),
         (["simulate", "--geometry", "dodecahedron:alpha=1.5"],
          "config error: geometry.alpha: the caps overlap"),
+        # a repeated field is rejected, not overridden by its last value
+        (["simulate", "--perturb", "gain_db=1,gain_db=0"], "config error: perturb.gain_db: "),
+        (["simulate", "--perturb", "seed=1,noise=1e-3,seed=1"], "config error: perturb.seed: "),
     ])
     def test_grid_and_simulate_reject_bad_options(self, runner, tmp_path, args, field):
         _design(runner, tmp_path)
@@ -871,7 +899,11 @@ class TestBoundary:
          {"d": [[1e308, 0]] * 3, "k_per_m": 0.01, "frequency_hz": 0.01 * 343.0 / (2 * math.pi)},
          "coeffs: "),
         (["synthesize", "steered_weights"], {"coeffs": [[1.7e308, 1.7e308]] * 9}, "w: "),
-    ], ids=["metrics-json", "metrics-csv", "steer", "synthesize"])
+        # k r0 overflows, r0 being the modal file's r0_m
+        (["steer", "modal_weights", "--look", "0,0"], {"r0_m": 1e308},
+         "numerical failure: r0_m: "),
+        (["metrics", "modal_weights"], {"r0_m": 1e308}, "numerical failure: r0_m: "),
+    ], ids=["metrics-json", "metrics-csv", "steer", "synthesize", "steer-r0_m", "metrics-r0_m"])
     def test_huge_coefficients_exit_3_on_one_line_without_output(self, runner, tmp_path,
                                                                  command, change, message):
         # finite file values whose products overflow: no warning, no NaN, no empty directory
@@ -1241,10 +1273,13 @@ def test_readme_cli_block_runs(tmp_path):
             assert result.returncode == 0, (args, result.stderr)
         runs.append({path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()})
     assert runs[1] == runs[0]
-    named = set(re.findall(r"out/[\w.]+\.(?:json|csv)", block))
+    named = set(re.findall(r"out/[\w./]+\.(?:json|csv)", block))
     assert named
     for name in named:
         assert (tmp_path / name).is_file(), name
+    # the unperturbed simulation measures the weights the first design made
+    report = json.loads((tmp_path / "out" / "simulation_400Hz.json").read_text())
+    assert report["pattern_error"] < 1e-6, report
 
 
 def _reject_constant(name):

@@ -251,7 +251,7 @@ def test_simulate_writes_the_template_bytes(tmp_path, design, perturb):
                      "--perturb", perturb, "--out", str(tmp_path)]) == 0
 
     geom, _ = cli.load_geometry("dodecahedron")
-    d, k, _, _ = cli.read_modal(modal, geom.r0)
+    d, k, _, _, _ = cli.read_modal(modal)
     w, _ = cli.read_unit(unit)
     sim = virtualmeas.simulate(geom, d, w, k, cli.parse_look(look), order, radius,
                                cli.parse_perturb(perturb))
